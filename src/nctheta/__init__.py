@@ -20,7 +20,7 @@ from .lattice import (EmbeddingMap, LatticePoint, QuantumElement,
 from .manin import (KIND_MANIN, KIND_MODIFIED, TranslationFactor,
                     additivity_probe, degeneracy_scan, translate,
                     translation_factor, verify_cocycle_consistency,
-                    verify_functional_equation)
+                    verify_functional_equation, verify_functional_equations)
 from .theta import (HermitianFormContext, b_factor, classical_theta,
                     decay_certificate, gaussian_integral, hermitian_form,
                     inner_product_closed, inner_product_quadrature,
@@ -46,4 +46,5 @@ __all__ = [
     "qel_multiply", "quantum_theta", "sample_on_grid", "solve_partial",
     "theta_coefficients", "translate", "translation_factor",
     "verify_cocycle_consistency", "verify_functional_equation",
+    "verify_functional_equations",
 ]

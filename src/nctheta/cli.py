@@ -215,8 +215,9 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
             theta_el = theta.quantum_theta(emb, vec, cfg.truncation_R,
                                            tail_eps=tail_eps)
             certificate = theta.decay_certificate(theta_el)
+            table = manin.BallTable.build(ctx, emb, cfg.truncation_R, tail_eps)
             K, coeffs = theta_el.as_arrays()
-            closed, _ = theta.theta_coefficients(ctx, emb, K, tail_eps)
+            closed, _ = table.lookup(K)
             keep = np.abs(closed) > 1e-13
             formula_residual = float(np.max(np.abs(coeffs - closed))) if len(K) else 0.0
             phase_residual = float(np.max(np.abs(np.angle(coeffs[keep] / closed[keep])))) \
@@ -237,40 +238,24 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
     if "verify" in cfg.outputs and theta_el is not None:
         kind = manin.KIND_MANIN if emb.q == 0 else manin.KIND_MODIFIED
         rng = np.random.default_rng(cfg.seed)
-        residual_tol = tol["residual_abs"]
-        tail_bound = reports.get("theta", {}).get("tail_bound", 0.0)
         g_radius = cfg.truncation_R // 2
-        results = []
         degenerate = False
-        zeros = manin.degeneracy_scan(ctx, emb, cfg.truncation_R, tail_eps) \
-            if kind == manin.KIND_MODIFIED else []
-        if zeros:
+        points = [emb.point(np.array(k)) for k in iter_ball(emb.d, g_radius)]
+        try:
+            results = manin.verify_functional_equations(
+                ctx, emb, theta_el, points, kind, tail_eps=tail_eps,
+                residual_tol=tol["residual_abs"], table=table)
+        except DegenerateTranslation as exc:
             degenerate = True
-            results.append({"g": None, "kind": kind, "degenerate": True,
-                            "witnesses": [list(i) for i in zeros[:16]],
-                            "pass": False})
+            results = [{"g": None, "kind": kind, "degenerate": True,
+                        "witnesses": [list(i) for i in exc.indices[:16]],
+                        "pass": False}]
             failures.append(
-                f"degenerate translation factors at {len(zeros)} ball indices")
+                f"degenerate translation factors at {len(exc.indices)} ball indices")
         else:
-            for k in iter_ball(emb.d, g_radius):
-                g = emb.point(np.array(k))
-                try:
-                    entry = manin.verify_functional_equation(
-                        ctx, emb, theta_el, g, kind, tail_eps=tail_eps,
-                        residual_tol=residual_tol, tail_bound=tail_bound,
-                        skip_scan=True)
-                except DegenerateTranslation as exc:
-                    degenerate = True
-                    results.append({"g": [int(v) for v in g.index], "kind": kind,
-                                    "degenerate": True,
-                                    "witnesses": [list(i) for i in exc.indices[:16]],
-                                    "pass": False})
-                    failures.append(f"degenerate translation near g={k}: {exc}")
-                    break
-                results.append(entry)
-                if not entry["pass"]:
-                    failures.append(
-                        f"functional equation residual {entry['max_residual']:.3e} at g={k}")
+            failures += [f"functional equation residual {entry['max_residual']:.3e}"
+                         f" at g={tuple(entry['g'])}"
+                         for entry in results if not entry["pass"]]
         consistency = None
         additivity = None
         if not degenerate:

@@ -29,6 +29,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integral(k: np.ndarray) -> np.ndarray:
+    """Integer-valued k, rounded; ValueError unless |k - round(k)| <= INT_TOL
+    everywhere.  Integer arrays are returned as they are."""
+    if np.issubdtype(k.dtype, np.integer):
+        return k
+    rounded = np.round(k)
+    if not np.all(np.abs(k - rounded) <= INT_TOL):
+        raise ValueError("lattice index must be integral")
+    return rounded
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingMap:
     """Embedding matrix Phi of shape (2p+2q, 2p+q).
@@ -73,9 +84,7 @@ class EmbeddingMap:
         k = np.asarray(index)
         if k.shape != (self.d,):
             raise DimensionMismatch(f"index must have length {self.d}, got {k.shape}")
-        if not np.allclose(k, np.round(k), atol=INT_TOL):
-            raise ValueError("lattice index must be integral")
-        k = np.round(k).astype(int)
+        k = _integral(k).astype(int)
         h = self.phi @ k
         p, q = self.p, self.q
         m = h[2 * p:2 * p + q]
@@ -91,11 +100,12 @@ class EmbeddingMap:
         """Vectorized block decomposition for an (n, d) array of integer indices.
 
         Returns (w1, w2, m, r) with shapes (n, p), (n, p), (n, q), (n, q).
+        Non-integral indices raise ValueError, as in point().
         """
-        K = np.asarray(indices, dtype=float)
+        K = np.asarray(indices)
         if K.ndim != 2 or K.shape[1] != self.d:
             raise DimensionMismatch(f"indices must be (n, {self.d})")
-        H = K @ self.phi.T
+        H = _integral(K).astype(float) @ self.phi.T
         p, q = self.p, self.q
         m = np.round(H[:, 2 * p:2 * p + q]).astype(int)
         return H[:, :p], H[:, p:2 * p], m, H[:, 2 * p + q:]

@@ -67,11 +67,17 @@ def translation_factor(ctx: HermitianFormContext, emb: EmbeddingMap,
 
 
 def _multipliers(ctx: HermitianFormContext, emb: EmbeddingMap, g: LatticePoint,
-                 indices: np.ndarray, kind: str, tail_eps: float):
+                 indices: np.ndarray, kind: str, tail_eps: float,
+                 factor_g: TranslationFactor | None = None, coefficients=None):
     """Translation multipliers of g over an (n, d) array of target indices.
 
-    Raises DegenerateTranslation when the modified convention would
-    divide by a structurally vanishing factor.
+    In the modified convention T_g(h) = c_{g+h} / (C_g c_h alpha(g, h)),
+    with C_g from `factor_g` (computed when not given) and the closed
+    coefficients from `coefficients`, a map from an (n, d) index array to
+    (coefficients, normalized b-factors) that defaults to
+    theta_coefficients.  Raises DegenerateTranslation when that would
+    divide by a structurally vanishing factor, and NCThetaError when a
+    factor lies below double-precision range, both before any division.
     """
     W1, W2, M, Rr = emb.blocks(indices)
     alpha = np.exp(1j * np.pi * cocycle_exponent_arrays(
@@ -81,10 +87,14 @@ def _multipliers(ctx: HermitianFormContext, emb: EmbeddingMap, g: LatticePoint,
         xh = complex_coordinates(ctx, W1, W2)
         hvals = hermitian_pairing_arrays(ctx, xg, xh)
         return np.exp(-np.pi * hvals), alpha
-    factor_g = translation_factor(ctx, emb, g, kind, tail_eps)
+    if factor_g is None:
+        factor_g = translation_factor(ctx, emb, g, kind, tail_eps)
+    if coefficients is None:
+        def coefficients(K):
+            return theta_coefficients(ctx, emb, K, tail_eps)
     if factor_g.degenerate:
         raise DegenerateTranslation([g.index])
-    c_h, norm_h = theta_coefficients(ctx, emb, indices, tail_eps)
+    c_h, norm_h = coefficients(indices)
     bad = norm_h < STRUCTURAL_ZERO_TOL
     if np.any(bad):
         raise DegenerateTranslation(indices[bad])
@@ -96,7 +106,7 @@ def _multipliers(ctx: HermitianFormContext, emb: EmbeddingMap, g: LatticePoint,
         raise NCThetaError(
             "translation factors underflow double precision at indices "
             f"{[tuple(int(v) for v in k) for k in where[:8]]}")
-    c_gh, _ = theta_coefficients(ctx, emb, indices + g.index, tail_eps)
+    c_gh, _ = coefficients(indices + g.index)
     return c_gh / (factor_g.value * c_h * alpha), alpha
 
 
@@ -121,12 +131,45 @@ def translate(ctx: HermitianFormContext, emb: EmbeddingMap, g: LatticePoint,
                           drop_tol=x.drop_tol)
 
 
+@dataclass(frozen=True, eq=False)
+class BallTable:
+    """Closed-formula coefficients on the whole ball |k|_inf <= radius.
+
+    `values` and `norms` (the normalized b-factors that detect structural
+    zeros) are cubes of side 2 radius + 1 indexed by k + radius, filled
+    by one theta_coefficients call, so every lookup returns the same bits
+    as that call.
+    """
+
+    radius: int
+    values: np.ndarray
+    norms: np.ndarray
+
+    @classmethod
+    def build(cls, ctx: HermitianFormContext, emb: EmbeddingMap, radius: int,
+              tail_eps: float = TAIL_EPS) -> "BallTable":
+        values, norms = theta_coefficients(ctx, emb, _ball_array(emb.d, radius),
+                                           tail_eps)
+        shape = (2 * radius + 1,) * emb.d
+        return cls(radius=radius, values=values.reshape(shape),
+                   norms=norms.reshape(shape))
+
+    def lookup(self, indices: np.ndarray):
+        """(values, norms) at an (n, d) array of indices inside the ball."""
+        at = tuple((indices + self.radius).T)
+        return self.values[at], self.norms[at]
+
+    def zeros(self) -> list:
+        """Indices whose lattice factor vanishes structurally, in
+        lexicographic order."""
+        K = np.argwhere(self.norms < STRUCTURAL_ZERO_TOL) - self.radius
+        return [tuple(int(v) for v in k) for k in K]
+
+
 def degeneracy_scan(ctx: HermitianFormContext, emb: EmbeddingMap, radius: int,
                     tail_eps: float = TAIL_EPS) -> list:
     """Indices within the ball whose lattice factor vanishes structurally."""
-    K = _ball_array(emb.d, radius)
-    _, norms = theta_coefficients(ctx, emb, K, tail_eps)
-    return [tuple(int(v) for v in k) for k in K[norms < STRUCTURAL_ZERO_TOL]]
+    return BallTable.build(ctx, emb, radius, tail_eps).zeros()
 
 
 def _ball_array(d: int, radius: int) -> np.ndarray:
@@ -134,53 +177,93 @@ def _ball_array(d: int, radius: int) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
 
 
+def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
+                                theta: QuantumElement, points: list,
+                                kind: str, tail_eps: float = TAIL_EPS,
+                                residual_tol: float = 1e-9,
+                                table: BallTable | None = None) -> list:
+    """verify_functional_equation for every lattice point of `points`, in order.
+
+    The coefficient cube of Theta is built once.  In the modified
+    convention the closed formula is evaluated once on the truncation
+    ball (`table`, built here unless the caller already holds it); that
+    table serves the degeneracy scan and every c_h and c_{g+h} as index
+    lookups, so the closed-formula multipliers stay independent of the
+    inner-product coefficients they are checked against.
+
+    Errors are raised as the single-g calls would raise them in turn:
+    first any |g|_inf > R/2 (ValueError), then the degeneracy scan
+    (DegenerateTranslation, before any division), then per g the
+    degeneracy and underflow checks of its multiplier.
+    """
+    _check_kind(kind)
+    R = theta.radius
+    radii = [int(np.max(np.abs(g.index))) if g.index.size else 0
+             for g in points]
+    if any(2 * gr > R for gr in radii):
+        raise ValueError("translation index must satisfy |g|_inf <= R/2")
+    lookup = None
+    if kind == KIND_MODIFIED:
+        if table is None:
+            table = BallTable.build(ctx, emb, R, tail_eps)
+        elif table.radius != R:
+            raise ValueError("coefficient table radius differs from the element's")
+        zeros = table.zeros()
+        if zeros:
+            raise DegenerateTranslation(zeros, "theta support hits theta zeros")
+        lookup = table.lookup
+    cube = np.zeros((2 * R + 1,) * emb.d, dtype=complex)
+    K, c = theta.as_arrays()
+    if len(K):
+        cube[tuple((K + R).T)] = c
+    balls = {}
+    entries = []
+    for g, gr in zip(points, radii):
+        interior = R - gr
+        if interior not in balls:
+            balls[interior] = _ball_array(emb.d, interior)
+        K_int = balls[interior]
+        h_idx = K_int - g.index
+        factor_g = translation_factor(ctx, emb, g, kind, tail_eps)
+        T, alpha = _multipliers(ctx, emb, g, h_idx, kind, tail_eps,
+                                factor_g, lookup)
+        lhs = factor_g.value * alpha * T * cube[tuple((h_idx + R).T)]
+        rhs = cube[tuple((K_int + R).T)]
+        residual = float(np.max(np.abs(lhs - rhs)))
+        entries.append({
+            "g": [int(v) for v in g.index],
+            "kind": kind,
+            "interior_radius": int(interior),
+            "max_residual": residual,
+            "degenerate": False,
+            "witnesses": [],
+            "pass": bool(residual < residual_tol),
+        })
+    return entries
+
+
 def verify_functional_equation(ctx: HermitianFormContext, emb: EmbeddingMap,
                                theta: QuantumElement, g: LatticePoint,
                                kind: str, tail_eps: float = TAIL_EPS,
-                               residual_tol: float = 1e-9,
-                               tail_bound: float = 0.0,
-                               skip_scan: bool = False) -> dict:
+                               residual_tol: float = 1e-9) -> dict:
     """Coefficient residual of C_g e(g) x_g(Theta) = Theta on the interior ball.
 
     The comparison is restricted to |k|_inf <= R - |g|_inf, where both
     sides are fully resolved by the truncated element, so boundary
-    clipping cannot produce false failures.  For the modified convention
-    the whole truncation ball is scanned for vanishing factors before
-    any division; batch callers that ran degeneracy_scan themselves can
-    pass skip_scan=True.
+    clipping cannot produce false failures; the verdict is
+    max_residual < residual_tol, with nothing added to the tolerance.
+    Requires |g|_inf <= R/2 (ValueError otherwise).  For the modified
+    convention the whole truncation ball is scanned for vanishing
+    factors before any division (DegenerateTranslation).
+
+    This is the one-g call of the batched engine
+    verify_functional_equations, which builds the coefficient cube of
+    Theta and a closed-formula table on the truncation ball once and
+    evaluates every translation from them; a run over many g should call
+    the engine directly.  Its entries equal those of this call exactly.
     """
-    _check_kind(kind)
-    R = theta.radius
-    gr = int(np.max(np.abs(g.index))) if g.index.size else 0
-    if 2 * gr > R:
-        raise ValueError("translation index must satisfy |g|_inf <= R/2")
-    if kind == KIND_MODIFIED and not skip_scan:
-        zeros = degeneracy_scan(ctx, emb, R, tail_eps)
-        if zeros:
-            raise DegenerateTranslation(zeros, "theta support hits theta zeros")
-    d = emb.d
-    side = 2 * R + 1
-    cube = np.zeros((side,) * d, dtype=complex)
-    K, c = theta.as_arrays()
-    if len(K):
-        cube[tuple((K + R).T)] = c
-    factor_g = translation_factor(ctx, emb, g, kind, tail_eps)
-    interior = R - gr
-    K_int = _ball_array(d, interior)
-    h_idx = K_int - g.index
-    T, alpha = _multipliers(ctx, emb, g, h_idx, kind, tail_eps)
-    lhs = factor_g.value * alpha * T * cube[tuple((h_idx + R).T)]
-    rhs = cube[tuple((K_int + R).T)]
-    residual = float(np.max(np.abs(lhs - rhs)))
-    return {
-        "g": [int(v) for v in g.index],
-        "kind": kind,
-        "interior_radius": int(interior),
-        "max_residual": residual,
-        "degenerate": False,
-        "witnesses": [],
-        "pass": bool(residual < residual_tol + tail_bound),
-    }
+    return verify_functional_equations(ctx, emb, theta, [g], kind, tail_eps,
+                                       residual_tol)[0]
 
 
 def functional_equation_residual_ops(ctx: HermitianFormContext,

@@ -184,12 +184,20 @@ def gaussian_integral(M: np.ndarray, v: np.ndarray) -> complex:
     p = M.shape[0] if M.ndim == 2 else 0
     if p == 0:
         return 1.0 + 0j
+    return _gaussian_value(_gaussian_prefactor(M), M, v)
+
+
+def _gaussian_prefactor(M: np.ndarray) -> complex:
+    """pi^{p/2} det(M)^{-1/2} of gaussian_integral, for a (p, p) M, p >= 1."""
     if np.min(np.linalg.eigvalsh(M.real)) <= 0.0:
         raise DivergentIntegral("Re M must be positive definite")
     lam = np.linalg.eigvals(M)
     det_inv_sqrt = np.exp(-0.5 * np.sum(np.log(lam)))
-    return complex(np.pi ** (p / 2) * det_inv_sqrt
-                   * np.exp(v @ np.linalg.solve(M, v) / 4.0))
+    return np.pi ** (M.shape[0] / 2) * det_inv_sqrt
+
+
+def _gaussian_value(prefactor: complex, M: np.ndarray, v: np.ndarray) -> complex:
+    return complex(prefactor * np.exp(v @ np.linalg.solve(M, v) / 4.0))
 
 
 def inner_product_closed(f: GaussianVector, g: GaussianVector,
@@ -204,29 +212,52 @@ def inner_product_closed(f: GaussianVector, g: GaussianVector,
         raise DimensionMismatch("vectors live on different spaces")
     if h.p != f.p or h.q != f.q:
         raise DimensionMismatch("lattice point does not match the vectors")
+    return _closed_inner_products(f, g, tail_eps)(h)
+
+
+def _closed_inner_products(f: GaussianVector, g: GaussianVector,
+                           tail_eps: float):
+    """h -> <f, pi_h g> for vectors of matching dimensions.
+
+    The work that depends on (f, g) only (conjugates, the Re M check and
+    det(M)^{-1/2}) is done once here.  Every partial result is grouped as
+    in the formula, so each value is bit-identical to a separate
+    evaluation per h.
+    """
     p, q = f.p, f.q
     og_bar = np.conj(g.omega)
     lg_bar = np.conj(g.ell)
     mug_bar = np.conj(g.mu)
+    scale = f.c0 * np.conj(g.c0)
     # Continuous sector.
     M = -1j * np.pi * (f.omega - og_bar)
-    v = 2j * np.pi * (f.ell - lg_bar - og_bar @ h.w1 - h.w2)
-    const = np.exp(-1j * np.pi * (h.w1 @ h.w2 + h.w1 @ og_bar @ h.w1)
-                   - 2j * np.pi * (lg_bar @ h.w1)) if p else 1.0
-    cont = const * gaussian_integral(M, v)
-    # Lattice sector, one peak-shifted theta series per component.
-    latt = 1.0 + 0j
-    if q:
-        af = f.n0.astype(float)
-        ag = g.n0.astype(float)
-        mm = h.m.astype(float)
-        beta = f.mu - mug_bar - h.r
-        c1 = np.pi * (af + ag - mm) + 2j * np.pi * beta
-        c0 = -np.pi / 2 * (af**2 + (mm - ag) ** 2)
-        sums, _, _ = _shifted_lattice_sums(c1, c0, tail_eps)
-        latt = np.prod(sums) * np.exp(
-            -2j * np.pi * (mug_bar @ mm) - 1j * np.pi * (mm @ h.r))
-    return complex(f.c0 * np.conj(g.c0) * cont * latt)
+    prefactor = _gaussian_prefactor(M) if p else None
+    ell = f.ell - lg_bar
+    # Lattice sector.
+    af = f.n0.astype(float)
+    ag = g.n0.astype(float)
+    a_sum = af + ag
+    af2 = af**2
+    mu = f.mu - mug_bar
+
+    def at(h: LatticePoint) -> complex:
+        v = 2j * np.pi * (ell - og_bar @ h.w1 - h.w2)
+        const = np.exp(-1j * np.pi * (h.w1 @ h.w2 + h.w1 @ og_bar @ h.w1)
+                       - 2j * np.pi * (lg_bar @ h.w1)) if p else 1.0
+        cont = const * (_gaussian_value(prefactor, M, v) if p else 1.0 + 0j)
+        # one peak-shifted theta series per lattice component
+        latt = 1.0 + 0j
+        if q:
+            mm = h.m.astype(float)
+            beta = mu - h.r
+            c1 = np.pi * (a_sum - mm) + 2j * np.pi * beta
+            c0 = -np.pi / 2 * (af2 + (mm - ag) ** 2)
+            sums, _, _ = _shifted_lattice_sums(c1, c0, tail_eps)
+            latt = np.prod(sums) * np.exp(
+                -2j * np.pi * (mug_bar @ mm) - 1j * np.pi * (mm @ h.r))
+        return complex(scale * cont * latt)
+
+    return at
 
 
 def inner_product_quadrature(fs: SampledVector, gs: SampledVector,
@@ -295,8 +326,11 @@ def quantum_theta(emb: EmbeddingMap, f: GaussianVector, R: int,
     """Quantum theta element: normalized diagonal inner products on a ball.
 
     Coefficient at index k is sqrt(2^p det Im Omega) <f, pi_{Phi k} f>
-    for |k|_inf <= R, evaluated independently per k and merged in sorted
-    order.  Requires the centered family member (ell = 0, n0 = 0, mu = 0).
+    for |k|_inf <= R, evaluated per k by the scalar route of
+    inner_product_closed (its (f, f)-only work done once), so each value
+    is bit-identical to a separate inner_product_closed call, and merged
+    in sorted order.  Requires the centered family member (ell = 0,
+    n0 = 0, mu = 0).
     """
     if R < 1:
         raise ValueError("truncation radius must be >= 1")
@@ -306,10 +340,10 @@ def quantum_theta(emb: EmbeddingMap, f: GaussianVector, R: int,
         raise ValueError("quantum theta requires the centered family member")
     norm = math.sqrt((2 ** emb.p) * float(np.linalg.det(f.omega.imag))) \
         if emb.p else 1.0
+    inner = _closed_inner_products(f, f, tail_eps)
     coeffs = {}
     for k in iter_ball(emb.d, R):
-        coeffs[k] = norm * inner_product_closed(f, f, emb.point(np.array(k)),
-                                                tail_eps)
+        coeffs[k] = norm * inner(emb.point(np.array(k)))
     return QuantumElement(embedding=emb, coeffs=coeffs, radius=R,
                           drop_tol=drop_tol)
 

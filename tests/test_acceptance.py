@@ -220,8 +220,7 @@ def test_criterion_7_functional_equation_mixed():
         assert not nc.degeneracy_scan(ctx, emb, 4)
         for k in iter_ball(emb.d, 2):
             rep = nc.verify_functional_equation(
-                ctx, emb, th, emb.point(np.array(k)), manin.KIND_MODIFIED,
-                skip_scan=True)
+                ctx, emb, th, emb.point(np.array(k)), manin.KIND_MODIFIED)
             assert rep["max_residual"] < 1e-9, k
 
 

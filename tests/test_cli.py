@@ -102,6 +102,31 @@ def test_degenerate_instance_exits_two(tmp_path):
     assert summary["exit_code"] == 2 and summary["failures"]
 
 
+def test_residual_tolerance_is_not_widened(tmp_path):
+    # the residuals here are about 6e-16, far below the decay certificate's
+    # tail_bound; the verdict compares them with residual_abs alone
+    cfg = write_config(tmp_path, {
+        "embedding": {"p": 1, "q": 2, "theta": [0.5],
+                      "Q": [[1, 0], [0, 1]],
+                      "Delta": [[0.2, 0.0], [0.0, 0.7]]},
+        "truncation_R": 2,
+        "seed": 123,
+        "tolerances": {"residual_abs": 1e-18},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", cfg, "--out", str(out)]) == 2
+    theta_rep = json.loads((out / "theta.json").read_text())
+    assert theta_rep["tail_bound"] > 1.0
+    verify = json.loads((out / "verify.json").read_text())
+    failed = [e for e in verify["functional_equation"] if not e["pass"]]
+    assert failed and all(e["max_residual"] >= 1e-18 for e in failed)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["exit_code"] == 2
+    fe_failures = [f for f in summary["failures"]
+                   if f.startswith("functional equation residual")]
+    assert len(fe_failures) == len(failed)
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = mixed_q2(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -76,6 +76,26 @@ def test_lattice_point_dimension_mismatch():
         emb.point([1, 0, 0])
 
 
+def test_non_integral_indices_rejected():
+    emb = nc.canonical_embedding(1, 2, theta=[0.5], Q=np.eye(2),
+                                 Delta=np.diag([0.2, 0.7]))
+    # a relative closeness test would accept this as index 1000000
+    with pytest.raises(ValueError):
+        emb.point([1e6 + 0.5, 0, 0, 0])
+    with pytest.raises(ValueError):
+        emb.point([np.nan, 0, 0, 0])
+    with pytest.raises(ValueError):
+        emb.blocks([[0.4, 0, 0, 0]])
+    np.testing.assert_array_equal(emb.point([1e6, 0, 0, 0]).index,
+                                  [1000000, 0, 0, 0])
+    big = np.array([[2**40, 0, 1, 0]])
+    _, _, m, _ = emb.blocks(big)
+    np.testing.assert_array_equal(m, [[1, 0]])
+    float_blocks = emb.blocks(big.astype(float))
+    for a, b in zip(emb.blocks(big), float_blocks):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_cocycle_identity_and_antisymmetry():
     emb = nc.canonical_embedding(1, 2, theta=[0.5], Q=np.eye(2),
                                  Delta=np.diag([0.2, 0.7]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nctheta as nc
-from nctheta.errors import DegenerateTranslation
+from nctheta.errors import DegenerateTranslation, NCThetaError
 from nctheta.heisenberg import GaussianVector, iter_ball
 from nctheta.manin import functional_equation_residual_ops
 from nctheta.theta import HermitianFormContext
@@ -108,6 +108,9 @@ def test_functional_equation_interior_radius(inst_1_0):
     assert rep["interior_radius"] == 2
     with pytest.raises(ValueError):
         nc.verify_functional_equation(ctx, emb, th, emb.point([3, 0]), "manin")
+    with pytest.raises(ValueError):
+        nc.verify_functional_equations(
+            ctx, emb, th, [emb.point([0, 0]), emb.point([0, -3])], "manin")
 
 
 def test_functional_equation_matches_ops_path(inst_1_0, inst_1_2):
@@ -167,9 +170,36 @@ def test_degeneracy_scan_and_flag_before_division():
     # scan is what finds them
     assert all(abs(th.coeff(k)) < 1e-14 for k in zeros)
     assert any(abs(c) < 1e-17 for c in th.coeffs.values())
-    with pytest.raises(DegenerateTranslation):
+    with pytest.raises(DegenerateTranslation) as exc:
         nc.verify_functional_equation(ctx, emb, th, emb.point([0, 0, 0, 1]),
                                       "modified")
+    assert exc.value.indices == zeros
+    # the batched engine scans before its first translation, even one
+    # whose own factor is fine
+    with pytest.raises(DegenerateTranslation) as exc:
+        nc.verify_functional_equations(ctx, emb, th, [emb.point([0, 0, 0, 0])],
+                                       "modified")
+    assert exc.value.indices == zeros
+
+
+def test_functional_equation_underflow_raises():
+    # H(x, x) = 0.1 w1^2 + 10 w2^2 reaches 476 at k = (+-2, +-2, .), so
+    # the closed coefficient underflows to 0 there without being a theta
+    # zero, while every inner-product coefficient stays finite
+    emb = nc.canonical_embedding(1, 1, theta=[33.0], Q=[[1]], Delta=[[0.3]])
+    omega = np.array([[0.1j]])
+    ctx, th = build(emb, omega, R=2)
+    assert not nc.degeneracy_scan(ctx, emb, 2)
+    for call in (
+            lambda: nc.verify_functional_equation(
+                ctx, emb, th, emb.point([0, 0, 0]), "modified"),
+            lambda: nc.verify_functional_equations(
+                ctx, emb, th, [emb.point([0, 1, 0]), emb.point([0, 0, 0])],
+                "modified")):
+        with pytest.raises(NCThetaError, match="underflow") as exc:
+            call()
+        assert not isinstance(exc.value, DegenerateTranslation)
+        assert "(-2, -2, -2)" in str(exc.value)
 
 
 def test_cocycle_consistency_general_embedding(inst_general):
@@ -265,9 +295,14 @@ def test_manin_zero_translation_is_identity(inst_1_0):
 def test_functional_equation_full_ball(inst_1_2):
     emb, omega = inst_1_2
     ctx, th = build(emb, omega)
+    points = [emb.point(np.array(k)) for k in iter_ball(emb.d, 2)]
+    batched = nc.verify_functional_equations(ctx, emb, th, points, "modified")
+    assert len(batched) == len(points)
     worst = 0.0
-    for k in iter_ball(emb.d, 2):
-        rep = nc.verify_functional_equation(ctx, emb, th,
-                                            emb.point(np.array(k)), "modified")
+    for g, entry in zip(points, batched):
+        rep = nc.verify_functional_equation(ctx, emb, th, g, "modified")
+        # the batch shares one cube and one table; its entries carry the
+        # exact bits of the single-g calls
+        assert entry == rep
         worst = max(worst, rep["max_residual"])
     assert worst < 1e-9

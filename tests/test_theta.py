@@ -3,7 +3,7 @@ import pytest
 
 import nctheta as nc
 from nctheta.errors import (BadTau, DivergentIntegral, GridMismatch)
-from nctheta.heisenberg import GaussianVector
+from nctheta.heisenberg import GaussianVector, iter_ball
 from nctheta.theta import (HermitianFormContext, b_product_arrays,
                            theta_coefficients)
 
@@ -278,6 +278,19 @@ def test_quantum_theta_matches_quadrature(inst_1_2):
         k = rng.integers(-2, 3, 4)
         quad = norm * nc.inner_product_quadrature(fs, gs, emb.point(k))
         assert th.coeff(tuple(k)) == pytest.approx(quad, rel=1e-6, abs=1e-12)
+
+
+def test_quantum_theta_equals_scalar_route_bitwise(inst_1_2, inst_2_0):
+    # quantum_theta does the (f, f)-only work once; every coefficient must
+    # still carry the exact bits of a separate inner_product_closed call
+    for emb, omega in [inst_1_2, inst_2_0]:
+        f = GaussianVector.pure(omega, emb.q)
+        th = nc.quantum_theta(emb, f, 2)
+        norm = np.sqrt((2 ** emb.p) * float(np.linalg.det(omega.imag)))
+        assert len(th.coeffs) == 5 ** emb.d
+        for k in iter_ball(emb.d, 2):
+            scalar = norm * nc.inner_product_closed(f, f, emb.point(k))
+            assert th.coeffs[k] == scalar, k
 
 
 def test_quantum_theta_coefficient_formula(inst_1_2):
