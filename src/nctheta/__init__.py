@@ -15,8 +15,7 @@ from .holomorphy import (ComplexStructure, HolomorphyResult,
                          verify_nonexistence_by_search)
 from .lattice import (EmbeddingMap, LatticePoint, QuantumElement,
                       canonical_embedding, cocycle, cocycle_exponent,
-                      embedding_from_config, induced_theta, lattice_point,
-                      qel_multiply)
+                      embedding_from_config, induced_theta)
 from .manin import (KIND_MANIN, KIND_MODIFIED, TranslationFactor,
                     additivity_probe, degeneracy_scan, translate,
                     translation_factor, verify_cocycle_consistency,
@@ -42,8 +41,8 @@ __all__ = [
     "connection_combination", "connection_matrix", "decay_certificate",
     "degeneracy_scan", "embedding_from_config", "gaussian_integral",
     "heisenberg_on_linear", "hermitian_form", "induced_theta",
-    "inner_product_closed", "inner_product_quadrature", "lattice_point",
-    "qel_multiply", "quantum_theta", "sample_on_grid", "solve_partial",
+    "inner_product_closed", "inner_product_quadrature", "quantum_theta",
+    "sample_on_grid", "solve_partial",
     "theta_coefficients", "translate", "translation_factor",
     "verify_cocycle_consistency", "verify_functional_equation",
     "verify_functional_equations",

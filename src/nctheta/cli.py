@@ -20,8 +20,8 @@ import numpy as np
 from . import holomorphy, manin, theta
 from .errors import (ConfigError, DegenerateTranslation, NCThetaError,
                      NoPartialStructure)
-from .heisenberg import GaussianVector, iter_ball
-from .lattice import EmbeddingMap, embedding_from_config
+from .heisenberg import GaussianVector
+from .lattice import EmbeddingMap, ball, embedding_from_config
 from .reports import render_report, write_report
 
 SCHEMA_VERSION = 1
@@ -152,12 +152,8 @@ def _classify_report(cfg: RunConfig) -> dict:
     else:
         try:
             omega, gmat, witness = holomorphy.solve_partial(emb, cs)
-            report["classification"] = {
-                "variant": "partial",
-                "omega": [[[v.real, v.imag] for v in row] for row in omega],
-                "g": [[[v.real, v.imag] for v in row] for row in gmat],
-                "witness": witness,
-            }
+            report["classification"] = holomorphy.HolomorphyResult(
+                "partial", omega, gmat, witness).to_dict()
         except NoPartialStructure as exc:
             report["classification"] = {"variant": "no_partial_structure",
                                         "witness": {"condition": exc.condition}}
@@ -240,7 +236,7 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
         rng = np.random.default_rng(cfg.seed)
         g_radius = cfg.truncation_R // 2
         degenerate = False
-        points = [emb.point(np.array(k)) for k in iter_ball(emb.d, g_radius)]
+        points = [emb.point(k) for k in ball(emb.d, g_radius)]
         try:
             results = manin.verify_functional_equations(
                 ctx, emb, theta_el, points, kind, tail_eps=tail_eps,

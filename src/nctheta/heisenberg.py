@@ -13,7 +13,6 @@ evaluations and serves as the brute-force oracle representation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,16 @@ from .lattice import EmbeddingMap, LatticePoint, _readonly
 
 SYM_TOL = 1e-12
 GRID_BUDGET = 10_000_000
+
+
+def _check_omega(omega: np.ndarray):
+    """ValueError unless the (p, p) Omega is symmetric to SYM_TOL with
+    positive definite imaginary part; nothing to check for p = 0."""
+    if omega.size:
+        if np.max(np.abs(omega - omega.T)) > SYM_TOL:
+            raise ValueError("Omega must be symmetric")
+        if np.min(np.linalg.eigvalsh(omega.imag)) <= 0.0:
+            raise ValueError("Im Omega must be positive definite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,11 +57,7 @@ class GaussianVector:
         ell = np.asarray(self.ell, dtype=complex).reshape(self.p)
         n0 = np.asarray(self.n0).reshape(self.q)
         mu = np.asarray(self.mu, dtype=complex).reshape(self.q)
-        if self.p:
-            if np.max(np.abs(omega - omega.T)) > SYM_TOL:
-                raise ValueError("Omega must be symmetric")
-            if np.min(np.linalg.eigvalsh(omega.imag)) <= 0.0:
-                raise ValueError("Im Omega must be positive definite")
+        _check_omega(omega)
         if self.q and not np.allclose(n0, np.round(n0), atol=SYM_TOL):
             raise ValueError("lattice center n0 must be integral")
         object.__setattr__(self, "omega", _readonly(omega))
@@ -227,19 +232,6 @@ class SampledVector:
     def n_axis(self) -> np.ndarray:
         return np.arange(-self.lattice_radius, self.lattice_radius + 1)
 
-    def to_csv(self, path):
-        """Debug export: one row per grid point (s..., n..., re, im)."""
-        s_ax, n_ax = self.s_axis, self.n_axis
-        with open(path, "w") as fh:
-            fh.write(",".join([f"s{i+1}" for i in range(self.p)]
-                              + [f"n{i+1}" for i in range(self.q)]
-                              + ["re", "im"]) + "\n")
-            for idx in np.ndindex(self.values.shape):
-                coords = [f"{s_ax[idx[i]]:.17g}" for i in range(self.p)]
-                coords += [str(int(n_ax[idx[self.p + i]])) for i in range(self.q)]
-                v = self.values[idx]
-                fh.write(",".join(coords + [f"{v.real:.17g}", f"{v.imag:.17g}"]) + "\n")
-
 
 def sample_on_grid(f: GaussianVector, grid_radius: float, step: float,
                    lattice_radius: int, budget: int = GRID_BUDGET) -> SampledVector:
@@ -275,8 +267,3 @@ def sample_on_grid(f: GaussianVector, grid_radius: float, step: float,
     values = f.c0 * np.exp(expo)
     return SampledVector(p=f.p, q=f.q, grid_radius=grid_radius, grid_step=step,
                          lattice_radius=lattice_radius, values=values)
-
-
-def iter_ball(d: int, radius: int):
-    """Lexicographic iterator over integer vectors with |k|_inf <= radius."""
-    return itertools.product(range(-radius, radius + 1), repeat=d)

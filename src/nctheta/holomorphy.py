@@ -67,17 +67,16 @@ class ComplexStructure:
 class HolomorphyResult:
     """Classifier output: variant plus the solved data and a diagnostic witness."""
 
-    variant: str  # "unique" | "nonexistent" | "delta_only"
+    variant: str  # "unique" | "nonexistent" | "delta_only" | "partial"
     omega: np.ndarray | None
     g_matrix: np.ndarray | None
     witness: dict
 
     def to_dict(self) -> dict:
         out = {"variant": self.variant, "witness": dict(self.witness)}
-        if self.omega is not None:
-            out["omega"] = [[[v.real, v.imag] for v in row] for row in self.omega]
-        if self.g_matrix is not None:
-            out["g"] = [[[v.real, v.imag] for v in row] for row in self.g_matrix]
+        for key, mat in (("omega", self.omega), ("g", self.g_matrix)):
+            if mat is not None:
+                out[key] = [[[v.real, v.imag] for v in row] for row in mat]
         return out
 
 

@@ -21,6 +21,8 @@ from .errors import DimensionMismatch, SingularEmbedding, SingularQ, ZeroTheta
 
 INT_TOL = 1e-12
 DET_TOL = 1e-10
+# coefficients of smaller magnitude are not stored in a QuantumElement
+DROP_TOL = 1e-300
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -162,11 +164,6 @@ def canonical_embedding(p: int, q: int, theta=None, Q=None, Delta=None) -> Embed
     return EmbeddingMap(p=p, q=q, phi=phi)
 
 
-def lattice_point(emb: EmbeddingMap, index) -> LatticePoint:
-    """Alias for EmbeddingMap.point."""
-    return emb.point(index)
-
-
 def _check_same_dims(x: LatticePoint, y: LatticePoint):
     if x.p != y.p or x.q != y.q:
         raise DimensionMismatch("lattice points from different embeddings")
@@ -214,87 +211,124 @@ def induced_theta(emb: EmbeddingMap) -> np.ndarray:
     return A - A.T
 
 
+def ball(d: int, r: int) -> np.ndarray:
+    """Integer vectors with |k|_inf <= r as an (n, d) int array, in
+    lexicographic order (the order of itertools.product)."""
+    axes = [np.arange(-r, r + 1)] * d
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def _cmul(a, b) -> np.ndarray:
+    """Elementwise a * b with the rounding of Python's scalar complex
+    product, which numpy's vectorized complex multiply does not keep."""
+    out = np.asarray(a.real * b.real - a.imag * b.imag, dtype=complex)
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumElement:
     """Finite twisted formal sum over the lattice, truncated to a sup-norm ball.
 
-    Coefficients are stored in a map keyed by integer index tuples; every
-    stored key satisfies |k|_inf <= radius and every stored coefficient has
-    magnitude >= drop_tol (default 1e-300, so effectively nothing is
-    dropped unless a larger threshold is requested).
+    The coefficients form one read-only complex cube `values` of odd side
+    2 radius + 1 in d dimensions, indexed by k + radius; the radius is
+    read off its shape.  Entries of magnitude below DROP_TOL are zeroed at
+    construction, and the support is the set of nonzero entries, in
+    lexicographic order.
     """
 
     embedding: EmbeddingMap
-    coeffs: dict
-    radius: int
-    drop_tol: float = 1e-300
+    values: np.ndarray
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
         d = self.embedding.d
-        clean = {}
-        for k, c in self.coeffs.items():
+        values = np.array(self.values, dtype=complex)
+        side = values.shape[0] if values.ndim else 0
+        if values.shape != (side,) * d or side % 2 == 0:
+            raise DimensionMismatch(f"values must be an odd-sided cube in {d} "
+                                    f"dimensions, got shape {values.shape}")
+        values[np.abs(values) < DROP_TOL] = 0
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def from_coeffs(cls, emb: EmbeddingMap, coeffs: dict,
+                    radius: int) -> "QuantumElement":
+        """Element with the {index: coefficient} map `coeffs` on the ball
+        of the given radius."""
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
+        values = np.zeros((2 * radius + 1,) * emb.d, dtype=complex)
+        for k, c in coeffs.items():
             key = tuple(int(x) for x in k)
-            if len(key) != d:
-                raise DimensionMismatch(f"key {key} has wrong length (want {d})")
-            if max((abs(x) for x in key), default=0) > self.radius:
-                raise ValueError(f"key {key} outside radius {self.radius}")
-            c = complex(c)
-            if abs(c) >= self.drop_tol:
-                clean[key] = c
-        object.__setattr__(self, "coeffs", clean)
+            if len(key) != emb.d:
+                raise DimensionMismatch(f"key {key} has wrong length (want {emb.d})")
+            if max(abs(x) for x in key) > radius:
+                raise ValueError(f"key {key} outside radius {radius}")
+            values[tuple(x + radius for x in key)] = complex(c)
+        return cls(embedding=emb, values=values)
 
     @classmethod
     def basis(cls, emb: EmbeddingMap, index, radius: int | None = None) -> "QuantumElement":
         """The basis element e(k) with unit coefficient at the given index."""
         key = tuple(int(x) for x in np.asarray(index))
         rad = max((abs(x) for x in key), default=0) if radius is None else radius
-        return cls(embedding=emb, coeffs={key: 1.0 + 0j}, radius=rad)
+        return cls.from_coeffs(emb, {key: 1.0 + 0j}, rad)
 
     @classmethod
     def identity(cls, emb: EmbeddingMap) -> "QuantumElement":
         return cls.basis(emb, np.zeros(emb.d, dtype=int))
 
-    def coeff(self, key) -> complex:
-        return self.coeffs.get(tuple(int(x) for x in key), 0j)
+    @property
+    def radius(self) -> int:
+        return (self.values.shape[0] - 1) // 2
 
-    def support(self) -> list:
-        return sorted(self.coeffs)
+    @property
+    def coeffs(self) -> dict:
+        """The support as a new {index tuple: complex} dict, in
+        lexicographic order."""
+        R = self.radius
+        return {tuple(x - R for x in k): complex(c)
+                for k, c in np.ndenumerate(self.values) if c != 0}
+
+    def coeff(self, key) -> complex:
+        key = tuple(int(x) for x in key)
+        if len(key) != self.embedding.d or max(abs(x) for x in key) > self.radius:
+            return 0j
+        return complex(self.values[tuple(x + self.radius for x in key)])
 
     def scaled(self, factor: complex) -> "QuantumElement":
-        return QuantumElement(
-            embedding=self.embedding,
-            coeffs={k: factor * c for k, c in self.coeffs.items()},
-            radius=self.radius, drop_tol=self.drop_tol)
+        return QuantumElement(embedding=self.embedding,
+                              values=_cmul(factor, self.values))
 
     def as_arrays(self):
-        """Support as an (n, d) int array plus matching complex coefficients."""
-        keys = self.support()
-        K = np.array(keys, dtype=int).reshape(len(keys), self.embedding.d)
-        c = np.array([self.coeffs[k] for k in keys], dtype=complex)
-        return K, c
+        """Support as an (n, d) int array in lexicographic order plus the
+        matching complex coefficients."""
+        nonzero = self.values != 0
+        return np.argwhere(nonzero) - self.radius, self.values[nonzero]
 
     def multiply(self, other: "QuantumElement") -> "QuantumElement":
-        """Twisted product: e(k1) e(k2) = alpha(Phi k1, Phi k2) e(k1 + k2)."""
+        """Twisted product: e(k1) e(k2) = alpha(Phi k1, Phi k2) e(k1 + k2).
+
+        Rows k1 of the support are taken in lexicographic order and each is
+        paired with the whole support of `other`, so every coefficient sums
+        its terms c1 c2 alpha in the order of the scalar double loop.
+        """
         if other.embedding is not self.embedding and not (
                 self.embedding.p == other.embedding.p
                 and self.embedding.q == other.embedding.q
                 and np.array_equal(self.embedding.phi, other.embedding.phi)):
             raise DimensionMismatch("elements built over different embeddings")
         emb = self.embedding
-        pa = {k: emb.point(np.array(k)) for k in self.coeffs}
-        pb = {k: emb.point(np.array(k)) for k in other.coeffs}
-        out: dict = {}
-        for k1, c1 in self.coeffs.items():
-            x = pa[k1]
-            for k2, c2 in other.coeffs.items():
-                alpha = cocycle(x, pb[k2])
-                key = tuple(a + b for a, b in zip(k1, k2))
-                out[key] = out.get(key, 0j) + c1 * c2 * alpha
-        return QuantumElement(embedding=emb, coeffs=out,
-                              radius=self.radius + other.radius,
-                              drop_tol=min(self.drop_tol, other.drop_tol))
+        K1, c1 = self.as_arrays()
+        K2, c2 = other.as_arrays()
+        R = self.radius + other.radius
+        values = np.zeros((2 * R + 1,) * emb.d, dtype=complex)
+        blocks2 = emb.blocks(K2)
+        for k1, x, c in zip(K1, zip(*emb.blocks(K1)), c1):
+            alpha = np.exp(1j * np.pi * cocycle_exponent_arrays(x, blocks2))
+            np.add.at(values, tuple((K2 + k1 + R).T), _cmul(_cmul(c, c2), alpha))
+        return QuantumElement(embedding=emb, values=values)
 
     def __mul__(self, other):
         if isinstance(other, QuantumElement):
@@ -303,24 +337,16 @@ class QuantumElement:
 
     def to_dict(self) -> dict:
         """Serialization with keys sorted lexicographically."""
-        return {
-            "radius": int(self.radius),
-            "coeffs": [
-                {"k": list(k), "re": self.coeffs[k].real, "im": self.coeffs[k].imag}
-                for k in self.support()
-            ],
-        }
+        K, c = self.as_arrays()
+        return {"radius": self.radius,
+                "coeffs": [{"k": k, "re": z.real, "im": z.imag}
+                           for k, z in zip(K.tolist(), c.tolist())]}
 
     @classmethod
     def from_dict(cls, emb: EmbeddingMap, data: dict) -> "QuantumElement":
-        coeffs = {tuple(int(x) for x in row["k"]): complex(row["re"], row["im"])
+        coeffs = {tuple(row["k"]): complex(row["re"], row["im"])
                   for row in data["coeffs"]}
-        return cls(embedding=emb, coeffs=coeffs, radius=int(data["radius"]))
-
-
-def qel_multiply(a: QuantumElement, b: QuantumElement) -> QuantumElement:
-    """Alias for QuantumElement.multiply."""
-    return a.multiply(b)
+        return cls.from_coeffs(emb, coeffs, int(data["radius"]))
 
 
 def embedding_from_config(cfg: dict) -> EmbeddingMap:

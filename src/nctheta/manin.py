@@ -18,13 +18,14 @@ in the second they provably do not, and the probe exhibits witnesses.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateTranslation, DimensionMismatch, NCThetaError
-from .lattice import (EmbeddingMap, LatticePoint, QuantumElement,
-                      cocycle_exponent_arrays)
+from .lattice import (EmbeddingMap, LatticePoint, QuantumElement, _cmul,
+                      ball, cocycle_exponent_arrays)
 from .theta import (STRUCTURAL_ZERO_TOL, TAIL_EPS, HermitianFormContext,
                     b_product_arrays, complex_coordinates, hermitian_form,
                     hermitian_pairing_arrays, theta_coefficients)
@@ -126,9 +127,9 @@ def translate(ctx: HermitianFormContext, emb: EmbeddingMap, g: LatticePoint,
     if len(K) == 0:
         return x
     T, _ = _multipliers(ctx, emb, g, K, kind, tail_eps)
-    coeffs = {tuple(int(v) for v in K[i]): c[i] * T[i] for i in range(len(K))}
-    return QuantumElement(embedding=emb, coeffs=coeffs, radius=x.radius,
-                          drop_tol=x.drop_tol)
+    values = np.zeros_like(x.values)
+    values[tuple((K + x.radius).T)] = _cmul(c, T)
+    return QuantumElement(embedding=emb, values=values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +149,7 @@ class BallTable:
     @classmethod
     def build(cls, ctx: HermitianFormContext, emb: EmbeddingMap, radius: int,
               tail_eps: float = TAIL_EPS) -> "BallTable":
-        values, norms = theta_coefficients(ctx, emb, _ball_array(emb.d, radius),
+        values, norms = theta_coefficients(ctx, emb, ball(emb.d, radius),
                                            tail_eps)
         shape = (2 * radius + 1,) * emb.d
         return cls(radius=radius, values=values.reshape(shape),
@@ -172,11 +173,6 @@ def degeneracy_scan(ctx: HermitianFormContext, emb: EmbeddingMap, radius: int,
     return BallTable.build(ctx, emb, radius, tail_eps).zeros()
 
 
-def _ball_array(d: int, radius: int) -> np.ndarray:
-    axes = [np.arange(-radius, radius + 1)] * d
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-
-
 def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
                                 theta: QuantumElement, points: list,
                                 kind: str, tail_eps: float = TAIL_EPS,
@@ -184,7 +180,7 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
                                 table: BallTable | None = None) -> list:
     """verify_functional_equation for every lattice point of `points`, in order.
 
-    The coefficient cube of Theta is built once.  In the modified
+    The coefficients are read from the cube of Theta.  In the modified
     convention the closed formula is evaluated once on the truncation
     ball (`table`, built here unless the caller already holds it); that
     table serves the degeneracy scan and every c_h and c_{g+h} as index
@@ -212,23 +208,19 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
         if zeros:
             raise DegenerateTranslation(zeros, "theta support hits theta zeros")
         lookup = table.lookup
-    cube = np.zeros((2 * R + 1,) * emb.d, dtype=complex)
-    K, c = theta.as_arrays()
-    if len(K):
-        cube[tuple((K + R).T)] = c
     balls = {}
     entries = []
     for g, gr in zip(points, radii):
         interior = R - gr
         if interior not in balls:
-            balls[interior] = _ball_array(emb.d, interior)
+            balls[interior] = ball(emb.d, interior)
         K_int = balls[interior]
         h_idx = K_int - g.index
         factor_g = translation_factor(ctx, emb, g, kind, tail_eps)
         T, alpha = _multipliers(ctx, emb, g, h_idx, kind, tail_eps,
                                 factor_g, lookup)
-        lhs = factor_g.value * alpha * T * cube[tuple((h_idx + R).T)]
-        rhs = cube[tuple((K_int + R).T)]
+        lhs = factor_g.value * alpha * T * theta.values[tuple((h_idx + R).T)]
+        rhs = theta.values[tuple((K_int + R).T)]
         residual = float(np.max(np.abs(lhs - rhs)))
         entries.append({
             "g": [int(v) for v in g.index],
@@ -257,8 +249,8 @@ def verify_functional_equation(ctx: HermitianFormContext, emb: EmbeddingMap,
     factors before any division (DegenerateTranslation).
 
     This is the one-g call of the batched engine
-    verify_functional_equations, which builds the coefficient cube of
-    Theta and a closed-formula table on the truncation ball once and
+    verify_functional_equations, which reads the coefficient cube of
+    Theta, builds a closed-formula table on the truncation ball once and
     evaluates every translation from them; a run over many g should call
     the engine directly.  Its entries equal those of this call exactly.
     """
@@ -276,12 +268,8 @@ def functional_equation_residual_ops(ctx: HermitianFormContext,
     shifted = translate(ctx, emb, g, theta, kind, tail_eps)
     lhs = QuantumElement.basis(emb, g.index).multiply(shifted).scaled(factor_g.value)
     gr = int(np.max(np.abs(g.index))) if g.index.size else 0
-    interior = theta.radius - gr
-    worst = 0.0
-    for k in _ball_array(emb.d, interior):
-        key = tuple(int(v) for v in k)
-        worst = max(worst, abs(lhs.coeff(key) - theta.coeff(key)))
-    return worst
+    return max((abs(lhs.coeff(k) - theta.coeff(k))
+                for k in ball(emb.d, theta.radius - gr)), default=0.0)
 
 
 def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
@@ -336,11 +324,6 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
     }
 
 
-def _sorted_ball(d: int, radius: int) -> list:
-    pts = [tuple(int(x) for x in k) for k in _ball_array(d, radius)]
-    return sorted(pts, key=lambda k: (max(abs(x) for x in k), k))
-
-
 def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
                      search_radius: int, tail_eps: float = TAIL_EPS,
                      seed: int = 0, max_checks: int = 20_000) -> dict:
@@ -358,17 +341,15 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
     reported as such, never as a universal additivity claim.
     """
     _check_kind(kind)
-    d = emb.d
-    pts = _sorted_ball(d, search_radius)
+    # the ball by shells of growing sup norm, lexicographic within a shell
+    K_pts = ball(emb.d, search_radius)
+    K_pts = K_pts[np.argsort(np.max(np.abs(K_pts), axis=1), kind="stable")]
     if kind == KIND_MANIN:
         rng = np.random.default_rng(seed)
-        n_pts = len(pts)
-        K_pts = np.array(pts, dtype=int)
+        n_pts = len(K_pts)
         if n_pts ** 3 <= 200_000:
-            grid = np.stack(np.meshgrid(np.arange(n_pts), np.arange(n_pts),
-                                        np.arange(n_pts), indexing="ij"),
-                            axis=-1).reshape(-1, 3)
-            i1, i2, ih = grid[:, 0], grid[:, 1], grid[:, 2]
+            # n_pts is odd: every triple of point positions, lexicographically
+            i1, i2, ih = (ball(3, n_pts // 2) + n_pts // 2).T
         else:
             idx = rng.integers(0, n_pts, size=(5000, 3))
             diag = np.arange(n_pts)
@@ -396,44 +377,35 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
             "triples_checked": int(len(i1)),
             "search_radius": int(search_radius),
         }
-    nonzero = [k for k in pts if any(k)]
+    nonzero = K_pts[np.any(K_pts != 0, axis=1)]
     checked = 0
     skipped = 0
-    for a in nonzero:
-        for b in nonzero:
-            for h in nonzero:
-                if checked >= max_checks:
-                    return {"kind": kind, "verdict": "no_witness_found",
-                            "triples_checked": checked,
-                            "triples_skipped_degenerate": skipped,
-                            "search_radius": int(search_radius),
-                            "search_truncated": True}
-                checked += 1
-                ga, gb, gh = (emb.point(np.array(t)) for t in (a, b, h))
-                try:
-                    t1, _ = _multipliers(ctx, emb, ga, gh.index[None, :],
-                                         kind, tail_eps)
-                    t2, _ = _multipliers(ctx, emb, gb, gh.index[None, :],
-                                         kind, tail_eps)
-                    gsum = emb.point(ga.index + gb.index)
-                    t12, _ = _multipliers(ctx, emb, gsum, gh.index[None, :],
-                                          kind, tail_eps)
-                except DegenerateTranslation:
-                    skipped += 1
-                    continue
-                dev = abs(t1[0] * t2[0] - t12[0])
-                if dev > WITNESS_DEVIATION:
-                    return {
-                        "kind": kind,
-                        "verdict": "witness_found",
-                        "witness": {"g1": list(a), "g2": list(b), "h": list(h),
-                                    "deviation": float(dev)},
-                        "triples_checked": checked,
-                        "triples_skipped_degenerate": skipped,
-                        "search_radius": int(search_radius),
-                    }
+    triples = itertools.product(nonzero, repeat=3)
+    for a, b, h in itertools.islice(triples, max_checks):
+        checked += 1
+        ga, gb, gh = (emb.point(t) for t in (a, b, h))
+        try:
+            t1, _ = _multipliers(ctx, emb, ga, gh.index[None, :], kind, tail_eps)
+            t2, _ = _multipliers(ctx, emb, gb, gh.index[None, :], kind, tail_eps)
+            gsum = emb.point(ga.index + gb.index)
+            t12, _ = _multipliers(ctx, emb, gsum, gh.index[None, :], kind,
+                                  tail_eps)
+        except DegenerateTranslation:
+            skipped += 1
+            continue
+        dev = abs(t1[0] * t2[0] - t12[0])
+        if dev > WITNESS_DEVIATION:
+            return {
+                "kind": kind,
+                "verdict": "witness_found",
+                "witness": {"g1": a.tolist(), "g2": b.tolist(), "h": h.tolist(),
+                            "deviation": float(dev)},
+                "triples_checked": checked,
+                "triples_skipped_degenerate": skipped,
+                "search_radius": int(search_radius),
+            }
     return {"kind": kind, "verdict": "no_witness_found",
             "triples_checked": checked,
             "triples_skipped_degenerate": skipped,
             "search_radius": int(search_radius),
-            "search_truncated": False}
+            "search_truncated": next(triples, None) is not None}

@@ -13,15 +13,16 @@ majorant at tail_eps = 1e-15; nothing adapts to observed terms.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BadTau, DimensionMismatch, DivergentIntegral,
-                     GridMismatch)
-from .heisenberg import GaussianVector, SampledVector, iter_ball
-from .lattice import EmbeddingMap, LatticePoint, QuantumElement, _readonly
+                     GridMismatch, NCThetaError)
+from .heisenberg import GaussianVector, SampledVector, _check_omega
+from .lattice import EmbeddingMap, LatticePoint, QuantumElement, _readonly, ball
 
 TAIL_EPS = 1e-15
 
@@ -52,14 +53,27 @@ def _series_halfwidth(a: float, b: float, tail_eps: float) -> int:
 
 
 def classical_theta(tau: complex, z: complex, tail_eps: float = TAIL_EPS) -> complex:
-    """Jacobi theta series sum_n exp(i pi tau n^2 + 2 pi i n z), Im tau > 0."""
+    """Jacobi theta series sum_n exp(i pi tau n^2 + 2 pi i n z), Im tau > 0.
+
+    Summed around the peak n0 = round(-Im z / Im tau) as theta(z + tau n0)
+    times exp(i pi tau n0^2 + 2 pi i n0 z), so the series length does not
+    grow with |Im z|; NCThetaError when the value is not a finite double.
+    """
     tau = complex(tau)
     z = complex(z)
     if tau.imag <= 0.0:
         raise BadTau(f"Im tau must be positive, got {tau}")
-    N = _series_halfwidth(tau.imag, abs(z.imag), tail_eps)
-    n = np.arange(-N, N + 1)
-    return complex(np.sum(np.exp(1j * np.pi * tau * n**2 + 2j * np.pi * n * z)))
+    n0 = float(round(-z.imag / tau.imag))
+    zs = z + tau * n0 if n0 else z
+    N = _series_halfwidth(tau.imag, abs(zs.imag), tail_eps)
+    j = np.arange(-N, N + 1)
+    value = complex(np.sum(np.exp(1j * np.pi * tau * j**2 + 2j * np.pi * j * zs)))
+    if n0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value *= complex(np.exp(1j * np.pi * tau * n0 * n0 + 2j * np.pi * n0 * z))
+    if not cmath.isfinite(value):
+        raise NCThetaError(f"theta({z} | {tau}) overflows double precision")
+    return value
 
 
 def _shifted_lattice_sums(c1: np.ndarray, c0: np.ndarray,
@@ -127,10 +141,7 @@ class HermitianFormContext:
         omega = np.asarray(self.omega, dtype=complex)
         p = omega.shape[0] if omega.ndim == 2 else (1 if omega.size else 0)
         omega = omega.reshape(p, p)
-        if p and np.max(np.abs(omega - omega.T)) > 1e-12:
-            raise ValueError("Omega must be symmetric")
-        if p and np.min(np.linalg.eigvalsh(omega.imag)) <= 0.0:
-            raise ValueError("Im Omega must be positive definite")
+        _check_omega(omega)
         im_inv = np.linalg.inv(omega.imag) if p else np.zeros((0, 0))
         if p and np.max(np.abs(im_inv @ omega.imag - np.eye(p))) > 1e-10:
             raise ValueError("Im Omega is too ill-conditioned to invert")
@@ -322,15 +333,15 @@ def inner_product_quadrature(fs: SampledVector, gs: SampledVector,
 
 
 def quantum_theta(emb: EmbeddingMap, f: GaussianVector, R: int,
-                  tail_eps: float = TAIL_EPS, drop_tol: float = 1e-300) -> QuantumElement:
+                  tail_eps: float = TAIL_EPS) -> QuantumElement:
     """Quantum theta element: normalized diagonal inner products on a ball.
 
     Coefficient at index k is sqrt(2^p det Im Omega) <f, pi_{Phi k} f>
     for |k|_inf <= R, evaluated per k by the scalar route of
     inner_product_closed (its (f, f)-only work done once), so each value
-    is bit-identical to a separate inner_product_closed call, and merged
-    in sorted order.  Requires the centered family member (ell = 0,
-    n0 = 0, mu = 0).
+    is bit-identical to a separate inner_product_closed call, and written
+    into the coefficient cube in lexicographic order.  Requires the
+    centered family member (ell = 0, n0 = 0, mu = 0).
     """
     if R < 1:
         raise ValueError("truncation radius must be >= 1")
@@ -341,11 +352,9 @@ def quantum_theta(emb: EmbeddingMap, f: GaussianVector, R: int,
     norm = math.sqrt((2 ** emb.p) * float(np.linalg.det(f.omega.imag))) \
         if emb.p else 1.0
     inner = _closed_inner_products(f, f, tail_eps)
-    coeffs = {}
-    for k in iter_ball(emb.d, R):
-        coeffs[k] = norm * inner(emb.point(np.array(k)))
-    return QuantumElement(embedding=emb, coeffs=coeffs, radius=R,
-                          drop_tol=drop_tol)
+    values = [norm * inner(emb.point(k)) for k in ball(emb.d, R)]
+    return QuantumElement(embedding=emb,
+                          values=np.reshape(values, (2 * R + 1,) * emb.d))
 
 
 def theta_coefficients(ctx: HermitianFormContext, emb: EmbeddingMap,

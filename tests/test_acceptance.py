@@ -10,7 +10,8 @@ import pytest
 import nctheta as nc
 from nctheta import cli, manin
 from nctheta.errors import DegenerateTranslation
-from nctheta.heisenberg import GaussianVector, iter_ball
+from nctheta.heisenberg import GaussianVector
+from nctheta.lattice import ball
 from nctheta.theta import HermitianFormContext
 
 THETA_I_0 = 1.086434811213308014575316
@@ -206,9 +207,9 @@ def test_criterion_6_functional_equation_continuous():
             emb, omega = _instances()[name]
             ctx = HermitianFormContext(omega)
             th = nc.quantum_theta(emb, GaussianVector.pure(omega, emb.q), 4)
-            for k in iter_ball(emb.d, 2):
+            for k in ball(emb.d, 2):
                 rep = nc.verify_functional_equation(
-                    ctx, emb, th, emb.point(np.array(k)), manin.KIND_MANIN)
+                    ctx, emb, th, emb.point(k), manin.KIND_MANIN)
                 assert rep["max_residual"] < 1e-9, (name, k)
 
 
@@ -218,9 +219,9 @@ def test_criterion_7_functional_equation_mixed():
         ctx = HermitianFormContext(omega)
         th = nc.quantum_theta(emb, GaussianVector.pure(omega, emb.q), 4)
         assert not nc.degeneracy_scan(ctx, emb, 4)
-        for k in iter_ball(emb.d, 2):
+        for k in ball(emb.d, 2):
             rep = nc.verify_functional_equation(
-                ctx, emb, th, emb.point(np.array(k)), manin.KIND_MODIFIED)
+                ctx, emb, th, emb.point(k), manin.KIND_MODIFIED)
             assert rep["max_residual"] < 1e-9, k
 
 

@@ -230,16 +230,6 @@ def test_sample_parseval_against_closed_form():
     assert abs(closed.imag) < 1e-12
 
 
-def test_sample_csv_export(tmp_path):
-    f = GaussianVector.pure(np.array([[1j]]), q=1)
-    grid = nc.sample_on_grid(f, 1.0, 0.5, 1)
-    path = tmp_path / "grid.csv"
-    grid.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "s1,n1,re,im"
-    assert len(lines) == 1 + grid.values.size
-
-
 def test_dimension_mismatch_errors(inst_1_0, inst_1_2):
     emb1, om1 = inst_1_0
     emb2, om2 = inst_1_2

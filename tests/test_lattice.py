@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import nctheta as nc
 from nctheta.errors import (DimensionMismatch, SingularEmbedding, SingularQ,
                             ZeroTheta)
-from nctheta.lattice import QuantumElement, cocycle_exponent_arrays
+from nctheta.heisenberg import GaussianVector
+from nctheta.lattice import QuantumElement, ball, cocycle_exponent_arrays
 
 
 def test_canonical_embedding_q0_blocks():
@@ -207,8 +210,7 @@ def test_induced_theta_against_cocycle():
 def test_quantum_element_identity_and_basis_product(inst_1_0):
     emb, _ = inst_1_0
     e0 = QuantumElement.identity(emb)
-    b = QuantumElement(embedding=emb,
-                       coeffs={(1, 0): 0.5 + 0.25j, (0, -1): -2.0}, radius=1)
+    b = QuantumElement.from_coeffs(emb, {(1, 0): 0.5 + 0.25j, (0, -1): -2.0}, 1)
     prod = e0.multiply(b)
     assert prod.coeffs == b.coeffs
     e1 = QuantumElement.basis(emb, [1, 0])
@@ -227,7 +229,7 @@ def test_quantum_element_product_matches_double_loop(inst_1_2):
         for _ in range(n):
             k = tuple(int(v) for v in rng.integers(-2, 3, emb.d))
             coeffs[k] = complex(rng.normal(), rng.normal())
-        return QuantumElement(embedding=emb, coeffs=coeffs, radius=2)
+        return QuantumElement.from_coeffs(emb, coeffs, 2)
 
     a, b = random_element(6), random_element(5)
     prod = a.multiply(b)
@@ -251,7 +253,7 @@ def test_quantum_element_product_associative(inst_1_2):
         for _ in range(3):
             coeffs = {tuple(int(v) for v in rng.integers(-1, 2, emb.d)):
                       complex(rng.normal(), rng.normal()) for _ in range(3)}
-            elems.append(QuantumElement(embedding=emb, coeffs=coeffs, radius=1))
+            elems.append(QuantumElement.from_coeffs(emb, coeffs, 1))
         a, b, c = elems
         left = a.multiply(b).multiply(c)
         right = a.multiply(b.multiply(c))
@@ -262,19 +264,54 @@ def test_quantum_element_product_associative(inst_1_2):
 
 def test_quantum_element_radius_and_drop():
     emb = nc.canonical_embedding(1, 0, theta=[0.5])
-    el = QuantumElement(embedding=emb,
-                        coeffs={(1, 0): 1e-8, (0, 0): 1.0}, radius=1,
-                        drop_tol=1e-6)
-    assert (1, 0) not in el.coeffs and (0, 0) in el.coeffs
     with pytest.raises(ValueError):
-        QuantumElement(embedding=emb, coeffs={(2, 0): 1.0}, radius=1)
+        QuantumElement.from_coeffs(emb, {(2, 0): 1.0}, 1)
+
+
+def test_quantum_element_cube_validation():
+    emb = nc.canonical_embedding(1, 0, theta=[0.5])
+    for shape in [(3, 5), (4, 4), (3,), (3, 3, 3)]:
+        with pytest.raises(DimensionMismatch):
+            QuantumElement(embedding=emb, values=np.ones(shape, dtype=complex))
+    with pytest.raises(DimensionMismatch):
+        QuantumElement.from_coeffs(emb, {(0, 0, 0): 1.0}, 1)
+    el = QuantumElement(embedding=emb,
+                        values=np.full((3, 3), 1e-301 + 0j))
+    assert el.radius == 1 and el.coeffs == {}
+    assert not el.values.flags.writeable
+
+
+def test_ball_order_is_itertools_product():
+    for d, r in [(1, 0), (1, 2), (2, 1), (3, 2), (4, 1)]:
+        K = ball(d, r)
+        assert K.shape == ((2 * r + 1) ** d, d)
+        assert K.dtype.kind == "i"
+        assert [tuple(k) for k in K.tolist()] == \
+            list(itertools.product(range(-r, r + 1), repeat=d))
+
+
+def test_quantum_theta_product_equals_scalar_double_loop(inst_1_2):
+    emb, omega = inst_1_2
+    th = nc.quantum_theta(emb, GaussianVector.pure(omega, emb.q), 2)
+    prod = th.multiply(th)
+    # the literal double loop in lexicographic order, with scalar cocycles
+    # and Python complex arithmetic
+    items = sorted(th.coeffs.items())
+    expected = {}
+    for k1, c1 in items:
+        x = emb.point(np.array(k1))
+        for k2, c2 in items:
+            key = tuple(a + b for a, b in zip(k1, k2))
+            term = c1 * c2 * nc.cocycle(x, emb.point(np.array(k2)))
+            expected[key] = expected.get(key, 0j) + term
+    assert prod.radius == 4
+    assert prod.coeffs == {k: v for k, v in expected.items() if abs(v) >= 1e-300}
 
 
 def test_quantum_element_serialization_roundtrip(inst_1_0):
     emb, _ = inst_1_0
-    el = QuantumElement(embedding=emb,
-                        coeffs={(1, -1): 0.5 - 0.125j, (-1, 0): 2.0 + 1j},
-                        radius=1)
+    el = QuantumElement.from_coeffs(emb, {(1, -1): 0.5 - 0.125j, (-1, 0): 2.0 + 1j},
+                                    1)
     data = el.to_dict()
     assert data["radius"] == 1
     assert [row["k"] for row in data["coeffs"]] == [[-1, 0], [1, -1]]

@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import nctheta as nc
 from nctheta.errors import DegenerateTranslation, NCThetaError
-from nctheta.heisenberg import GaussianVector, iter_ball
-from nctheta.manin import functional_equation_residual_ops
+from nctheta.heisenberg import GaussianVector
+from nctheta.lattice import ball
+from nctheta.manin import _multipliers, functional_equation_residual_ops
 from nctheta.theta import HermitianFormContext
 
 THETA_I_0 = 1.086434811213308014575316
@@ -48,12 +51,25 @@ def test_translate_identity_and_support(inst_1_0):
     emb, omega = inst_1_0
     ctx, th = build(emb, omega, R=3)
     out = nc.translate(ctx, emb, emb.point([0, 0]), th, "manin")
-    for k in th.support():
+    K, _ = th.as_arrays()
+    for k in K:
         assert out.coeff(k) == pytest.approx(th.coeff(k), rel=1e-12)
-    assert out.support() == th.support()
+    np.testing.assert_array_equal(out.as_arrays()[0], K)
     g = emb.point([1, -1])
     shifted = nc.translate(ctx, emb, g, th, "manin")
-    assert shifted.support() == th.support()
+    np.testing.assert_array_equal(shifted.as_arrays()[0], K)
+
+
+@pytest.mark.parametrize("kind", ["manin", "modified"])
+def test_translate_equals_scalar_products(inst_1_2, kind):
+    # every translated coefficient carries the bits of the scalar c * T
+    emb, omega = inst_1_2
+    ctx, th = build(emb, omega, R=2)
+    g = emb.point([1, 0, -1, 1])
+    T, _ = _multipliers(ctx, emb, g, th.as_arrays()[0], kind, nc.theta.TAIL_EPS)
+    out = nc.translate(ctx, emb, g, th, kind)
+    expected = {k: c * complex(t) for (k, c), t in zip(th.coeffs.items(), T)}
+    assert out.coeffs == {k: v for k, v in expected.items() if abs(v) >= 1e-300}
 
 
 def test_translate_manin_composition_exact(inst_1_0):
@@ -63,7 +79,7 @@ def test_translate_manin_composition_exact(inst_1_0):
     once = nc.translate(ctx, emb, g2, nc.translate(ctx, emb, g1, th, "manin"),
                         "manin")
     both = nc.translate(ctx, emb, emb.point([1, 1]), th, "manin")
-    for k in th.support():
+    for k in th.as_arrays()[0]:
         a, b = once.coeff(k), both.coeff(k)
         assert a == pytest.approx(b, rel=1e-10, abs=1e-300)
 
@@ -72,9 +88,8 @@ def test_translate_degenerate_offenders_listed():
     emb = nc.canonical_embedding(1, 2, theta=[0.5], Q=np.eye(2),
                                  Delta=np.diag([0.5, 0.3]))
     ctx = HermitianFormContext(np.array([[2j]]))
-    el = nc.QuantumElement(embedding=emb,
-                           coeffs={(0, 0, 1, 0): 1.0, (0, 0, 0, 0): 1.0},
-                           radius=1)
+    el = nc.QuantumElement.from_coeffs(
+        emb, {(0, 0, 1, 0): 1.0, (0, 0, 0, 0): 1.0}, 1)
     with pytest.raises(DegenerateTranslation) as exc:
         nc.translate(ctx, emb, emb.point([0, 0, 0, 1]), el, "modified")
     assert (0, 0, 1, 0) in exc.value.indices
@@ -272,6 +287,27 @@ def test_additivity_witness_modified(inst_1_2, inst_0_2):
         assert abs(t1 - t12) > 1e-6
 
 
+def test_additivity_search_order(inst_1_0, monkeypatch):
+    # the search walks the ball shell by shell (sup norm), lexicographic
+    # within a shell; the translations of the continuous instance compose,
+    # so the truncated search visits h through every nonzero point in turn
+    emb, omega = inst_1_0
+    ctx = HermitianFormContext(omega)
+    seen = []
+
+    def recording(ctx_, emb_, g, indices, *args):
+        seen.append(tuple(indices[0].tolist()))
+        return _multipliers(ctx_, emb_, g, indices, *args)
+
+    monkeypatch.setattr(nc.manin, "_multipliers", recording)
+    rep = nc.additivity_probe(ctx, emb, "modified", search_radius=2,
+                              max_checks=24)
+    assert rep["verdict"] == "no_witness_found" and rep["search_truncated"]
+    expected = sorted(itertools.product(range(-2, 3), repeat=2),
+                      key=lambda k: (max(abs(x) for x in k), k))
+    assert seen[::3] == [k for k in expected if any(k)]
+
+
 def test_additivity_zero_translation_convention(inst_1_2):
     # the unnormalized factor at the origin makes the zero translation a
     # constant 1 / C_0, so composing with it is excluded from the search
@@ -295,7 +331,7 @@ def test_manin_zero_translation_is_identity(inst_1_0):
 def test_functional_equation_full_ball(inst_1_2):
     emb, omega = inst_1_2
     ctx, th = build(emb, omega)
-    points = [emb.point(np.array(k)) for k in iter_ball(emb.d, 2)]
+    points = [emb.point(k) for k in ball(emb.d, 2)]
     batched = nc.verify_functional_equations(ctx, emb, th, points, "modified")
     assert len(batched) == len(points)
     worst = 0.0

@@ -1,9 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 
 import nctheta as nc
-from nctheta.errors import (BadTau, DivergentIntegral, GridMismatch)
-from nctheta.heisenberg import GaussianVector, iter_ball
+from nctheta.errors import (BadTau, DivergentIntegral, GridMismatch,
+                            NCThetaError)
+from nctheta.heisenberg import GaussianVector
+from nctheta.lattice import ball
 from nctheta.theta import (HermitianFormContext, b_product_arrays,
                            theta_coefficients)
 
@@ -53,6 +57,27 @@ def test_theta_quasi_periodicity():
 def test_theta_bad_tau():
     with pytest.raises(BadTau):
         nc.classical_theta(1.0 - 0.5j, 0.0)
+
+
+def test_theta_large_shift_recentred():
+    # the series is summed around its peak n0 = -6, where the plain sum
+    # would need terms up to exp(36 pi)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    z = 0.25 + 6j
+    oracle = complex(mp.jtheta(3, mp.pi * z, mp.exp(-mp.pi)))
+    assert abs(nc.classical_theta(1j, z) - oracle) <= 1e-12 * abs(oracle)
+
+
+def test_theta_out_of_range_raises():
+    # |theta(1e10 i | i)| ~ exp(pi 1e20): not a double, and the halfwidth
+    # search must not grow with Im z
+    start = time.perf_counter()
+    with pytest.raises(NCThetaError):
+        nc.classical_theta(1j, 1e10j)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(NCThetaError):
+        nc.classical_theta(1j, 60j)
 
 
 def test_b_factor_values():
@@ -288,9 +313,10 @@ def test_quantum_theta_equals_scalar_route_bitwise(inst_1_2, inst_2_0):
         th = nc.quantum_theta(emb, f, 2)
         norm = np.sqrt((2 ** emb.p) * float(np.linalg.det(omega.imag)))
         assert len(th.coeffs) == 5 ** emb.d
-        for k in iter_ball(emb.d, 2):
+        coeffs = th.coeffs
+        for k in ball(emb.d, 2):
             scalar = norm * nc.inner_product_closed(f, f, emb.point(k))
-            assert th.coeffs[k] == scalar, k
+            assert coeffs[tuple(k.tolist())] == scalar, k
 
 
 def test_quantum_theta_coefficient_formula(inst_1_2):
