@@ -218,6 +218,10 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
             formula_residual = float(np.max(np.abs(coeffs - closed))) if len(K) else 0.0
             phase_residual = float(np.max(np.abs(np.angle(coeffs[keep] / closed[keep])))) \
                 if np.any(keep) else 0.0
+            formula_tol = tol["inner_rel"] * float(np.max(np.abs(closed), initial=0.0))
+            if formula_residual > formula_tol:
+                failures.append(f"coefficient formula residual {formula_residual:.3e}"
+                                f" exceeds inner_rel bound {formula_tol:.3e}")
             reports["theta"] = {
                 "schema_version": SCHEMA_VERSION,
                 "p": emb.p,

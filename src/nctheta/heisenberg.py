@@ -18,20 +18,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, GridTooLarge, SingularEmbedding
-from .lattice import EmbeddingMap, LatticePoint, _readonly
+from .lattice import EmbeddingMap, LatticePoint, _integral, _readonly
 
 SYM_TOL = 1e-12
 GRID_BUDGET = 10_000_000
 
 
-def _check_omega(omega: np.ndarray):
-    """ValueError unless the (p, p) Omega is symmetric to SYM_TOL with
-    positive definite imaginary part; nothing to check for p = 0."""
+def _check_omega(omega) -> np.ndarray:
+    """Omega as a complex (p, p) array, p read off its shape (a matrix
+    keeps it, one entry is 1 x 1, no entry 0 x 0); ValueError unless it
+    is symmetric to SYM_TOL with positive definite imaginary part."""
+    omega = np.asarray(omega, dtype=complex)
+    p = omega.shape[0] if omega.ndim == 2 else min(omega.size, 1)
+    omega = omega.reshape(p, p)
     if omega.size:
         if np.max(np.abs(omega - omega.T)) > SYM_TOL:
             raise ValueError("Omega must be symmetric")
         if np.min(np.linalg.eigvalsh(omega.imag)) <= 0.0:
             raise ValueError("Im Omega must be positive definite")
+    return omega
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,23 +60,20 @@ class GaussianVector:
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=complex).reshape(self.p, self.p)
         ell = np.asarray(self.ell, dtype=complex).reshape(self.p)
-        n0 = np.asarray(self.n0).reshape(self.q)
+        n0 = _integral(np.asarray(self.n0).reshape(self.q)).astype(int)
         mu = np.asarray(self.mu, dtype=complex).reshape(self.q)
         _check_omega(omega)
-        if self.q and not np.allclose(n0, np.round(n0), atol=SYM_TOL):
-            raise ValueError("lattice center n0 must be integral")
         object.__setattr__(self, "omega", _readonly(omega))
         object.__setattr__(self, "ell", _readonly(ell))
         object.__setattr__(self, "c0", complex(self.c0))
-        object.__setattr__(self, "n0", _readonly(np.round(np.asarray(n0, dtype=float)).astype(int)))
+        object.__setattr__(self, "n0", _readonly(n0))
         object.__setattr__(self, "mu", _readonly(mu))
 
     @classmethod
     def pure(cls, omega, q: int = 0) -> "GaussianVector":
         """The centered member exp(i pi s^T Omega s - (pi/2)|n|^2)."""
-        omega = np.asarray(omega, dtype=complex)
-        p = omega.shape[0] if omega.ndim == 2 else (1 if omega.size == 1 else 0)
-        omega = omega.reshape(p, p)
+        omega = _check_omega(omega)
+        p = omega.shape[0]
         return cls(p=p, q=q, omega=omega, ell=np.zeros(p), c0=1.0 + 0j,
                    n0=np.zeros(q, dtype=int), mu=np.zeros(q))
 
@@ -203,6 +205,15 @@ def heisenberg_on_linear(h: LatticePoint, lg: LinearGaussian) -> LinearGaussian:
                           const=complex(const), base=base)
 
 
+def _axis_points(grid_radius: float, step: float) -> int:
+    """Point count of the axis -L, -L+step, ..., L; ValueError unless the
+    step divides 2L."""
+    ratio = 2.0 * grid_radius / step
+    if abs(ratio - round(ratio)) > 1e-9:
+        raise ValueError("step must divide 2L evenly")
+    return int(round(ratio)) + 1
+
+
 @dataclass(frozen=True, eq=False)
 class SampledVector:
     """Dense evaluation on {-L, -L+step, ..., L}^p x {-N, ..., N}^q."""
@@ -215,9 +226,7 @@ class SampledVector:
     values: np.ndarray
 
     def __post_init__(self):
-        ratio = 2.0 * self.grid_radius / self.grid_step
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("step must divide 2L evenly")
+        _axis_points(self.grid_radius, self.grid_step)
         values = np.asarray(self.values, dtype=complex)
         if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
             raise ValueError("sampled values must be finite")
@@ -225,7 +234,7 @@ class SampledVector:
 
     @property
     def s_axis(self) -> np.ndarray:
-        npts = int(round(2.0 * self.grid_radius / self.grid_step)) + 1
+        npts = _axis_points(self.grid_radius, self.grid_step)
         return -self.grid_radius + self.grid_step * np.arange(npts)
 
     @property
@@ -241,10 +250,7 @@ def sample_on_grid(f: GaussianVector, grid_radius: float, step: float,
     """
     if grid_radius <= 0 or step <= 0 or lattice_radius <= 0:
         raise ValueError("grid parameters must be positive")
-    ratio = 2.0 * grid_radius / step
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError("step must divide 2L evenly")
-    ns = int(round(ratio)) + 1
+    ns = _axis_points(grid_radius, step)
     nn = 2 * lattice_radius + 1
     total = (ns ** f.p) * (nn ** f.q)
     if total > budget:

@@ -87,27 +87,22 @@ class EmbeddingMap:
         if k.shape != (self.d,):
             raise DimensionMismatch(f"index must have length {self.d}, got {k.shape}")
         k = _integral(k).astype(int)
-        h = self.phi @ k
-        p, q = self.p, self.q
-        m = h[2 * p:2 * p + q]
-        return LatticePoint(
-            index=_readonly(k),
-            w1=_readonly(h[:p]),
-            w2=_readonly(h[p:2 * p]),
-            m=_readonly(np.round(m).astype(int)),
-            r=_readonly(h[2 * p + q:]),
-        )
+        return LatticePoint(_readonly(k),
+                            *(_readonly(b[0]) for b in self.blocks(k[None])))
 
     def blocks(self, indices: np.ndarray):
         """Vectorized block decomposition for an (n, d) array of integer indices.
 
         Returns (w1, w2, m, r) with shapes (n, p), (n, p), (n, q), (n, q).
-        Non-integral indices raise ValueError, as in point().
+        Non-integral indices raise ValueError, as in point().  Phi k is
+        formed by einsum, whose reduction for one row does not depend on
+        the other rows (a BLAS matrix product picks its kernel by the
+        batch size), so each row has the same bits in any batch.
         """
         K = np.asarray(indices)
         if K.ndim != 2 or K.shape[1] != self.d:
             raise DimensionMismatch(f"indices must be (n, {self.d})")
-        H = _integral(K).astype(float) @ self.phi.T
+        H = np.einsum("nd,md->nm", _integral(K).astype(float), self.phi)
         p, q = self.p, self.q
         m = np.round(H[:, 2 * p:2 * p + q]).astype(int)
         return H[:, :p], H[:, p:2 * p], m, H[:, 2 * p + q:]

@@ -25,6 +25,11 @@ from .heisenberg import GaussianVector, SampledVector, _check_omega
 from .lattice import EmbeddingMap, LatticePoint, QuantumElement, _readonly, ball
 
 TAIL_EPS = 1e-15
+# Most terms a theta series may sum on each side of its peak.
+SERIES_BUDGET = 10**6
+
+# decay_certificate shrinks the fitted decay rate by this factor.
+DECAY_SAFETY = 0.95
 
 # A one-dimensional lattice sum with max |Im z| = m/2 peaks at height
 # about exp(pi m^2 / 4); magnitudes are compared on that scale when
@@ -33,16 +38,23 @@ STRUCTURAL_ZERO_TOL = 1e-12
 
 
 def _series_halfwidth(a: float, b: float, tail_eps: float) -> int:
-    """Smallest N with sum_{|n|>N} exp(-pi a n^2 + 2 pi b n) < tail_eps.
+    """Smallest N with sum_{|n|>N} exp(-pi a n^2 + 2 pi b n) < tail_eps, b >= 0.
 
     Deterministic: derived from the geometric majorant only, never from
-    observed partial sums.
+    observed partial sums.  The majorant is at least twice its head term
+    exp(-pi a x^2 + 2 pi b x), x = N + 1, so x exceeds the larger root of
+    pi a x^2 - 2 pi b x + log(tail_eps); the search starts there, and the
+    condition is monotone in N from there on.  NCThetaError when N would
+    exceed SERIES_BUDGET.
     """
     if a <= 0.0:
         raise BadTau("Im tau must be positive")
     log_tail = math.log(tail_eps)
-    n = max(1, math.ceil(b / a) + 1)
-    while True:
+    root = (b + math.sqrt(max(b * b - a * log_tail / math.pi, 0.0))) / a
+    n = SERIES_BUDGET + 1
+    if root <= SERIES_BUDGET + 1:
+        n = max(1, math.ceil(b / a) + 1, math.floor(root) - 1)
+    while n <= SERIES_BUDGET:
         log_ratio = -math.pi * a * (2 * n + 3) + 2 * math.pi * b
         if log_ratio < 0.0:
             ratio = math.exp(log_ratio)
@@ -50,63 +62,58 @@ def _series_halfwidth(a: float, b: float, tail_eps: float) -> int:
             if log_head + math.log(2.0 / (1.0 - ratio)) < log_tail:
                 return n
         n += 1
+    raise NCThetaError(f"theta series needs more than {SERIES_BUDGET} terms "
+                       f"per side (a={a}, b={b}, tail_eps={tail_eps})")
 
 
 def classical_theta(tau: complex, z: complex, tail_eps: float = TAIL_EPS) -> complex:
     """Jacobi theta series sum_n exp(i pi tau n^2 + 2 pi i n z), Im tau > 0.
 
-    Summed around the peak n0 = round(-Im z / Im tau) as theta(z + tau n0)
-    times exp(i pi tau n0^2 + 2 pi i n0 z), so the series length does not
-    grow with |Im z|; NCThetaError when the value is not a finite double.
+    The lattice-series kernel with a = -i tau and c1 = 2 pi i z, summed
+    around its peak, so the series length does not grow with |Im z|;
+    NCThetaError when the value is not a finite double or the series
+    needs more than SERIES_BUDGET terms per side.
     """
     tau = complex(tau)
     z = complex(z)
     if tau.imag <= 0.0:
         raise BadTau(f"Im tau must be positive, got {tau}")
-    n0 = float(round(-z.imag / tau.imag))
-    zs = z + tau * n0 if n0 else z
-    N = _series_halfwidth(tau.imag, abs(zs.imag), tail_eps)
-    j = np.arange(-N, N + 1)
-    value = complex(np.sum(np.exp(1j * np.pi * tau * j**2 + 2j * np.pi * j * zs)))
-    if n0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value *= complex(np.exp(1j * np.pi * tau * n0 * n0 + 2j * np.pi * n0 * z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(_shifted_lattice_sums(2j * np.pi * z, 0.0, tail_eps,
+                                              a=-1j * tau)[0])
     if not cmath.isfinite(value):
         raise NCThetaError(f"theta({z} | {tau}) overflows double precision")
     return value
 
 
 def _shifted_lattice_sums(c1: np.ndarray, c0: np.ndarray,
-                          tail_eps: float = TAIL_EPS):
-    """Elementwise sum_n exp(-pi n^2 + c1 n + c0), evaluated peak-first.
+                          tail_eps: float = TAIL_EPS, a: complex = 1.0):
+    """Elementwise sum_n exp(-pi a n^2 + c1 n + c0), Re a > 0, evaluated
+    peak-first; the one theta-series summation of the package.
 
     The summation index is recentered on the magnitude peak
-    n0 = round(Re c1 / 2 pi), so the summed core stays O(1) and the
-    overall scale exp(-pi n0^2 + c1 n0 + c0) is applied once; naive
+    n0 = round(Re c1 / (2 pi Re a)), so the summed core stays O(1) and
+    the overall scale exp(-pi a n0^2 + c1 n0 + c0) is applied once; naive
     summation would overflow already for |Re c1| around 60 pi while the
     product with c0 is tiny.  Returns (values, core_magnitudes, n0).
     """
     c1 = np.asarray(c1, dtype=complex)
     c0 = np.asarray(c0, dtype=complex)
-    n0 = np.round(c1.real / (2.0 * np.pi))
-    rem = c1 - 2.0 * np.pi * n0
+    n0 = np.round(c1.real / (2.0 * np.pi * a.real))
+    rem = c1 - 2.0 * np.pi * a * n0
     bmax = float(np.max(np.abs(rem.real))) / (2.0 * np.pi) if c1.size else 0.0
-    N = _series_halfwidth(1.0, bmax, tail_eps)
+    N = _series_halfwidth(a.real, bmax, tail_eps)
     j = np.arange(-N, N + 1, dtype=float)
-    terms = np.exp(-np.pi * j[:, None] ** 2 + rem.ravel()[None, :] * j[:, None])
+    terms = np.exp(-np.pi * a * j[:, None] ** 2 + rem.ravel()[None, :] * j[:, None])
     core = terms.sum(axis=0).reshape(c1.shape)
-    scale = np.exp(-np.pi * n0**2 + c1 * n0 + c0)
+    scale = np.exp(-np.pi * a * n0**2 + c1 * n0 + c0)
     return scale * core, np.abs(core), n0
 
 
 def b_factor(r: float, m: int, tail_eps: float = TAIL_EPS) -> complex:
     """Lattice-sector factor e^{-pi m^2/2 - i pi m r} theta(i, -r + i m/2)."""
-    r = float(r)
-    m = int(m)
-    vals, _, _ = _shifted_lattice_sums(
-        np.array([-np.pi * m - 2j * np.pi * r]),
-        np.array([-np.pi / 2 * m * m - 1j * np.pi * m * r]), tail_eps)
-    return complex(vals[0])
+    products, _ = b_product_arrays([[float(r)]], [[int(m)]], tail_eps)
+    return complex(products[0])
 
 
 def b_product_arrays(r: np.ndarray, m: np.ndarray, tail_eps: float = TAIL_EPS):
@@ -138,10 +145,8 @@ class HermitianFormContext:
     im_inv: np.ndarray = None
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=complex)
-        p = omega.shape[0] if omega.ndim == 2 else (1 if omega.size else 0)
-        omega = omega.reshape(p, p)
-        _check_omega(omega)
+        omega = _check_omega(self.omega)
+        p = omega.shape[0]
         im_inv = np.linalg.inv(omega.imag) if p else np.zeros((0, 0))
         if p and np.max(np.abs(im_inv @ omega.imag - np.eye(p))) > 1e-10:
             raise ValueError("Im Omega is too ill-conditioned to invert")
@@ -165,19 +170,14 @@ def hermitian_form(ctx: HermitianFormContext, g: LatticePoint,
     continuous blocks; H(h, h) is real and nonnegative."""
     if g.p != ctx.p or h.p != ctx.p:
         raise DimensionMismatch("lattice points do not match the form dimension")
-    if ctx.p == 0:
-        return 0j
-    xg = complex_coordinates(ctx, g.w1, g.w2)
-    xh = complex_coordinates(ctx, h.w1, h.w2)
-    return complex(xg @ ctx.im_inv @ np.conj(xh))
+    return complex(hermitian_pairing_arrays(
+        ctx, complex_coordinates(ctx, g.w1, g.w2),
+        complex_coordinates(ctx, h.w1, h.w2)))
 
 
 def hermitian_pairing_arrays(ctx: HermitianFormContext, xg: np.ndarray,
                              xh: np.ndarray) -> np.ndarray:
     """H on precomputed complex coordinates, broadcasting over rows."""
-    if ctx.p == 0:
-        shape = np.broadcast_shapes(np.shape(xg)[:-1], np.shape(xh)[:-1])
-        return np.zeros(shape, dtype=complex)
     return np.sum((xg @ ctx.im_inv) * np.conj(xh), axis=-1)
 
 
@@ -352,7 +352,9 @@ def quantum_theta(emb: EmbeddingMap, f: GaussianVector, R: int,
     norm = math.sqrt((2 ** emb.p) * float(np.linalg.det(f.omega.imag))) \
         if emb.p else 1.0
     inner = _closed_inner_products(f, f, tail_eps)
-    values = [norm * inner(emb.point(k)) for k in ball(emb.d, R)]
+    K = ball(emb.d, R)
+    values = [norm * inner(LatticePoint(k, *h))
+              for k, h in zip(K, zip(*emb.blocks(K)))]
     return QuantumElement(embedding=emb,
                           values=np.reshape(values, (2 * R + 1,) * emb.d))
 
@@ -372,15 +374,17 @@ def theta_coefficients(ctx: HermitianFormContext, emb: EmbeddingMap,
     return bt * np.exp(-np.pi / 2 * hvals), min_norm
 
 
-def decay_certificate(element: QuantumElement, tail_eps: float = TAIL_EPS,
-                      safety: float = 0.95) -> dict:
+def decay_certificate(element: QuantumElement) -> dict:
     """Envelope |c_k| <= C exp(-rate |k|^2) and a bound on the dropped tail.
 
     The amplitude is the largest stored magnitude and the rate is the
-    worst per-point Rayleigh rate over the stored support, shrunk by a
-    safety factor, so the envelope stays valid along the slowest decay
+    worst per-point Rayleigh rate over the stored support, shrunk by
+    DECAY_SAFETY, so the envelope stays valid along the slowest decay
     direction when extrapolated outside the ball.  The least-squares
     slope of the log-magnitude plot is reported as the decay diagnostic.
+    The tail is summed shell by shell up to |k|_inf = R + 999; when it
+    has not converged by then, or a shell's envelope term leaves double
+    range, the certificate is not valid and says why.
     """
     K, c = element.as_arrays()
     mags = np.abs(c)
@@ -393,23 +397,29 @@ def decay_certificate(element: QuantumElement, tail_eps: float = TAIL_EPS,
     slope = float(np.polyfit(x, y, 1)[0])
     log_c = float(np.max(y))
     nonzero = x > 0
-    rate = safety * float(np.min((log_c - y[nonzero]) / x[nonzero])) \
+    rate = DECAY_SAFETY * float(np.min((log_c - y[nonzero]) / x[nonzero])) \
         if np.any(nonzero) else 0.0
     d = element.embedding.d
     R = element.radius
     tail = 0.0
-    j = R + 1
-    while j < R + 1000:
-        count = (2 * j + 1) ** d - (2 * j - 1) ** d
-        term = count * math.exp(min(log_c - rate * j * j, 700.0))
+    reason = f"tail sum not converged by shell {R + 999}"
+    for j in range(R + 1, R + 1000):
+        log_term = log_c - rate * j * j
+        if log_term > 700.0:
+            reason = f"tail envelope leaves double range at shell {j}"
+            break
+        term = ((2 * j + 1) ** d - (2 * j - 1) ** d) * math.exp(log_term)
         tail += term
         if term < 1e-30:
+            reason = None
             break
-        j += 1
-    return {
-        "valid": bool(rate > 0),
+    certificate = {
+        "valid": bool(rate > 0) and reason is None,
         "rate": float(rate),
         "log_amplitude": log_c,
         "slope": slope,
         "tail_bound": float(tail),
     }
+    if reason is not None:
+        certificate["reason"] = reason
+    return certificate

@@ -127,6 +127,27 @@ def test_residual_tolerance_is_not_widened(tmp_path):
     assert len(fe_failures) == len(failed)
 
 
+def test_inner_rel_tolerance_is_applied(tmp_path):
+    # the two coefficient routes differ by about 2e-16 here; an inner_rel
+    # below that relative gap must fail the run
+    cfg = write_config(tmp_path, {
+        "embedding": {"p": 1, "q": 2, "theta": [0.5],
+                      "Q": [[1, 0], [0, 1]],
+                      "Delta": [[0.2, 0.0], [0.0, 0.7]]},
+        "truncation_R": 2,
+        "seed": 123,
+        "tolerances": {"inner_rel": 1e-30},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["theta", "--config", cfg, "--out", str(out)]) == 2
+    theta_rep = json.loads((out / "theta.json").read_text())
+    assert theta_rep["coefficient_formula_residual"] > 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["exit_code"] == 2
+    assert [f for f in summary["failures"]
+            if f.startswith("coefficient formula residual")]
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = mixed_q2(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -214,6 +214,17 @@ def test_sample_values():
     assert np.all(nc.sample_on_grid(zero, 1.0, 0.5, 1).values == 0)
 
 
+def test_non_integral_lattice_center_rejected():
+    # an absolute, not relative, test: 1e6 + 0.5 is not rounded to 1e6
+    for n0 in ([1e6 + 0.5], [0.4], [np.nan]):
+        with pytest.raises(ValueError):
+            GaussianVector(p=1, q=1, omega=[[1j]], ell=[0], c0=1.0, n0=n0,
+                           mu=[0])
+    f = GaussianVector(p=1, q=1, omega=[[1j]], ell=[0], c0=1.0, n0=[1e6],
+                       mu=[0])
+    assert f.n0.tolist() == [1000000]
+
+
 def test_sample_budget():
     f = GaussianVector.pure(np.array([[1j]]))
     with pytest.raises(GridTooLarge):

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -8,7 +9,8 @@ from nctheta.errors import (BadTau, DivergentIntegral, GridMismatch,
                             NCThetaError)
 from nctheta.heisenberg import GaussianVector
 from nctheta.lattice import ball
-from nctheta.theta import (HermitianFormContext, b_product_arrays,
+from nctheta.theta import (SERIES_BUDGET, HermitianFormContext,
+                           _series_halfwidth, b_product_arrays,
                            theta_coefficients)
 
 # sum_n exp(-pi n^2), computed with 40-digit summation (mpmath), frozen.
@@ -78,6 +80,37 @@ def test_theta_out_of_range_raises():
     assert time.perf_counter() - start < 1.0
     with pytest.raises(NCThetaError):
         nc.classical_theta(1j, 60j)
+    # a tiny Im tau would need millions of terms: refused before summing
+    start = time.perf_counter()
+    with pytest.raises(NCThetaError):
+        nc.classical_theta(1e-12j, 0.1)
+    assert time.perf_counter() - start < 1.0
+
+
+def _linear_halfwidth(a, b, tail_eps):
+    """The halfwidth search as a linear walk from b/a, for reference."""
+    log_tail = math.log(tail_eps)
+    n = max(1, math.ceil(b / a) + 1)
+    while True:
+        log_ratio = -math.pi * a * (2 * n + 3) + 2 * math.pi * b
+        if log_ratio < 0.0:
+            ratio = math.exp(log_ratio)
+            log_head = -math.pi * a * (n + 1) ** 2 + 2 * math.pi * b * (n + 1)
+            if log_head + math.log(2.0 / (1.0 - ratio)) < log_tail:
+                return n
+        n += 1
+
+
+def test_series_halfwidth_matches_linear_search():
+    for a in np.geomspace(1e-6, 10, 18):
+        for b in (0.0, a / 4, a / 2, 0.5):
+            for tail_eps in (1e-300, 1e-15, 1e-3, 0.5):
+                expected = _linear_halfwidth(a, b, tail_eps)
+                if expected > SERIES_BUDGET:
+                    with pytest.raises(NCThetaError):
+                        _series_halfwidth(a, b, tail_eps)
+                else:
+                    assert _series_halfwidth(a, b, tail_eps) == expected
 
 
 def test_b_factor_values():
@@ -306,9 +339,19 @@ def test_quantum_theta_matches_quadrature(inst_1_2):
 
 
 def test_quantum_theta_equals_scalar_route_bitwise(inst_1_2, inst_2_0):
-    # quantum_theta does the (f, f)-only work once; every coefficient must
-    # still carry the exact bits of a separate inner_product_closed call
-    for emb, omega in [inst_1_2, inst_2_0]:
+    # quantum_theta does the (f, f)-only work once and splits the whole
+    # ball in one blocks() call; every coefficient must still carry the
+    # exact bits of a separate inner_product_closed call at emb.point(k),
+    # also for a raw Phi whose products round (a matrix product would
+    # round a row differently with other rows in the batch)
+    phi = np.array([[0.5, 0.13, 0.0, 0.0],
+                    [0.07, 1.1, 0.0, 0.0],
+                    [0.0, 0.0, 1.0, 0.0],
+                    [0.0, 0.0, 1.0, 1.0],
+                    [0.05, 0.02, 0.21, 0.03],
+                    [0.01, 0.03, 0.11, 0.7]])
+    raw = (nc.EmbeddingMap(p=1, q=2, phi=phi), np.array([[0.2 + 1.5j]]))
+    for emb, omega in [inst_1_2, inst_2_0, raw]:
         f = GaussianVector.pure(omega, emb.q)
         th = nc.quantum_theta(emb, f, 2)
         norm = np.sqrt((2 ** emb.p) * float(np.linalg.det(omega.imag)))
@@ -348,3 +391,18 @@ def test_quantum_theta_decay_certificate(inst_1_0):
     th_fast = nc.quantum_theta(emb_fast, GaussianVector.pure(omega), 4)
     cert_fast = nc.decay_certificate(th_fast)
     assert cert_fast["valid"] and cert_fast["tail_bound"] < 1e-10
+
+
+def test_decay_certificate_flags_unfinished_tail():
+    emb = nc.canonical_embedding(1, 0, theta=[0.5])
+    K = ball(2, 2)
+    r2 = np.sum(K ** 2, axis=1).reshape(5, 5)
+    # |c_k| = exp(-1e-7 |k|^2): the tail is still growing after 999 shells
+    slow = nc.QuantumElement(embedding=emb, values=np.exp(-1e-7 * r2))
+    cert = nc.decay_certificate(slow)
+    assert not cert["valid"] and "not converged" in cert["reason"]
+    # amplitude exp(705) with slow decay: the first tail shell's envelope
+    # term exceeds exp(700)
+    huge = nc.QuantumElement(embedding=emb, values=np.exp(705.0 - 0.01 * r2))
+    cert = nc.decay_certificate(huge)
+    assert not cert["valid"] and "double range" in cert["reason"]
