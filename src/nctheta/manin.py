@@ -185,7 +185,11 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
     ball (`table`, built here unless the caller already holds it); that
     table serves the degeneracy scan and every c_h and c_{g+h} as index
     lookups, so the closed-formula multipliers stay independent of the
-    inner-product coefficients they are checked against.
+    inner-product coefficients they are checked against.  Since
+    T_g(h) = c_{g+h} / (C_g c_h alpha), the left-hand side at g + h is
+    c_{g+h} theta_h / c_h, so in this convention the residual certifies
+    that the inner-product coefficient divided by the closed formula
+    agrees at h and g + h.
 
     Errors are raised as the single-g calls would raise them in turn:
     first any |g|_inf > R/2 (ValueError), then the degeneracy scan

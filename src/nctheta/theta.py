@@ -13,6 +13,7 @@ majorant at tail_eps = 1e-15; nothing adapts to observed terms.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -22,7 +23,8 @@ import numpy as np
 from .errors import (BadTau, DimensionMismatch, DivergentIntegral,
                      GridMismatch, NCThetaError)
 from .heisenberg import GaussianVector, SampledVector, _check_omega
-from .lattice import EmbeddingMap, LatticePoint, QuantumElement, _readonly, ball
+from .lattice import (EmbeddingMap, LatticePoint, QuantumElement, _cmul,
+                      _readonly, ball)
 
 TAIL_EPS = 1e-15
 # Most terms a theta series may sum on each side of its peak.
@@ -43,27 +45,30 @@ def _series_halfwidth(a: float, b: float, tail_eps: float) -> int:
     Deterministic: derived from the geometric majorant only, never from
     observed partial sums.  The majorant is at least twice its head term
     exp(-pi a x^2 + 2 pi b x), x = N + 1, so x exceeds the larger root of
-    pi a x^2 - 2 pi b x + log(tail_eps); the search starts there, and the
-    condition is monotone in N from there on.  NCThetaError when N would
-    exceed SERIES_BUDGET.
+    pi a x^2 - 2 pi b x + log(tail_eps).  From there (and from x > b/a)
+    the head term and the factor 2 / (1 - ratio) both decrease in N, so
+    the condition is monotone and N is found by bisection.  NCThetaError
+    when N would exceed SERIES_BUDGET.
     """
     if a <= 0.0:
         raise BadTau("Im tau must be positive")
     log_tail = math.log(tail_eps)
+
+    def below(n: int) -> bool:
+        log_ratio = -math.pi * a * (2 * n + 3) + 2 * math.pi * b
+        log_head = -math.pi * a * (n + 1) ** 2 + 2 * math.pi * b * (n + 1)
+        return log_ratio < 0.0 and log_head + math.log(
+            2.0 / (1.0 - math.exp(log_ratio))) < log_tail
+
     root = (b + math.sqrt(max(b * b - a * log_tail / math.pi, 0.0))) / a
     n = SERIES_BUDGET + 1
-    if root <= SERIES_BUDGET + 1:
-        n = max(1, math.ceil(b / a) + 1, math.floor(root) - 1)
-    while n <= SERIES_BUDGET:
-        log_ratio = -math.pi * a * (2 * n + 3) + 2 * math.pi * b
-        if log_ratio < 0.0:
-            ratio = math.exp(log_ratio)
-            log_head = -math.pi * a * (n + 1) ** 2 + 2 * math.pi * b * (n + 1)
-            if log_head + math.log(2.0 / (1.0 - ratio)) < log_tail:
-                return n
-        n += 1
-    raise NCThetaError(f"theta series needs more than {SERIES_BUDGET} terms "
-                       f"per side (a={a}, b={b}, tail_eps={tail_eps})")
+    if root <= n:
+        n = bisect.bisect_left(range(n), True, key=below,
+                               lo=max(1, math.ceil(b / a) + 1, math.floor(root) - 1))
+    if n > SERIES_BUDGET:
+        raise NCThetaError(f"theta series needs more than {SERIES_BUDGET} terms "
+                           f"per side (a={a}, b={b}, tail_eps={tail_eps})")
+    return n
 
 
 def classical_theta(tau: complex, z: complex, tail_eps: float = TAIL_EPS) -> complex:
@@ -105,7 +110,8 @@ def _shifted_lattice_sums(c1: np.ndarray, c0: np.ndarray,
     N = _series_halfwidth(a.real, bmax, tail_eps)
     j = np.arange(-N, N + 1, dtype=float)
     terms = np.exp(-np.pi * a * j[:, None] ** 2 + rem.ravel()[None, :] * j[:, None])
-    core = terms.sum(axis=0).reshape(c1.shape)
+    # a running sum: sum() would add a lone element's terms pairwise
+    core = np.cumsum(terms, axis=0)[-1].reshape(c1.shape)
     scale = np.exp(-np.pi * a * n0**2 + c1 * n0 + c0)
     return scale * core, np.abs(core), n0
 
@@ -181,6 +187,11 @@ def hermitian_pairing_arrays(ctx: HermitianFormContext, xg: np.ndarray,
     return np.sum((xg @ ctx.im_inv) * np.conj(xh), axis=-1)
 
 
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row dot products x_i @ y_i, by stacked matmul to keep their rounding."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
 def gaussian_integral(M: np.ndarray, v: np.ndarray) -> complex:
     """Closed form of the p-dimensional integral of exp(-s^T M s + v.s).
 
@@ -192,23 +203,19 @@ def gaussian_integral(M: np.ndarray, v: np.ndarray) -> complex:
     """
     M = np.asarray(M, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    p = M.shape[0] if M.ndim == 2 else 0
-    if p == 0:
+    if M.ndim != 2 or M.shape[0] == 0:
         return 1.0 + 0j
-    return _gaussian_value(_gaussian_prefactor(M), M, v)
+    return complex(_gaussian_values(M, v[None])[0])
 
 
-def _gaussian_prefactor(M: np.ndarray) -> complex:
-    """pi^{p/2} det(M)^{-1/2} of gaussian_integral, for a (p, p) M, p >= 1."""
+def _gaussian_values(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """gaussian_integral of one (p, p) M, p >= 1, at each row of an (n, p) V."""
     if np.min(np.linalg.eigvalsh(M.real)) <= 0.0:
         raise DivergentIntegral("Re M must be positive definite")
     lam = np.linalg.eigvals(M)
-    det_inv_sqrt = np.exp(-0.5 * np.sum(np.log(lam)))
-    return np.pi ** (M.shape[0] / 2) * det_inv_sqrt
-
-
-def _gaussian_value(prefactor: complex, M: np.ndarray, v: np.ndarray) -> complex:
-    return complex(prefactor * np.exp(v @ np.linalg.solve(M, v) / 4.0))
+    prefactor = np.pi ** (M.shape[0] / 2) * np.exp(-0.5 * np.sum(np.log(lam)))
+    S = np.linalg.solve(M, V[..., None])[..., 0]
+    return _cmul(prefactor, np.exp(_rowdot(V, S) / 4.0))
 
 
 def inner_product_closed(f: GaussianVector, g: GaussianVector,
@@ -223,52 +230,38 @@ def inner_product_closed(f: GaussianVector, g: GaussianVector,
         raise DimensionMismatch("vectors live on different spaces")
     if h.p != f.p or h.q != f.q:
         raise DimensionMismatch("lattice point does not match the vectors")
-    return _closed_inner_products(f, g, tail_eps)(h)
+    blocks = tuple(b[None] for b in (h.w1, h.w2, h.m, h.r))
+    return complex(_closed_inner_products(f, g, blocks, tail_eps)[0])
 
 
-def _closed_inner_products(f: GaussianVector, g: GaussianVector,
-                           tail_eps: float):
-    """h -> <f, pi_h g> for vectors of matching dimensions.
+def _closed_inner_products(f: GaussianVector, g: GaussianVector, blocks,
+                           tail_eps: float) -> np.ndarray:
+    """<f, pi_h g> at every row h of the (w1, w2, m, r) arrays of
+    EmbeddingMap.blocks, for vectors of matching dimensions.
 
-    The work that depends on (f, g) only (conjugates, the Re M check and
-    det(M)^{-1/2}) is done once here.  Every partial result is grouped as
-    in the formula, so each value is bit-identical to a separate
-    evaluation per h.
+    Products are grouped as in the formula and rounded as in a one-row
+    call; only the lattice series halfwidth is shared by all rows.
     """
-    p, q = f.p, f.q
-    og_bar = np.conj(g.omega)
-    lg_bar = np.conj(g.ell)
-    mug_bar = np.conj(g.mu)
-    scale = f.c0 * np.conj(g.c0)
+    W1, W2, mm, rr = blocks
+    og_bar, lg_bar, mug_bar = np.conj(g.omega), np.conj(g.ell), np.conj(g.mu)
+    cont = latt = np.ones(len(W1), dtype=complex)
     # Continuous sector.
-    M = -1j * np.pi * (f.omega - og_bar)
-    prefactor = _gaussian_prefactor(M) if p else None
-    ell = f.ell - lg_bar
-    # Lattice sector.
-    af = f.n0.astype(float)
-    ag = g.n0.astype(float)
-    a_sum = af + ag
-    af2 = af**2
-    mu = f.mu - mug_bar
-
-    def at(h: LatticePoint) -> complex:
-        v = 2j * np.pi * (ell - og_bar @ h.w1 - h.w2)
-        const = np.exp(-1j * np.pi * (h.w1 @ h.w2 + h.w1 @ og_bar @ h.w1)
-                       - 2j * np.pi * (lg_bar @ h.w1)) if p else 1.0
-        cont = const * (_gaussian_value(prefactor, M, v) if p else 1.0 + 0j)
-        # one peak-shifted theta series per lattice component
-        latt = 1.0 + 0j
-        if q:
-            mm = h.m.astype(float)
-            beta = mu - h.r
-            c1 = np.pi * (a_sum - mm) + 2j * np.pi * beta
-            c0 = -np.pi / 2 * (af2 + (mm - ag) ** 2)
-            sums, _, _ = _shifted_lattice_sums(c1, c0, tail_eps)
-            latt = np.prod(sums) * np.exp(
-                -2j * np.pi * (mug_bar @ mm) - 1j * np.pi * (mm @ h.r))
-        return complex(scale * cont * latt)
-
-    return at
+    if f.p:
+        M = -1j * np.pi * (f.omega - og_bar)
+        OW1 = np.matmul(og_bar, W1[:, :, None])[:, :, 0]
+        V = 2j * np.pi * (f.ell - lg_bar - OW1 - W2)
+        quad = _rowdot(W1, W2) + _rowdot(np.matmul(W1[:, None, :], og_bar)[:, 0], W1)
+        const = np.exp(-1j * np.pi * quad - 2j * np.pi * _rowdot(lg_bar, W1))
+        cont = _cmul(const, _gaussian_values(M, V))
+    # Lattice sector: one peak-shifted theta series per component.
+    if f.q:
+        af, ag, mm = f.n0.astype(float), g.n0.astype(float), mm.astype(float)
+        c1 = np.pi * (af + ag - mm) + 2j * np.pi * (f.mu - mug_bar - rr)
+        c0 = -np.pi / 2 * (af**2 + (mm - ag) ** 2)
+        sums, _, _ = _shifted_lattice_sums(c1, c0, tail_eps)
+        latt = _cmul(np.prod(sums, axis=1), np.exp(-2j * np.pi * _rowdot(mug_bar, mm)
+                                                   - 1j * np.pi * _rowdot(mm, rr)))
+    return _cmul(_cmul(f.c0 * np.conj(g.c0), cont), latt)
 
 
 def inner_product_quadrature(fs: SampledVector, gs: SampledVector,
@@ -337,11 +330,10 @@ def quantum_theta(emb: EmbeddingMap, f: GaussianVector, R: int,
     """Quantum theta element: normalized diagonal inner products on a ball.
 
     Coefficient at index k is sqrt(2^p det Im Omega) <f, pi_{Phi k} f>
-    for |k|_inf <= R, evaluated per k by the scalar route of
-    inner_product_closed (its (f, f)-only work done once), so each value
-    is bit-identical to a separate inner_product_closed call, and written
-    into the coefficient cube in lexicographic order.  Requires the
-    centered family member (ell = 0, n0 = 0, mu = 0).
+    for |k|_inf <= R, from one array call of the inner-product route on
+    the ball, written into the coefficient cube in lexicographic order.
+    Requires the centered family member (ell = 0, n0 = 0, mu = 0);
+    NCThetaError when a coefficient is not a finite double.
     """
     if R < 1:
         raise ValueError("truncation radius must be >= 1")
@@ -351,12 +343,14 @@ def quantum_theta(emb: EmbeddingMap, f: GaussianVector, R: int,
         raise ValueError("quantum theta requires the centered family member")
     norm = math.sqrt((2 ** emb.p) * float(np.linalg.det(f.omega.imag))) \
         if emb.p else 1.0
-    inner = _closed_inner_products(f, f, tail_eps)
-    K = ball(emb.d, R)
-    values = [norm * inner(LatticePoint(k, *h))
-              for k, h in zip(K, zip(*emb.blocks(K)))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = norm * _closed_inner_products(f, f, emb.blocks(ball(emb.d, R)),
+                                               tail_eps)
+    if not np.all(np.isfinite(values)):
+        raise NCThetaError("a quantum theta coefficient is not a finite double "
+                           f"at truncation radius {R}")
     return QuantumElement(embedding=emb,
-                          values=np.reshape(values, (2 * R + 1,) * emb.d))
+                          values=values.reshape((2 * R + 1,) * emb.d))
 
 
 def theta_coefficients(ctx: HermitianFormContext, emb: EmbeddingMap,

@@ -252,3 +252,17 @@ def test_load_config_errors(tmp_path):
                                   "tolerances": {"inner_rel": -1.0}})
     with pytest.raises(ConfigError):
         cli.load_config(cfg)
+
+
+def test_non_finite_coefficients_exit_two(tmp_path, capsys):
+    # theta = 1000 puts |w1| up to 2000 on the R = 2 ball: the Gaussian
+    # factor overflows while its phase factor underflows, and the
+    # coefficient would be NaN
+    cfg = write_config(tmp_path, {
+        "embedding": {"p": 1, "q": 0, "theta": [1000.0]},
+        "truncation_R": 2,
+    })
+    assert cli.main(["theta", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NCThetaError"
+    assert "not a finite double" in err["reason"]

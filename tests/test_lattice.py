@@ -297,12 +297,13 @@ def test_quantum_theta_product_equals_scalar_double_loop(inst_1_2):
     # the literal double loop in lexicographic order, with scalar cocycles
     # and Python complex arithmetic
     items = sorted(th.coeffs.items())
+    points = {k: emb.point(np.array(k)) for k, _ in items}
     expected = {}
     for k1, c1 in items:
-        x = emb.point(np.array(k1))
+        x = points[k1]
         for k2, c2 in items:
             key = tuple(a + b for a, b in zip(k1, k2))
-            term = c1 * c2 * nc.cocycle(x, emb.point(np.array(k2)))
+            term = c1 * c2 * nc.cocycle(x, points[k2])
             expected[key] = expected.get(key, 0j) + term
     assert prod.radius == 4
     assert prod.coeffs == {k: v for k, v in expected.items() if abs(v) >= 1e-300}

@@ -8,7 +8,7 @@ from nctheta.errors import DegenerateTranslation, NCThetaError
 from nctheta.heisenberg import GaussianVector
 from nctheta.lattice import ball
 from nctheta.manin import _multipliers, functional_equation_residual_ops
-from nctheta.theta import HermitianFormContext
+from nctheta.theta import HermitianFormContext, theta_coefficients
 
 THETA_I_0 = 1.086434811213308014575316
 
@@ -342,3 +342,23 @@ def test_functional_equation_full_ball(inst_1_2):
         assert entry == rep
         worst = max(worst, rep["max_residual"])
     assert worst < 1e-9
+
+
+def test_modified_residual_compares_the_two_routes(inst_1_2):
+    # T_g(h) = c_{g+h} / (C_g c_h alpha), so the left-hand side is
+    # c_{g+h} theta_h / c_h: the residual checks that the inner-product
+    # coefficient divided by the closed formula agrees at h and g + h
+    emb, omega = inst_1_2
+    ctx, th = build(emb, omega)
+    R = th.radius
+    closed, _ = theta_coefficients(ctx, emb, ball(emb.d, R))
+    closed = closed.reshape(th.values.shape)
+    points = [emb.point(k) for k in ball(emb.d, R // 2)]
+    entries = nc.verify_functional_equations(ctx, emb, th, points, "modified")
+    for g, entry in zip(points, entries):
+        at_gh = ball(emb.d, R - int(np.max(np.abs(g.index)))) + R
+        at_h = at_gh - g.index
+        c_gh, c_h = closed[tuple(at_gh.T)], closed[tuple(at_h.T)]
+        theta_gh, theta_h = th.values[tuple(at_gh.T)], th.values[tuple(at_h.T)]
+        direct = np.max(np.abs(c_gh * theta_h / c_h - theta_gh))
+        assert abs(entry["max_residual"] - direct) <= 1e-15, g.index

@@ -9,9 +9,9 @@ from nctheta.errors import (BadTau, DivergentIntegral, GridMismatch,
                             NCThetaError)
 from nctheta.heisenberg import GaussianVector
 from nctheta.lattice import ball
-from nctheta.theta import (SERIES_BUDGET, HermitianFormContext,
-                           _series_halfwidth, b_product_arrays,
-                           theta_coefficients)
+from nctheta.theta import (SERIES_BUDGET, TAIL_EPS, HermitianFormContext,
+                           _series_halfwidth, _shifted_lattice_sums,
+                           b_product_arrays, theta_coefficients)
 
 # sum_n exp(-pi n^2), computed with 40-digit summation (mpmath), frozen.
 THETA_I_0 = 1.086434811213308014575316
@@ -111,6 +111,13 @@ def test_series_halfwidth_matches_linear_search():
                         _series_halfwidth(a, b, tail_eps)
                 else:
                     assert _series_halfwidth(a, b, tail_eps) == expected
+
+
+def test_series_halfwidth_bisects():
+    # the answer lies ~4*10^4 checks past the quadratic root here
+    start = time.perf_counter()
+    assert _series_halfwidth(1e-10, 0.0, 1e-15) == 372501
+    assert time.perf_counter() - start < 5e-3
 
 
 def test_b_factor_values():
@@ -360,6 +367,88 @@ def test_quantum_theta_equals_scalar_route_bitwise(inst_1_2, inst_2_0):
         for k in ball(emb.d, 2):
             scalar = norm * nc.inner_product_closed(f, f, emb.point(k))
             assert coeffs[tuple(k.tolist())] == scalar, k
+
+
+def _scalar_inner_products(f, g, tail_eps):
+    """The inner-product route as a per-h closure, one lattice point at a
+    time with 1-D products and scalar complex arithmetic, for reference."""
+    p, q = f.p, f.q
+    og_bar = np.conj(g.omega)
+    lg_bar = np.conj(g.ell)
+    mug_bar = np.conj(g.mu)
+    scale = f.c0 * np.conj(g.c0)
+    # Continuous sector.
+    M = -1j * np.pi * (f.omega - og_bar)
+    if p:
+        if np.min(np.linalg.eigvalsh(M.real)) <= 0.0:
+            raise DivergentIntegral("Re M must be positive definite")
+        lam = np.linalg.eigvals(M)
+        prefactor = np.pi ** (M.shape[0] / 2) * np.exp(-0.5 * np.sum(np.log(lam)))
+    ell = f.ell - lg_bar
+    # Lattice sector.
+    af = f.n0.astype(float)
+    ag = g.n0.astype(float)
+    a_sum = af + ag
+    af2 = af**2
+    mu = f.mu - mug_bar
+
+    def at(h):
+        v = 2j * np.pi * (ell - og_bar @ h.w1 - h.w2)
+        const = np.exp(-1j * np.pi * (h.w1 @ h.w2 + h.w1 @ og_bar @ h.w1)
+                       - 2j * np.pi * (lg_bar @ h.w1)) if p else 1.0
+        gauss = complex(prefactor * np.exp(v @ np.linalg.solve(M, v) / 4.0)) \
+            if p else 1.0 + 0j
+        cont = const * gauss
+        latt = 1.0 + 0j
+        if q:
+            mm = h.m.astype(float)
+            beta = mu - h.r
+            c1 = np.pi * (a_sum - mm) + 2j * np.pi * beta
+            c0 = -np.pi / 2 * (af2 + (mm - ag) ** 2)
+            sums, _, _ = _shifted_lattice_sums(c1, c0, tail_eps)
+            latt = np.prod(sums) * np.exp(
+                -2j * np.pi * (mug_bar @ mm) - 1j * np.pi * (mm @ h.r))
+        return complex(scale * cont * latt)
+
+    return at
+
+
+def test_inner_products_equal_frozen_scalar_route(inst_1_2, inst_2_0, inst_general):
+    # the array route must keep the bits of the scalar per-h evaluation;
+    # a reassociated or vectorised complex product would move the last bit
+    phi = np.array([[0.5, 0.13, 0.0, 0.0],
+                    [0.07, 1.1, 0.0, 0.0],
+                    [0.0, 0.0, 1.0, 0.0],
+                    [0.0, 0.0, 1.0, 1.0],
+                    [0.05, 0.02, 0.21, 0.03],
+                    [0.01, 0.03, 0.11, 0.7]])
+    raw = (nc.EmbeddingMap(p=1, q=2, phi=phi), np.array([[0.2 + 1.5j]]))
+    general = (inst_general, np.array([[0.3 + 1.2j]]))
+    for emb, omega in [inst_1_2, inst_2_0, raw, general]:
+        f = GaussianVector.pure(omega, emb.q)
+        values = nc.quantum_theta(emb, f, 2).values.ravel()
+        norm = np.sqrt((2 ** emb.p) * float(np.linalg.det(omega.imag)))
+        at = _scalar_inner_products(f, f, TAIL_EPS)
+        for k, value in zip(ball(emb.d, 2), values):
+            assert value == norm * at(emb.point(k)), (emb.p, emb.q, k)
+    # non-centered vectors through inner_product_closed
+    emb, omega = inst_1_2
+    base = GaussianVector.pure(omega, emb.q)
+    f = nc.apply_heisenberg(emb.point([1, 0, 1, 0]), base)
+    g = nc.apply_heisenberg(emb.point([0, 1, 0, 1]), base)
+    at = _scalar_inner_products(f, g, TAIL_EPS)
+    for k in ball(emb.d, 1):
+        h = emb.point(k)
+        assert nc.inner_product_closed(f, g, h) == at(h), k
+    # at tail_eps = 1e-9 the halfwidth differs between rows and the batch
+    # sums the largest one, so values move by far less than tail_eps
+    f = GaussianVector.pure(omega, emb.q)
+    th = nc.quantum_theta(emb, f, 3, tail_eps=1e-9)
+    norm = np.sqrt(2.0 * float(omega.imag[0, 0]))
+    at = _scalar_inner_products(f, f, 1e-9)
+    for k, value in zip(ball(emb.d, 3), th.values.ravel()):
+        ref = norm * at(emb.point(k))
+        assert abs(value - ref) <= 1e-11 * abs(ref), k
 
 
 def test_quantum_theta_coefficient_formula(inst_1_2):
