@@ -212,10 +212,11 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
                                            tail_eps=tail_eps)
             certificate = theta.decay_certificate(theta_el)
             table = manin.BallTable.build(ctx, emb, cfg.truncation_R, tail_eps)
-            K, coeffs = theta_el.as_arrays()
-            closed, _ = table.lookup(K)
+            support = theta_el.values != 0
+            coeffs, closed = theta_el.values[support], table.values[support]
             keep = np.abs(closed) > 1e-13
-            formula_residual = float(np.max(np.abs(coeffs - closed))) if len(K) else 0.0
+            formula_residual = float(np.max(np.abs(coeffs - closed))) \
+                if coeffs.size else 0.0
             phase_residual = float(np.max(np.abs(np.angle(coeffs[keep] / closed[keep])))) \
                 if np.any(keep) else 0.0
             formula_tol = tol["inner_rel"] * float(np.max(np.abs(closed), initial=0.0))

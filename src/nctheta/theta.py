@@ -208,14 +208,18 @@ def gaussian_integral(M: np.ndarray, v: np.ndarray) -> complex:
     return complex(_gaussian_values(M, v[None])[0])
 
 
-def _gaussian_values(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """gaussian_integral of one (p, p) M, p >= 1, at each row of an (n, p) V."""
+def _gaussian_values(M: np.ndarray, V: np.ndarray, log_scale=None) -> np.ndarray:
+    """gaussian_integral of one (p, p) M, p >= 1, at each row of an (n, p) V,
+    times exp(log_scale) when given, inside the one exponential."""
     if np.min(np.linalg.eigvalsh(M.real)) <= 0.0:
         raise DivergentIntegral("Re M must be positive definite")
     lam = np.linalg.eigvals(M)
     prefactor = np.pi ** (M.shape[0] / 2) * np.exp(-0.5 * np.sum(np.log(lam)))
     S = np.linalg.solve(M, V[..., None])[..., 0]
-    return _cmul(prefactor, np.exp(_rowdot(V, S) / 4.0))
+    exponent = _rowdot(V, S) / 4.0
+    if log_scale is not None:
+        exponent = exponent + log_scale
+    return _cmul(prefactor, np.exp(exponent))
 
 
 def inner_product_closed(f: GaussianVector, g: GaussianVector,
@@ -251,8 +255,13 @@ def _closed_inner_products(f: GaussianVector, g: GaussianVector, blocks,
         OW1 = np.matmul(og_bar, W1[:, :, None])[:, :, 0]
         V = 2j * np.pi * (f.ell - lg_bar - OW1 - W2)
         quad = _rowdot(W1, W2) + _rowdot(np.matmul(W1[:, None, :], og_bar)[:, 0], W1)
-        const = np.exp(-1j * np.pi * quad - 2j * np.pi * _rowdot(lg_bar, W1))
-        cont = _cmul(const, _gaussian_values(M, V))
+        log_const = -1j * np.pi * quad - 2j * np.pi * _rowdot(lg_bar, W1)
+        cont = _cmul(np.exp(log_const), _gaussian_values(M, V))
+        # far out, exp(log_const) underflows where the Gaussian overflows;
+        # there the two exponents are summed before one exp
+        far = ~np.isfinite(cont)
+        if np.any(far):
+            cont[far] = _gaussian_values(M, V[far], log_const[far])
     # Lattice sector: one peak-shifted theta series per component.
     if f.q:
         af, ag, mm = f.n0.astype(float), g.n0.astype(float), mm.astype(float)

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
-from nctheta import cli
+from nctheta import cli, theta
 from nctheta.errors import ConfigError
+from nctheta.heisenberg import GaussianVector
+from nctheta.lattice import ball, embedding_from_config
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -254,15 +257,45 @@ def test_load_config_errors(tmp_path):
         cli.load_config(cfg)
 
 
-def test_non_finite_coefficients_exit_two(tmp_path, capsys):
-    # theta = 1000 puts |w1| up to 2000 on the R = 2 ball: the Gaussian
-    # factor overflows while its phase factor underflows, and the
-    # coefficient would be NaN
+def test_non_finite_coefficients_exit_two(tmp_path, capsys, monkeypatch):
+    # no valid config is known to reach a non-finite coefficient since the
+    # far rows of the inner-product route sum their exponents (see
+    # test_far_coefficients_match_closed_zeros); a kernel returning NaN
+    # stands in for one
+    kernel = theta._closed_inner_products
+
+    def with_nan(*args):
+        values = kernel(*args)
+        values[3] = complex("nan")
+        return values
+
+    monkeypatch.setattr(theta, "_closed_inner_products", with_nan)
     cfg = write_config(tmp_path, {
-        "embedding": {"p": 1, "q": 0, "theta": [1000.0]},
+        "embedding": {"p": 1, "q": 0, "theta": [0.5]},
         "truncation_R": 2,
     })
     assert cli.main(["theta", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NCThetaError"
     assert "not a finite double" in err["reason"]
+
+
+def test_far_coefficients_match_closed_zeros(tmp_path):
+    # theta = 1000 puts |w1| up to 2000 on the R = 2 ball: the Gaussian
+    # factor overflows where its phase factor underflows, so the
+    # continuous factor of those rows is one exp of the summed exponents;
+    # the coefficients underflow to the closed formula's zeros
+    config = {"embedding": {"p": 1, "q": 0, "theta": [1000.0]}, "truncation_R": 2}
+    cfg = write_config(tmp_path, config)
+    assert cli.main(["theta", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "theta.json").read_text())
+    omega = np.array([[complex(v["re"], v["im"]) for v in row]
+                      for row in report["omega"]])
+    emb = embedding_from_config(config["embedding"])
+    values = theta.quantum_theta(emb, GaussianVector.pure(omega, 0), 2).values
+    closed, _ = theta.theta_coefficients(theta.HermitianFormContext(omega), emb,
+                                         ball(emb.d, 2))
+    zeros = closed == 0
+    assert np.count_nonzero(zeros) == 24
+    np.testing.assert_array_equal(values.ravel()[zeros], 0)
+    assert len(report["element"]["coeffs"]) == 1

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 import nctheta as nc
-from nctheta.errors import DegenerateTranslation, NCThetaError
+from nctheta.errors import (DegenerateTranslation, DimensionMismatch,
+                             NCThetaError)
 from nctheta.heisenberg import GaussianVector
-from nctheta.lattice import ball
-from nctheta.manin import _multipliers, functional_equation_residual_ops
-from nctheta.theta import HermitianFormContext, theta_coefficients
+from nctheta.lattice import ball, cocycle_exponent_arrays
+from nctheta.manin import (TranslationFactor, _multipliers,
+                           functional_equation_residual_ops)
+from nctheta.theta import (STRUCTURAL_ZERO_TOL, TAIL_EPS, HermitianFormContext,
+                           b_product_arrays, complex_coordinates, hermitian_form,
+                           hermitian_pairing_arrays, theta_coefficients)
 
 THETA_I_0 = 1.086434811213308014575316
 
@@ -334,14 +338,13 @@ def test_functional_equation_full_ball(inst_1_2):
     points = [emb.point(k) for k in ball(emb.d, 2)]
     batched = nc.verify_functional_equations(ctx, emb, th, points, "modified")
     assert len(batched) == len(points)
-    worst = 0.0
-    for g, entry in zip(points, batched):
-        rep = nc.verify_functional_equation(ctx, emb, th, g, "modified")
-        # the batch shares one cube and one table; its entries carry the
-        # exact bits of the single-g calls
-        assert entry == rep
-        worst = max(worst, rep["max_residual"])
-    assert worst < 1e-9
+    # the batch shares one cube and one table; its entries carry the
+    # exact bits of the single-g calls (a sample of them: each builds the
+    # whole table)
+    for i in range(0, len(points), 60):
+        assert batched[i] == nc.verify_functional_equation(
+            ctx, emb, th, points[i], "modified")
+    assert max(entry["max_residual"] for entry in batched) < 1e-9
 
 
 def test_modified_residual_compares_the_two_routes(inst_1_2):
@@ -362,3 +365,299 @@ def test_modified_residual_compares_the_two_routes(inst_1_2):
         theta_gh, theta_h = th.values[tuple(at_gh.T)], th.values[tuple(at_h.T)]
         direct = np.max(np.abs(c_gh * theta_h / c_h - theta_gh))
         assert abs(entry["max_residual"] - direct) <= 1e-15, g.index
+
+
+# Frozen copies of the index-based functional-equation engine, the scalar
+# cocycle loop and the translation factor that the cube-slice engine, the
+# batched cocycle check and the one-row closed formula replaced; the tests
+# below assert that the new code keeps their bits.
+
+def _frozen_translation_factor(ctx, emb, g, kind, tail_eps=TAIL_EPS):
+    hgg = hermitian_form(ctx, g, g).real
+    if kind == "manin":
+        return TranslationFactor(point=g, value=complex(np.exp(-np.pi / 2 * hgg)),
+                                 kind=kind, degenerate=False)
+    bt, norm = b_product_arrays(g.r[None, :], g.m[None, :].astype(float), tail_eps)
+    value = complex(bt[0] * np.exp(-np.pi / 2 * hgg))
+    return TranslationFactor(point=g, value=value, kind=kind,
+                             degenerate=bool(norm[0] < STRUCTURAL_ZERO_TOL))
+
+
+def _frozen_multipliers(ctx, emb, g, indices, kind, tail_eps, factor_g=None,
+                        coefficients=None):
+    W1, W2, M, Rr = emb.blocks(indices)
+    alpha = np.exp(1j * np.pi * cocycle_exponent_arrays(
+        (g.w1, g.w2, g.m.astype(float), g.r), (W1, W2, M.astype(float), Rr)))
+    if kind == "manin":
+        xg = complex_coordinates(ctx, g.w1, g.w2)
+        xh = complex_coordinates(ctx, W1, W2)
+        hvals = hermitian_pairing_arrays(ctx, xg, xh)
+        return np.exp(-np.pi * hvals), alpha
+    if factor_g is None:
+        factor_g = _frozen_translation_factor(ctx, emb, g, kind, tail_eps)
+    if coefficients is None:
+        def coefficients(K):
+            return theta_coefficients(ctx, emb, K, tail_eps)
+    if factor_g.degenerate:
+        raise DegenerateTranslation([g.index])
+    c_h, norm_h = coefficients(indices)
+    bad = norm_h < STRUCTURAL_ZERO_TOL
+    if np.any(bad):
+        raise DegenerateTranslation(indices[bad])
+    underflow = c_h == 0
+    if factor_g.value == 0 or np.any(underflow):
+        where = [g.index] if factor_g.value == 0 else indices[underflow]
+        raise NCThetaError(
+            "translation factors underflow double precision at indices "
+            f"{[tuple(int(v) for v in k) for k in where[:8]]}")
+    c_gh, _ = coefficients(indices + g.index)
+    return c_gh / (factor_g.value * c_h * alpha), alpha
+
+
+def _frozen_engine(ctx, emb, theta, points, kind, tail_eps=TAIL_EPS,
+                   residual_tol=1e-9):
+    R = theta.radius
+    radii = [int(np.max(np.abs(g.index))) if g.index.size else 0
+             for g in points]
+    if any(2 * gr > R for gr in radii):
+        raise ValueError("translation index must satisfy |g|_inf <= R/2")
+    lookup = None
+    if kind == "modified":
+        table = nc.manin.BallTable.build(ctx, emb, R, tail_eps)
+        zeros = table.zeros()
+        if zeros:
+            raise DegenerateTranslation(zeros, "theta support hits theta zeros")
+
+        def lookup(indices):
+            at = tuple((indices + table.radius).T)
+            return table.values[at], table.norms[at]
+    balls = {}
+    entries = []
+    for g, gr in zip(points, radii):
+        interior = R - gr
+        if interior not in balls:
+            balls[interior] = ball(emb.d, interior)
+        K_int = balls[interior]
+        h_idx = K_int - g.index
+        factor_g = _frozen_translation_factor(ctx, emb, g, kind, tail_eps)
+        T, alpha = _frozen_multipliers(ctx, emb, g, h_idx, kind, tail_eps,
+                                       factor_g, lookup)
+        lhs = factor_g.value * alpha * T * theta.values[tuple((h_idx + R).T)]
+        rhs = theta.values[tuple((K_int + R).T)]
+        residual = float(np.max(np.abs(lhs - rhs)))
+        entries.append({
+            "g": [int(v) for v in g.index],
+            "kind": kind,
+            "interior_radius": int(interior),
+            "max_residual": residual,
+            "degenerate": False,
+            "witnesses": [],
+            "pass": bool(residual < residual_tol),
+        })
+    return entries
+
+
+def _frozen_cocycle(ctx, emb, kind, pairs, tail_eps=TAIL_EPS):
+    max_mod = 0.0
+    max_phase = 0.0
+    max_rel = 0.0
+    n_checked = 0
+    n_skipped = 0
+    for g_idx, h_idx in pairs:
+        g = emb.point(np.asarray(g_idx))
+        h = emb.point(np.asarray(h_idx))
+        fg = _frozen_translation_factor(ctx, emb, g, kind, tail_eps)
+        fh = _frozen_translation_factor(ctx, emb, h, kind, tail_eps)
+        fgh = _frozen_translation_factor(ctx, emb, emb.point(g.index + h.index),
+                                         kind, tail_eps)
+        if fg.degenerate or fh.degenerate:
+            n_skipped += 1
+            continue
+        T, alpha = _frozen_multipliers(ctx, emb, g, h.index[None, :], kind,
+                                       tail_eps)
+        lhs = fgh.value / (fg.value * fh.value)
+        rhs = T[0] * alpha[0]
+        ratio = lhs / rhs
+        max_mod = max(max_mod, abs(abs(ratio) - 1.0))
+        max_phase = max(max_phase, abs(float(np.angle(ratio))))
+        if kind == "modified":
+            t_scalar = fgh.value / (fg.value * fh.value * alpha[0])
+            max_rel = max(max_rel, abs(t_scalar - T[0]) / max(abs(T[0]), 1e-300))
+        n_checked += 1
+    ok = max_mod < 1e-10 if kind == "manin" else max_rel < 1e-12
+    return {
+        "kind": kind,
+        "pairs_checked": n_checked,
+        "pairs_skipped_degenerate": n_skipped,
+        "max_modulus_residual": max_mod,
+        "max_phase_residual": max_phase,
+        "max_definition_residual": max_rel,
+        "pass": bool(ok),
+    }
+
+
+# a raw Phi whose products round, with no theta zero within radius 4
+RAW_PHI_1_2 = np.array([[0.5, 0.13, 0.0, 0.0],
+                        [0.07, 1.1, 0.0, 0.0],
+                        [0.0, 0.0, 1.0, 0.0],
+                        [0.0, 0.0, 1.0, 1.0],
+                        [0.0, 0.0, 0.2, 0.03],
+                        [0.0, 0.0, 0.11, 0.7]])
+
+
+GUARDS = ["p1q2", "p1q0", "p2q0", "raw_p1q2", "general", "p0q3"]
+
+
+def _guard_instances(inst_1_2, inst_1_0, inst_2_0, inst_general):
+    """(embedding, Omega, kind) of the bitwise guards."""
+    emb_general = inst_general
+    vec = nc.build_theta_vector(emb_general,
+                                nc.ComplexStructure.default_partial(1))
+    raw = nc.EmbeddingMap(p=1, q=2, phi=RAW_PHI_1_2)
+    return {
+        "p1q2": (*inst_1_2, "modified"),
+        "p1q0": (*inst_1_0, "manin"),
+        "p2q0": (*inst_2_0, "manin"),
+        "raw_p1q2": (raw, np.array([[0.2 + 1.5j]]), "modified"),
+        "general": (emb_general, vec.omega, "modified"),
+        # three lattice components, so the cocycle exponent sums three terms
+        "p0q3": (nc.canonical_embedding(0, 3, Q=np.eye(3),
+                                        Delta=np.diag([0.13, 0.31, 0.71])),
+                 np.zeros((0, 0), dtype=complex), "modified"),
+    }
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_engine_equals_frozen_index_engine(name, inst_1_2, inst_1_0, inst_2_0,
+                                           inst_general):
+    emb, omega, kind = _guard_instances(inst_1_2, inst_1_0, inst_2_0,
+                                        inst_general)[name]
+    ctx, th = build(emb, omega, R=4)
+    points = [emb.point(k) for k in ball(emb.d, th.radius // 2)]
+    assert nc.verify_functional_equations(ctx, emb, th, points, kind) == \
+        _frozen_engine(ctx, emb, th, points, kind)
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_cocycle_equals_frozen_scalar_loop(name, inst_1_2, inst_1_0, inst_2_0,
+                                           inst_general):
+    emb, omega, kind = _guard_instances(inst_1_2, inst_1_0, inst_2_0,
+                                        inst_general)[name]
+    ctx = HermitianFormContext(omega)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        pair_idx = rng.integers(-2, 3, size=(100, 2, emb.d))
+        pairs = [(row[0], row[1]) for row in pair_idx]
+        assert nc.verify_cocycle_consistency(ctx, emb, kind, pairs) == \
+            _frozen_cocycle(ctx, emb, kind, pairs), seed
+
+
+@pytest.mark.parametrize("tail_eps", [1e-9, 1e-3])
+def test_batched_factors_near_frozen_where_halfwidths_differ(tail_eps,
+                                                              inst_1_2):
+    # at these tail targets the rows of one closed-formula call need
+    # different halfwidths, so the table's C_g and the cocycle check's
+    # batched factors are no longer the one-row values bit for bit; the
+    # reports stay within 1e-15 absolute of the one-row route
+    emb, omega = inst_1_2
+    ctx, th = build(emb, omega)
+    points = [emb.point(k) for k in ball(emb.d, th.radius // 2)]
+    new = nc.verify_functional_equations(ctx, emb, th, points, "modified",
+                                         tail_eps)
+    old = _frozen_engine(ctx, emb, th, points, "modified", tail_eps)
+    for a, b in zip(new, old):
+        assert a["max_residual"] == pytest.approx(b["max_residual"], abs=1e-15)
+        assert {**a, "max_residual": 0} == {**b, "max_residual": 0}
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        pairs = list(rng.integers(-2, 3, size=(100, 2, emb.d)))
+        a = nc.verify_cocycle_consistency(ctx, emb, "modified", pairs, tail_eps)
+        b = _frozen_cocycle(ctx, emb, "modified", pairs, tail_eps)
+        assert a == pytest.approx(b, abs=1e-15), seed
+
+
+def test_cocycle_rejects_ragged_pairs(inst_1_2):
+    emb, omega = inst_1_2
+    ctx = HermitianFormContext(omega)
+    for pairs in ([([0, 0, 0, 1], [0, 0, 1])], [([0, 0, 0], [0, 0, 1])]):
+        with pytest.raises(DimensionMismatch):
+            nc.verify_cocycle_consistency(ctx, emb, "modified", pairs)
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_translation_factor_equals_frozen(name, inst_1_2, inst_1_0, inst_2_0,
+                                          inst_general):
+    emb, omega, kind = _guard_instances(inst_1_2, inst_1_0, inst_2_0,
+                                        inst_general)[name]
+    ctx = HermitianFormContext(omega)
+    for k in ball(emb.d, 2):
+        g = emb.point(k)
+        new = nc.translation_factor(ctx, emb, g, kind)
+        old = _frozen_translation_factor(ctx, emb, g, kind)
+        assert (new.value, new.degenerate) == (old.value, old.degenerate), k
+
+
+def _outcome(call):
+    try:
+        call()
+    except (ValueError, NCThetaError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_engine_errors_in_frozen_order():
+    # |g|_inf > R/2 before the scan, the scan before any translation, then
+    # per g the underflow of C_g or of c_h, each with the frozen engine's
+    # message and offending indices
+    degenerate = nc.canonical_embedding(1, 2, theta=[0.5], Q=np.eye(2),
+                                        Delta=np.diag([0.5, 0.3]))
+    cases = [(degenerate, [(0, 0, 0, 0), (0, 0, 0, 3)]),
+             (degenerate, [(0, 0, 0, 0)])]
+    # c_h underflows for g = 0 (theta = 33) or already for g = (0, 1, 0)
+    # (theta = 80), where C_g also underflows at g = (-1, 1, 1)
+    for theta in (33.0, 80.0):
+        emb = nc.canonical_embedding(1, 1, theta=[theta], Q=[[1]], Delta=[[0.3]])
+        cases += [(emb, [(0, 1, 0), (0, 0, 0)]), (emb, [(-1, 1, 1), (0, 0, 0)])]
+    seen = []
+    for emb, ks in cases:
+        omega = np.array([[2j]]) if emb is degenerate else np.array([[0.1j]])
+        ctx, th = build(emb, omega, R=4 if emb is degenerate else 2)
+        points = [emb.point(k) for k in ks]
+        new = _outcome(lambda: nc.verify_functional_equations(
+            ctx, emb, th, points, "modified"))
+        assert new == _outcome(lambda: _frozen_engine(
+            ctx, emb, th, points, "modified")), ks
+        seen.append(new)
+    underflow = "translation factors underflow double precision at indices "
+    expected = [
+        (ValueError, "translation index must satisfy |g|_inf <= R/2"),
+        (DegenerateTranslation, "theta support hits theta zeros at lattice "
+                                "indices [(-4, -4, -3, "),
+        (NCThetaError, underflow + "[(-2, -2, "),
+        (NCThetaError, underflow + "[(2, -2, -"),
+        (NCThetaError, underflow + "[(-1, -2, "),
+        (NCThetaError, underflow + "[(-1, 1, 1)]")]
+    assert [(kind, message[:len(prefix)]) for (kind, message), (_, prefix)
+            in zip(seen, expected)] == expected
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_sliced_dot_keeps_np_sum_bits(dtype):
+    # the engine sums per-component cubes by hand; each row must carry the
+    # bits of np.sum over the stacked products, for short and long axes
+    rng = np.random.default_rng(5)
+    for n in range(10):
+        cubes = [rng.standard_normal((7, 7)) * 10.0 ** rng.integers(-6, 6, (7, 7))
+                 for _ in range(n)]
+        xs = rng.standard_normal(n)
+        if dtype is complex:
+            cubes = [c + 1j * rng.standard_normal((7, 7)) for c in cubes]
+            xs = xs + 1j * rng.standard_normal(n)
+        at = (slice(1, 6), slice(2, 7))
+        stacked = np.stack([c[at] for c in cubes], axis=-1) if n else \
+            np.zeros((5, 5, 0), dtype)
+        expected = np.sum(xs * stacked, axis=-1)
+        got = nc.manin._sliced_dot(xs, cubes, at)
+        np.testing.assert_array_equal(got, expected)
+        if n:
+            assert got.dtype == expected.dtype
