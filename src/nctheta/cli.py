@@ -263,8 +263,7 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
             pair_ball = max(1, g_radius)
             pair_idx = rng.integers(-pair_ball, pair_ball + 1, size=(100, 2, emb.d))
             consistency = manin.verify_cocycle_consistency(
-                ctx, emb, kind, [(row[0], row[1]) for row in pair_idx],
-                tail_eps=tail_eps)
+                ctx, emb, kind, pair_idx, tail_eps=tail_eps)
             if not consistency["pass"]:
                 failures.append("cocycle consistency residual out of tolerance")
             additivity = manin.additivity_probe(ctx, emb, kind, search_radius=3,
@@ -298,11 +297,6 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
     }
     write_report(os.path.join(out_dir, "summary.json"), summary)
     return 0 if not failures else 2
-
-
-def run(config_path: str, out_dir: str = ".", seed: int | None = None) -> int:
-    """Load a config file and execute its pipeline."""
-    return run_config(load_config(config_path), out_dir, seed)
 
 
 def main(argv=None) -> int:

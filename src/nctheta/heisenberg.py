@@ -77,14 +77,17 @@ class GaussianVector:
         return cls(p=p, q=q, omega=omega, ell=np.zeros(p), c0=1.0 + 0j,
                    n0=np.zeros(q, dtype=int), mu=np.zeros(q))
 
-    def evaluate(self, s, n) -> complex:
-        """Pointwise value at s in R^p, n in Z^q."""
-        s = np.asarray(s, dtype=float).reshape(self.p)
-        n = np.asarray(n, dtype=float).reshape(self.q)
-        expo = 1j * np.pi * s @ self.omega @ s + 2j * np.pi * self.ell @ s
+    def evaluate(self, s, n):
+        """Value at s in R^p, n in Z^q: a complex for one point, an array
+        over the leading axes for s of shape (..., p) and n of shape (..., q)."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        n = np.atleast_1d(np.asarray(n, dtype=float))
         dn = n - self.n0
-        expo += -np.pi / 2 * dn @ dn + 2j * np.pi * self.mu @ n
-        return self.c0 * complex(np.exp(expo))
+        expo = (1j * np.pi * np.sum((s @ self.omega) * s, axis=-1)
+                + s @ (2j * np.pi * self.ell) - np.pi / 2 * np.sum(dn * dn, axis=-1)
+                + n @ (2j * np.pi * self.mu))
+        values = self.c0 * np.exp(expo)
+        return complex(values) if values.ndim == 0 else values
 
 
 def apply_heisenberg(h: LatticePoint, f: GaussianVector) -> GaussianVector:
@@ -159,17 +162,9 @@ class LinearGaussian:
                               const=self.const + other.const, base=self.base)
 
 
-def _connection_row(emb: EmbeddingMap, brow: np.ndarray, f: GaussianVector) -> LinearGaussian:
-    p, q = emb.p, emb.q
-    two_pi_i = 2j * np.pi
-    coef_s = -two_pi_i * brow[:p] + two_pi_i * (brow[p:2 * p] @ f.omega)
-    coef_n = -two_pi_i * brow[2 * p:]
-    const = two_pi_i * (brow[p:2 * p] @ f.ell)
-    return LinearGaussian(coef_s=coef_s, coef_n=coef_n, const=complex(const), base=f)
-
-
 def apply_connection(emb: EmbeddingMap, j: int, f: GaussianVector) -> LinearGaussian:
-    """The j-th connection (0-based) acting on f.
+    """The j-th connection (0-based) acting on f; connection_combination
+    with the j-th unit weights.
 
     With B the inverse square block, row j acts as
     -2 pi i (sum_k B[j,k] s_k + sum_l B[j,2p+l] n_l) plus the derivative
@@ -178,10 +173,7 @@ def apply_connection(emb: EmbeddingMap, j: int, f: GaussianVector) -> LinearGaus
     """
     if not 0 <= j < emb.d:
         raise DimensionMismatch(f"connection index {j} out of range for d={emb.d}")
-    if f.p != emb.p or f.q != emb.q:
-        raise DimensionMismatch("vector does not match embedding dimensions")
-    B = connection_matrix(emb)
-    return _connection_row(emb, B[j], f)
+    return connection_combination(emb, np.eye(emb.d)[j], f)
 
 
 def connection_combination(emb: EmbeddingMap, weights, f: GaussianVector) -> LinearGaussian:
@@ -189,8 +181,15 @@ def connection_combination(emb: EmbeddingMap, weights, f: GaussianVector) -> Lin
     w = np.asarray(weights, dtype=complex)
     if w.shape != (emb.d,):
         raise DimensionMismatch(f"weights must have length {emb.d}")
-    B = connection_matrix(emb)
-    return _connection_row(emb, w @ B, f)
+    if f.p != emb.p or f.q != emb.q:
+        raise DimensionMismatch("vector does not match embedding dimensions")
+    brow = w @ connection_matrix(emb)
+    p = emb.p
+    two_pi_i = 2j * np.pi
+    coef_s = -two_pi_i * brow[:p] + two_pi_i * (brow[p:2 * p] @ f.omega)
+    coef_n = -two_pi_i * brow[2 * p:]
+    const = two_pi_i * (brow[p:2 * p] @ f.ell)
+    return LinearGaussian(coef_s=coef_s, coef_n=coef_n, const=complex(const), base=f)
 
 
 def heisenberg_on_linear(h: LatticePoint, lg: LinearGaussian) -> LinearGaussian:
@@ -257,19 +256,8 @@ def sample_on_grid(f: GaussianVector, grid_radius: float, step: float,
         raise GridTooLarge(f"grid with {total} points exceeds budget {budget}")
     s_ax = -grid_radius + step * np.arange(ns)
     n_ax = np.arange(-lattice_radius, lattice_radius + 1)
-    axes = [s_ax] * f.p + [n_ax.astype(float)] * f.q
-    if axes:
-        mesh = np.meshgrid(*axes, indexing="ij")
-    else:
-        mesh = []
-    expo = np.zeros((ns,) * f.p + (nn,) * f.q, dtype=complex)
-    for a in range(f.p):
-        expo += 2j * np.pi * f.ell[a] * mesh[a]
-        for b in range(f.p):
-            expo += 1j * np.pi * f.omega[a, b] * mesh[a] * mesh[b]
-    for a in range(f.q):
-        dn = mesh[f.p + a] - f.n0[a]
-        expo += -np.pi / 2 * dn * dn + 2j * np.pi * f.mu[a] * mesh[f.p + a]
-    values = f.c0 * np.exp(expo)
+    axes = [s_ax] * f.p + [n_ax] * f.q
+    grid = np.moveaxis(np.array(np.meshgrid(*axes, indexing="ij")), 0, -1)
+    values = f.evaluate(grid[..., :f.p], grid[..., f.p:])
     return SampledVector(p=f.p, q=f.q, grid_radius=grid_radius, grid_step=step,
                          lattice_radius=lattice_radius, values=values)

@@ -165,9 +165,11 @@ def _check_same_dims(x: LatticePoint, y: LatticePoint):
 
 
 def cocycle_exponent(x: LatticePoint, y: LatticePoint) -> float:
-    """Antisymmetric pairing S(x, y) with alpha(x, y) = exp(i pi S(x, y))."""
+    """Antisymmetric pairing S(x, y) with alpha(x, y) = exp(i pi S(x, y));
+    the one-row call of cocycle_exponent_arrays."""
     _check_same_dims(x, y)
-    return float(x.w1 @ y.w2 + x.m @ y.r - y.w1 @ x.w2 - y.m @ x.r)
+    return float(cocycle_exponent_arrays((x.w1, x.w2, x.m, x.r),
+                                         (y.w1, y.w2, y.m, y.r)))
 
 
 def cocycle(x: LatticePoint, y: LatticePoint) -> complex:

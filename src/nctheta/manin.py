@@ -19,6 +19,7 @@ in the second they provably do not, and the probe exhibits witnesses.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,22 +76,22 @@ def _underflow(indices) -> NCThetaError:
 
 def _multipliers(ctx: HermitianFormContext, emb: EmbeddingMap, g: LatticePoint,
                  indices: np.ndarray, kind: str, tail_eps: float):
-    """Translation multipliers of g over an (n, d) array of target indices.
+    """Translation multipliers T_g(h) of g over an (n, d) array of target
+    indices.
 
     In the modified convention T_g(h) = c_{g+h} / (C_g c_h alpha(g, h))
     with the closed coefficients of theta_coefficients.  Raises
     DegenerateTranslation when that would divide by a structurally
-    vanishing factor, and NCThetaError when a factor lies below
+    vanishing factor, and NCThetaError when C_g c_h lies below
     double-precision range, both before any division.
     """
     W1, W2, M, Rr = emb.blocks(indices)
-    alpha = np.exp(1j * np.pi * cocycle_exponent_arrays(
-        (g.w1, g.w2, g.m.astype(float), g.r), (W1, W2, M.astype(float), Rr)))
     if kind == KIND_MANIN:
         xg = complex_coordinates(ctx, g.w1, g.w2)
-        xh = complex_coordinates(ctx, W1, W2)
-        hvals = hermitian_pairing_arrays(ctx, xg, xh)
-        return np.exp(-np.pi * hvals), alpha
+        return np.exp(-np.pi * hermitian_pairing_arrays(
+            ctx, xg, complex_coordinates(ctx, W1, W2)))
+    alpha = np.exp(1j * np.pi * cocycle_exponent_arrays(
+        (g.w1, g.w2, g.m.astype(float), g.r), (W1, W2, M.astype(float), Rr)))
     factor_g = translation_factor(ctx, emb, g, kind, tail_eps)
     if factor_g.degenerate:
         raise DegenerateTranslation([g.index])
@@ -98,11 +99,11 @@ def _multipliers(ctx: HermitianFormContext, emb: EmbeddingMap, g: LatticePoint,
     bad = norm_h < STRUCTURAL_ZERO_TOL
     if np.any(bad):
         raise DegenerateTranslation(indices[bad])
-    underflow = c_h == 0
-    if factor_g.value == 0 or np.any(underflow):
+    underflow = factor_g.value * c_h == 0
+    if np.any(underflow):
         raise _underflow([g.index] if factor_g.value == 0 else indices[underflow])
     c_gh, _ = theta_coefficients(ctx, emb, indices + g.index, tail_eps)
-    return c_gh / (factor_g.value * c_h * alpha), alpha
+    return c_gh / (factor_g.value * c_h * alpha)
 
 
 def translate(ctx: HermitianFormContext, emb: EmbeddingMap, g: LatticePoint,
@@ -120,7 +121,7 @@ def translate(ctx: HermitianFormContext, emb: EmbeddingMap, g: LatticePoint,
     K, c = x.as_arrays()
     if len(K) == 0:
         return x
-    T, _ = _multipliers(ctx, emb, g, K, kind, tail_eps)
+    T = _multipliers(ctx, emb, g, K, kind, tail_eps)
     values = np.zeros_like(x.values)
     values[tuple((K + x.radius).T)] = _cmul(c, T)
     return QuantumElement(embedding=emb, values=values)
@@ -196,7 +197,8 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
 
     Errors come in the order of the single-g calls: any |g|_inf > R/2
     (ValueError), the degeneracy scan (DegenerateTranslation), then per g
-    an underflow of C_g or c_h (NCThetaError, lexicographic offenders).
+    an underflow of C_g or c_h (NCThetaError, lexicographic offenders) or
+    a residual that is not a finite double (NCThetaError).
     """
     _check_kind(kind)
     R = theta.radius
@@ -213,9 +215,10 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
             raise DegenerateTranslation(zeros, "theta support hits theta zeros")
         factors = [complex(table.values[tuple(g.index + R)]) for g in points]
     else:
-        xs = [complex_coordinates(ctx, g.w1, g.w2) for g in points]
-        factors = [complex(c) for c in np.exp(-np.pi / 2 * np.array(
-            [hermitian_pairing_arrays(ctx, x, x).real for x in xs]))]
+        xs = complex_coordinates(ctx, np.reshape([g.w1 for g in points], (-1, emb.p)),
+                                 np.reshape([g.w2 for g in points], (-1, emb.p)))
+        factors = [complex(c) for c in
+                   np.exp(-np.pi / 2 * hermitian_pairing_arrays(ctx, xs, xs).real)]
     W1, W2, M, Rr = emb.blocks(ball(emb.d, R))
     X = complex_coordinates(ctx, W1, W2) if kind == KIND_MANIN else W1[:, :0]
     # per-component cubes, contiguous so that slices of them sum fast
@@ -223,31 +226,37 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
                            for c in block.T]
                           for block in (W1, W2, M.astype(float), Rr, np.conj(X)))
     entries = []
-    for i, (g, gr, C_g) in enumerate(zip(points, radii, factors)):
-        at_k = tuple(slice(gr, 2 * R + 1 - gr) for _ in g.index)
-        at_h = tuple(slice(gr - v, 2 * R + 1 - gr - v) for v in g.index)
-        alpha = np.exp(1j * np.pi * (
-            _sliced_dot(g.w1, w2, at_h) + _sliced_dot(g.m.astype(float), r, at_h)
-            - _sliced_dot(g.w2, w1, at_h) - _sliced_dot(g.r, m, at_h)))
-        if kind == KIND_MANIN:
-            T = np.exp(-np.pi * _sliced_dot(xs[i] @ ctx.im_inv, xbar, at_h))
-        else:
-            c_h = table.values[at_h]
-            if C_g == 0 or np.any(c_h == 0):
-                raise _underflow([g.index] if C_g == 0 else
-                                 np.argwhere(c_h == 0) + (gr - R) - g.index)
-            T = table.values[at_k] / (C_g * c_h * alpha)
-        lhs = C_g * alpha * T * theta.values[at_h]
-        residual = float(np.max(np.abs(lhs - theta.values[at_k])))
-        entries.append({
-            "g": [int(v) for v in g.index],
-            "kind": kind,
-            "interior_radius": int(R - gr),
-            "max_residual": residual,
-            "degenerate": False,
-            "witnesses": [],
-            "pass": bool(residual < residual_tol),
-        })
+    # overflow and division by an underflowed product end in a residual
+    # that is not finite, which raises below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i, (g, gr, C_g) in enumerate(zip(points, radii, factors)):
+            at_k = tuple(slice(gr, 2 * R + 1 - gr) for _ in g.index)
+            at_h = tuple(slice(gr - v, 2 * R + 1 - gr - v) for v in g.index)
+            alpha = np.exp(1j * np.pi * (
+                _sliced_dot(g.w1, w2, at_h) + _sliced_dot(g.m.astype(float), r, at_h)
+                - _sliced_dot(g.w2, w1, at_h) - _sliced_dot(g.r, m, at_h)))
+            if kind == KIND_MANIN:
+                T = np.exp(-np.pi * _sliced_dot(xs[i] @ ctx.im_inv, xbar, at_h))
+            else:
+                c_h = table.values[at_h]
+                if C_g == 0 or np.any(c_h == 0):
+                    raise _underflow([g.index] if C_g == 0 else
+                                     np.argwhere(c_h == 0) + (gr - R) - g.index)
+                T = table.values[at_k] / (C_g * c_h * alpha)
+            lhs = C_g * alpha * T * theta.values[at_h]
+            residual = float(np.max(np.abs(lhs - theta.values[at_k])))
+            if not math.isfinite(residual):
+                raise NCThetaError("functional equation residual is not a finite "
+                                   f"double at g={tuple(int(v) for v in g.index)}")
+            entries.append({
+                "g": [int(v) for v in g.index],
+                "kind": kind,
+                "interior_radius": int(R - gr),
+                "max_residual": residual,
+                "degenerate": False,
+                "witnesses": [],
+                "pass": bool(residual < residual_tol),
+            })
     return entries
 
 
@@ -297,11 +306,12 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
     manin: both sides balance up to a pure phase that the cocycle must
     supply, so the check asserts |lhs / rhs| = 1 (to 1e-10) and reports
     the phase residual.  modified: the law defines T, so the check is
-    that the multiplier computed from scalar factors agrees with the one
-    used by translate (vectorized coefficient path) to 1e-12 relative.
-    The factors, T and alpha of all pairs are formed in one batch (one
-    closed-formula call, with BallTable's caveat on its bits); only the
-    comparison is scalar.
+    that the batched ratio T of the closed-formula factors agrees with
+    the same ratio formed pair by pair from scalar factors to 1e-12
+    relative.  The factors, T and alpha of all pairs are formed in one
+    batch on the 3n rows g, h and g + h (modified: one closed-formula
+    call, with BallTable's caveat on its bits); only the comparison is
+    scalar.  NCThetaError when C_g C_h of a pair underflows to 0.
     """
     _check_kind(kind)
     message = f"pairs must hold two indices of length {emb.d}"
@@ -320,13 +330,9 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
     alpha = np.exp(1j * np.pi * cocycle_exponent_arrays(g, h))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if kind == KIND_MANIN:
-            # row by row: a product over many rows rounds p >= 2
-            # coordinates differently from the one-pair route
-            x = [complex_coordinates(ctx, w1, w2) for w1, w2 in zip(*blocks[:2])]
-            factors = np.exp(-np.pi / 2 * np.array(
-                [hermitian_pairing_arrays(ctx, v, v).real for v in x]))
-            T = np.exp(-np.pi * np.array(
-                [hermitian_pairing_arrays(ctx, x[i], x[n + i]) for i in range(n)]))
+            x = complex_coordinates(ctx, blocks[0], blocks[1])
+            factors = np.exp(-np.pi / 2 * hermitian_pairing_arrays(ctx, x, x).real)
+            T = np.exp(-np.pi * hermitian_pairing_arrays(ctx, x[:n], x[n:2 * n]))
             degenerate = np.zeros(3 * n, dtype=bool)
         else:
             factors, norms = theta_coefficients(ctx, emb, rows, tail_eps)
@@ -341,8 +347,8 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
             n_skipped += 1
             continue
         fg, fh, fgh = (complex(factors[j]) for j in (i, n + i, 2 * n + i))
-        if kind == KIND_MODIFIED and (fg == 0 or fh == 0):
-            raise _underflow([K[i, 0] if fg == 0 else K[i, 1]])
+        if fg * fh == 0:
+            raise _underflow(K[i])
         lhs = fgh / (fg * fh)
         rhs = T[i] * alpha[i]
         ratio = lhs / rhs
@@ -406,10 +412,16 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
         h2 = hermitian_pairing_arrays(ctx, X[i2], X[ih])
         h12 = hermitian_pairing_arrays(ctx, Xs, X[ih])
         max_log = float(np.max(np.abs(h1 + h2 - h12))) if len(i1) else 0.0
-        t12 = np.exp(-np.pi * h12)
-        dev = np.abs(np.exp(-np.pi * h1) * np.exp(-np.pi * h2) - t12)
-        max_rel = float(np.max(dev / np.maximum(np.abs(t12), 1e-300))) \
-            if len(i1) else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            t12 = np.exp(-np.pi * h12)
+            t1t2 = np.exp(-np.pi * h1) * np.exp(-np.pi * h2)
+            rel = np.abs(t1t2 - t12) / np.maximum(np.abs(t12), 1e-300)
+        # where a multiplier leaves the normal double range, the same
+        # deviation from the exponents alone
+        tiny = np.finfo(float).tiny
+        far = ~np.isfinite(rel) | (np.abs(t1t2) < tiny) | (np.abs(t12) < tiny)
+        rel[far] = np.abs(np.expm1(-np.pi * (h1 + h2 - h12)[far]))
+        max_rel = float(np.max(rel)) if len(i1) else 0.0
         return {
             "kind": kind,
             "verdict": "additive" if max(max_log, max_rel) < ADDITIVITY_TOL
@@ -425,13 +437,9 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
     triples = itertools.product(nonzero, repeat=3)
     for a, b, h in itertools.islice(triples, max_checks):
         checked += 1
-        ga, gb, gh = (emb.point(t) for t in (a, b, h))
         try:
-            t1, _ = _multipliers(ctx, emb, ga, gh.index[None, :], kind, tail_eps)
-            t2, _ = _multipliers(ctx, emb, gb, gh.index[None, :], kind, tail_eps)
-            gsum = emb.point(ga.index + gb.index)
-            t12, _ = _multipliers(ctx, emb, gsum, gh.index[None, :], kind,
-                                  tail_eps)
+            t1, t2, t12 = (_multipliers(ctx, emb, emb.point(g), h[None, :], kind,
+                                        tail_eps) for g in (a, b, a + b))
         except DegenerateTranslation:
             skipped += 1
             continue

@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -148,7 +148,7 @@ class HermitianFormContext:
     """Quadratic form Omega with cached inverse of its imaginary part."""
 
     omega: np.ndarray
-    im_inv: np.ndarray = None
+    im_inv: np.ndarray = field(init=False)
 
     def __post_init__(self):
         omega = _check_omega(self.omega)
@@ -164,10 +164,17 @@ class HermitianFormContext:
         return self.omega.shape[0]
 
 
+def _vecmat(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Rows x_i @ M over leading axes, by stacked matmul so that a row has
+    the bits of its one-row call (a batched @ picks its kernel by the
+    batch size)."""
+    return np.matmul(x[..., None, :], M)[..., 0, :]
+
+
 def complex_coordinates(ctx: HermitianFormContext, w1: np.ndarray,
                         w2: np.ndarray) -> np.ndarray:
     """x = Omega w1 + w2, vectorized over leading axes."""
-    return np.asarray(w1) @ ctx.omega + np.asarray(w2)
+    return _vecmat(np.asarray(w1), ctx.omega) + np.asarray(w2)
 
 
 def hermitian_form(ctx: HermitianFormContext, g: LatticePoint,
@@ -184,7 +191,7 @@ def hermitian_form(ctx: HermitianFormContext, g: LatticePoint,
 def hermitian_pairing_arrays(ctx: HermitianFormContext, xg: np.ndarray,
                              xh: np.ndarray) -> np.ndarray:
     """H on precomputed complex coordinates, broadcasting over rows."""
-    return np.sum((xg @ ctx.im_inv) * np.conj(xh), axis=-1)
+    return np.sum(_vecmat(xg, ctx.im_inv) * np.conj(xh), axis=-1)
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -254,7 +261,7 @@ def _closed_inner_products(f: GaussianVector, g: GaussianVector, blocks,
         M = -1j * np.pi * (f.omega - og_bar)
         OW1 = np.matmul(og_bar, W1[:, :, None])[:, :, 0]
         V = 2j * np.pi * (f.ell - lg_bar - OW1 - W2)
-        quad = _rowdot(W1, W2) + _rowdot(np.matmul(W1[:, None, :], og_bar)[:, 0], W1)
+        quad = _rowdot(W1, W2) + _rowdot(_vecmat(W1, og_bar), W1)
         log_const = -1j * np.pi * quad - 2j * np.pi * _rowdot(lg_bar, W1)
         cont = _cmul(np.exp(log_const), _gaussian_values(M, V))
         # far out, exp(log_const) underflows where the Gaussian overflows;

@@ -299,3 +299,23 @@ def test_far_coefficients_match_closed_zeros(tmp_path):
     assert np.count_nonzero(zeros) == 24
     np.testing.assert_array_equal(values.ravel()[zeros], 0)
     assert len(report["element"]["coeffs"]) == 1
+
+
+@pytest.mark.parametrize("embedding, R, code", [
+    ({"p": 1, "q": 0, "theta": [10.0]}, 4, 0),
+    ({"p": 1, "q": 0, "theta": [50.0]}, 4, 2),
+    ({"p": 1, "q": 1, "theta": [50.0], "Q": [[1]], "Delta": [[0.3]]}, 2, 2)])
+def test_multipliers_beyond_double_range(tmp_path, capsys, embedding, R, code):
+    # translation multipliers overflow or their products underflow: the
+    # run either writes finite reports or stops with a typed NCThetaError
+    cfg = write_config(tmp_path, {"embedding": embedding, "truncation_R": R})
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", cfg, "--out", str(out)]) == code
+    if code == 0:
+        additivity = json.loads((out / "verify.json").read_text())["additivity"]
+        assert additivity["verdict"] == "additive"
+        assert additivity["max_relative_deviation"] < 1e-10
+    else:
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NCThetaError"
+        assert "not a finite double" in err["reason"]

@@ -70,7 +70,7 @@ def test_translate_equals_scalar_products(inst_1_2, kind):
     emb, omega = inst_1_2
     ctx, th = build(emb, omega, R=2)
     g = emb.point([1, 0, -1, 1])
-    T, _ = _multipliers(ctx, emb, g, th.as_arrays()[0], kind, nc.theta.TAIL_EPS)
+    T = _multipliers(ctx, emb, g, th.as_arrays()[0], kind, nc.theta.TAIL_EPS)
     out = nc.translate(ctx, emb, g, th, kind)
     expected = {k: c * complex(t) for (k, c), t in zip(th.coeffs.items(), T)}
     assert out.coeffs == {k: v for k, v in expected.items() if abs(v) >= 1e-300}
@@ -219,6 +219,26 @@ def test_functional_equation_underflow_raises():
             call()
         assert not isinstance(exc.value, DegenerateTranslation)
         assert "(-2, -2, -2)" in str(exc.value)
+
+
+def test_underflowed_factor_products_raise():
+    # Omega = 0.02i (theta = 50): the factors at these pairs are about
+    # 1e-273 each, so C_g C_h (cocycle check) and C_g c_h (multipliers)
+    # underflow to 0 while no factor is 0
+    cont = nc.canonical_embedding(1, 0, theta=[50.0])
+    mixed = nc.canonical_embedding(1, 1, theta=[50.0], Q=[[1]], Delta=[[0.3]])
+    ctx = HermitianFormContext(np.array([[0.02j]]))
+    g, h = [-2, -2, -2], [-2, -2, -1]
+    for call, where in (
+            (lambda: nc.verify_cocycle_consistency(
+                ctx, cont, "manin", [([2, 2], [2, 2])]), "[(2, 2), (2, 2)]"),
+            (lambda: nc.verify_cocycle_consistency(
+                ctx, mixed, "modified", [(g, h)]), "[(-2, -2, -2), (-2, -2, -1)]"),
+            (lambda: _multipliers(ctx, mixed, mixed.point(g), np.array([h]),
+                                  "modified", TAIL_EPS), "[(-2, -2, -1)]")):
+        with pytest.raises(NCThetaError, match="underflow") as exc:
+            call()
+        assert str(exc.value).endswith(where)
 
 
 def test_cocycle_consistency_general_embedding(inst_general):

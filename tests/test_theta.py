@@ -11,7 +11,8 @@ from nctheta.heisenberg import GaussianVector
 from nctheta.lattice import ball
 from nctheta.theta import (SERIES_BUDGET, TAIL_EPS, HermitianFormContext,
                            _series_halfwidth, _shifted_lattice_sums,
-                           b_product_arrays, theta_coefficients)
+                           b_product_arrays, complex_coordinates,
+                           hermitian_pairing_arrays, theta_coefficients)
 
 # sum_n exp(-pi n^2), computed with 40-digit summation (mpmath), frozen.
 THETA_I_0 = 1.086434811213308014575316
@@ -200,6 +201,31 @@ def test_hermitian_form_positivity(inst_2_0):
         if np.any(k != 0):
             assert val.real > 0
     assert nc.hermitian_form(ctx, emb.point([0] * 4), emb.point([0] * 4)) == 0
+
+
+def test_hermitian_kernels_row_independent():
+    # every batch row has the bits of its one-row call, and one-row values
+    # are those of w1 @ Omega + w2 and sum((xg @ inv(Im Omega)) * conj(xh))
+    # on vectors; the blocks come from a raw Phi whose products round
+    rng = np.random.default_rng(6)
+    for p in range(1, 7):
+        a, b = rng.normal(size=(2, p, p))
+        omega = (a + a.T) / 2 + 1j * (b @ b.T + p * np.eye(p))
+        ctx = HermitianFormContext(omega)
+        emb = nc.EmbeddingMap(p=p, q=0, phi=rng.normal(size=(2 * p, 2 * p)))
+        K = rng.integers(-4, 5, (300, 2 * p))
+        W1, W2, _, _ = emb.blocks(K)
+        X = complex_coordinates(ctx, W1, W2)
+        Y = X[::-1]
+        H = hermitian_pairing_arrays(ctx, X, Y)
+        for i, k in enumerate(K):
+            g = emb.point(k)
+            assert np.array_equal(g.w1, W1[i]) and np.array_equal(g.w2, W2[i])
+            x = complex_coordinates(ctx, g.w1, g.w2)
+            assert np.array_equal(x, X[i]) and np.array_equal(x, g.w1 @ omega + g.w2)
+            value = hermitian_pairing_arrays(ctx, x, Y[i])
+            assert value == H[i]
+            assert value == np.sum((x @ ctx.im_inv) * np.conj(Y[i]))
 
 
 def _quadrature_gaussian(M, v, L, step):
