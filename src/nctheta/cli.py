@@ -241,11 +241,10 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
         rng = np.random.default_rng(cfg.seed)
         g_radius = cfg.truncation_R // 2
         degenerate = False
-        points = [emb.point(k) for k in ball(emb.d, g_radius)]
         try:
             results = manin.verify_functional_equations(
-                ctx, emb, theta_el, points, kind, tail_eps=tail_eps,
-                residual_tol=tol["residual_abs"], table=table)
+                ctx, emb, theta_el, ball(emb.d, g_radius), kind,
+                tail_eps=tail_eps, residual_tol=tol["residual_abs"], table=table)
         except DegenerateTranslation as exc:
             degenerate = True
             results = [{"g": None, "kind": kind, "degenerate": True,

@@ -211,11 +211,14 @@ def verify_nonexistence_by_search(emb: EmbeddingMap, cs: ComplexStructure,
         left_ranks.append(rank_c)
         if q > 0 and not rank_c < p + q // 2:
             raise ArithmeticError("rank certificate violated; inconsistent inputs")
-        # the Omega and G equations share no unknowns, so they are fitted apart
-        design = np.stack([np.ravel(C @ E) for E in sym_basis], axis=1)
+        # the Omega and G equations share no unknowns, so they are fitted
+        # apart; with p = 0 the Omega fit has none and leaves A as it is
+        design = np.stack([np.ravel(C @ E) for E in sym_basis], axis=1) \
+            if sym_basis else np.zeros((A.size, 0))
         sol, *_ = np.linalg.lstsq(design, np.ravel(A), rcond=None)
         g_t, *_ = np.linalg.lstsq(C, F, rcond=None)
-        residuals.append(float(max(np.max(np.abs(design @ sol - np.ravel(A))),
+        residuals.append(float(max(np.max(np.abs(design @ sol - np.ravel(A)),
+                                          initial=0.0),
                                    np.max(np.abs(C @ g_t - F), initial=0.0))))
     return {
         "trials": len(structures),

@@ -28,8 +28,8 @@ from .errors import DegenerateTranslation, DimensionMismatch, NCThetaError
 from .lattice import (EmbeddingMap, LatticePoint, QuantumElement, _cmul,
                       _integral, ball, cocycle_exponent_arrays)
 from .theta import (STRUCTURAL_ZERO_TOL, TAIL_EPS, HermitianFormContext,
-                    complex_coordinates, hermitian_form,
-                    hermitian_pairing_arrays, theta_coefficients)
+                    complex_coordinates, hermitian_pairing_arrays,
+                    theta_coefficients)
 
 KIND_MANIN = "manin"
 KIND_MODIFIED = "modified"
@@ -58,14 +58,44 @@ def translation_factor(ctx: HermitianFormContext, emb: EmbeddingMap,
                        tail_eps: float = TAIL_EPS) -> TranslationFactor:
     """C_g for either convention; flags structural zeros instead of raising.
 
-    The modified C_g is the one-row call of the closed formula, c_g."""
+    The one-row call of _translations; the modified C_g is c_g."""
     _check_kind(kind)
-    if kind == KIND_MANIN:
-        value = complex(np.exp(-np.pi / 2 * hermitian_form(ctx, g, g).real))
-        return TranslationFactor(point=g, value=value, kind=kind, degenerate=False)
-    values, norms = theta_coefficients(ctx, emb, g.index[None, :], tail_eps)
-    return TranslationFactor(point=g, value=complex(values[0]), kind=kind,
-                             degenerate=bool(norms[0] < STRUCTURAL_ZERO_TOL))
+    G = g.index[None, :]
+    (c_g, _, _), (zero, _, _), *_ = _translations(ctx, emb, G, G[:0], kind,
+                                                  tail_eps)
+    return TranslationFactor(point=g, value=complex(c_g[0]), kind=kind,
+                             degenerate=bool(zero[0]))
+
+
+def _translations(ctx: HermitianFormContext, emb: EmbeddingMap, G, H,
+                  kind: str, tail_eps: float):
+    """The translation kernel of translate, translation_factor, the cocycle
+    check and the modified probe, g acting at h over (n, d) index rows H
+    and G (one row, or one per row of H): the factors (C_g, C_h, C_{g+h}),
+    their structural-zero flags, alpha(g, h), T_g(h) and (manin) the
+    exponents of the factors and of T, from one blocks call and (modified)
+    one closed-formula call on the stacked rows, with BallTable's caveat
+    on its bits.  Unchecked: an underflowed C_g C_h gives inf or NaN."""
+    if ctx.p != emb.p:
+        raise DimensionMismatch("lattice points do not match the form dimension")
+    n = len(G) + len(H)
+    parts = (slice(0, len(G)), slice(len(G), n), slice(n, None))
+    rows = np.concatenate([G, H, G + H])
+    W1, W2, M, Rr = emb.blocks(rows)
+    g, h = ([b[at] for b in (W1, W2, M.astype(float), Rr)] for at in parts[:2])
+    alpha = np.exp(1j * np.pi * cocycle_exponent_arrays(g, h))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if kind == KIND_MANIN:
+            x = complex_coordinates(ctx, W1, W2)
+            log_c = -np.pi / 2 * hermitian_pairing_arrays(ctx, x, x).real
+            log_T = -np.pi * hermitian_pairing_arrays(ctx, x[parts[0]], x[parts[1]])
+            c, zero = np.exp(log_c), np.zeros(len(rows), dtype=bool)
+            return ([c[at] for at in parts], [zero[at] for at in parts], alpha,
+                    np.exp(log_T), ([log_c[at] for at in parts], log_T))
+        values, norms = theta_coefficients(ctx, emb, rows, tail_eps)
+        c_g, c_h, c_gh = (values[at] for at in parts)
+        zero = [norms[at] < STRUCTURAL_ZERO_TOL for at in parts]
+        return (c_g, c_h, c_gh), zero, alpha, c_gh / (c_g * c_h * alpha), None
 
 
 def _underflow(indices) -> NCThetaError:
@@ -74,36 +104,25 @@ def _underflow(indices) -> NCThetaError:
                         f"indices {[tuple(int(v) for v in k) for k in indices[:8]]}")
 
 
+def _check_factors(factors, zero, G: np.ndarray, H: np.ndarray):
+    """DegenerateTranslation, then an underflow NCThetaError, C_g first."""
+    for error, K, bad in ((DegenerateTranslation, G, zero[0]),
+                          (DegenerateTranslation, H, zero[1]),
+                          (_underflow, G, factors[0] == 0),
+                          (_underflow, H, factors[0] * factors[1] == 0)):
+        if np.any(bad):
+            raise error(K[bad])
+
+
 def _multipliers(ctx: HermitianFormContext, emb: EmbeddingMap, g: LatticePoint,
                  indices: np.ndarray, kind: str, tail_eps: float):
     """Translation multipliers T_g(h) of g over an (n, d) array of target
-    indices.
-
-    In the modified convention T_g(h) = c_{g+h} / (C_g c_h alpha(g, h))
-    with the closed coefficients of theta_coefficients.  Raises
-    DegenerateTranslation when that would divide by a structurally
-    vanishing factor, and NCThetaError when C_g c_h lies below
-    double-precision range, both before any division.
-    """
-    W1, W2, M, Rr = emb.blocks(indices)
-    if kind == KIND_MANIN:
-        xg = complex_coordinates(ctx, g.w1, g.w2)
-        return np.exp(-np.pi * hermitian_pairing_arrays(
-            ctx, xg, complex_coordinates(ctx, W1, W2)))
-    alpha = np.exp(1j * np.pi * cocycle_exponent_arrays(
-        (g.w1, g.w2, g.m.astype(float), g.r), (W1, W2, M.astype(float), Rr)))
-    factor_g = translation_factor(ctx, emb, g, kind, tail_eps)
-    if factor_g.degenerate:
-        raise DegenerateTranslation([g.index])
-    c_h, norm_h = theta_coefficients(ctx, emb, indices, tail_eps)
-    bad = norm_h < STRUCTURAL_ZERO_TOL
-    if np.any(bad):
-        raise DegenerateTranslation(indices[bad])
-    underflow = factor_g.value * c_h == 0
-    if np.any(underflow):
-        raise _underflow([g.index] if factor_g.value == 0 else indices[underflow])
-    c_gh, _ = theta_coefficients(ctx, emb, indices + g.index, tail_eps)
-    return c_gh / (factor_g.value * c_h * alpha)
+    indices; in the modified convention after _check_factors."""
+    G = g.index[None, :]
+    factors, zero, _, T, _ = _translations(ctx, emb, G, indices, kind, tail_eps)
+    if kind == KIND_MODIFIED:
+        _check_factors(factors, zero, G, indices)
+    return T
 
 
 def translate(ctx: HermitianFormContext, emb: EmbeddingMap, g: LatticePoint,
@@ -119,8 +138,6 @@ def translate(ctx: HermitianFormContext, emb: EmbeddingMap, g: LatticePoint,
     if x.embedding.d != emb.d:
         raise DimensionMismatch("element does not match the embedding")
     K, c = x.as_arrays()
-    if len(K) == 0:
-        return x
     T = _multipliers(ctx, emb, g, K, kind, tail_eps)
     values = np.zeros_like(x.values)
     values[tuple((K + x.radius).T)] = _cmul(c, T)
@@ -136,8 +153,9 @@ class BallTable:
     by one theta_coefficients call.  Every array the functional-equation
     engine needs from it (c_h, c_{g+h} and C_g = c_g) is a slice or an
     entry of `values`, with the bits of that call.  It sums every row with
-    the largest series halfwidth any row needs, so c_g is translation_factor
-    bit for bit only where all rows need the same halfwidth.
+    the largest series halfwidth any row needs, so c_g (like a row of one
+    _translations call) has its one-row bits only where all rows need the
+    same halfwidth.
     """
 
     radius: int
@@ -178,11 +196,11 @@ def _sliced_dot(xs, cubes: list, at: tuple):
 
 
 def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
-                                theta: QuantumElement, points: list,
+                                theta: QuantumElement, indices: np.ndarray,
                                 kind: str, tail_eps: float = TAIL_EPS,
                                 residual_tol: float = 1e-9,
                                 table: BallTable | None = None) -> list:
-    """verify_functional_equation for every lattice point of `points`, in order.
+    """verify_functional_equation for each row g of an (n, d) index array.
 
     On the interior ball h = k - g runs over a shifted slice of a cube of
     side 2R + 1, so each g reads views of the cubes of Theta, of the
@@ -195,14 +213,16 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
     modified residual checks that the inner-product coefficient over the
     closed formula agrees at h and g + h.
 
-    Errors come in the order of the single-g calls: any |g|_inf > R/2
-    (ValueError), the degeneracy scan (DegenerateTranslation), then per g
-    an underflow of C_g or c_h (NCThetaError, lexicographic offenders) or
-    a residual that is not a finite double (NCThetaError).
+    Errors come in the order of the single-g calls: bad rows (as blocks),
+    |g|_inf > R/2 (ValueError), the degeneracy scan (DegenerateTranslation),
+    then per g an underflow of C_g or c_h (NCThetaError, lexicographic
+    offenders) or a residual that is not a finite double (NCThetaError).
     """
     _check_kind(kind)
     R = theta.radius
-    radii = [int(np.max(np.abs(g.index))) for g in points]
+    W1g, W2g, Mg, Rg = emb.blocks(indices)
+    G = _integral(np.asarray(indices)).astype(int)
+    radii = np.max(np.abs(G), axis=1)
     if any(2 * gr > R for gr in radii):
         raise ValueError("translation index must satisfy |g|_inf <= R/2")
     if kind == KIND_MODIFIED:
@@ -213,10 +233,9 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
         zeros = table.zeros()
         if zeros:
             raise DegenerateTranslation(zeros, "theta support hits theta zeros")
-        factors = [complex(table.values[tuple(g.index + R)]) for g in points]
+        factors = [complex(table.values[tuple(g + R)]) for g in G]
     else:
-        xs = complex_coordinates(ctx, np.reshape([g.w1 for g in points], (-1, emb.p)),
-                                 np.reshape([g.w2 for g in points], (-1, emb.p)))
+        xs = complex_coordinates(ctx, W1g, W2g)
         factors = [complex(c) for c in
                    np.exp(-np.pi / 2 * hermitian_pairing_arrays(ctx, xs, xs).real)]
     W1, W2, M, Rr = emb.blocks(ball(emb.d, R))
@@ -229,27 +248,27 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
     # overflow and division by an underflowed product end in a residual
     # that is not finite, which raises below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i, (g, gr, C_g) in enumerate(zip(points, radii, factors)):
-            at_k = tuple(slice(gr, 2 * R + 1 - gr) for _ in g.index)
-            at_h = tuple(slice(gr - v, 2 * R + 1 - gr - v) for v in g.index)
+        for i, (g, gr, C_g) in enumerate(zip(G, radii, factors)):
+            at_k = tuple(slice(gr, 2 * R + 1 - gr) for _ in g)
+            at_h = tuple(slice(gr - v, 2 * R + 1 - gr - v) for v in g)
             alpha = np.exp(1j * np.pi * (
-                _sliced_dot(g.w1, w2, at_h) + _sliced_dot(g.m.astype(float), r, at_h)
-                - _sliced_dot(g.w2, w1, at_h) - _sliced_dot(g.r, m, at_h)))
+                _sliced_dot(W1g[i], w2, at_h) + _sliced_dot(Mg[i], r, at_h)
+                - _sliced_dot(W2g[i], w1, at_h) - _sliced_dot(Rg[i], m, at_h)))
             if kind == KIND_MANIN:
                 T = np.exp(-np.pi * _sliced_dot(xs[i] @ ctx.im_inv, xbar, at_h))
             else:
                 c_h = table.values[at_h]
                 if C_g == 0 or np.any(c_h == 0):
-                    raise _underflow([g.index] if C_g == 0 else
-                                     np.argwhere(c_h == 0) + (gr - R) - g.index)
+                    raise _underflow([g] if C_g == 0 else
+                                     np.argwhere(c_h == 0) + (gr - R) - g)
                 T = table.values[at_k] / (C_g * c_h * alpha)
             lhs = C_g * alpha * T * theta.values[at_h]
             residual = float(np.max(np.abs(lhs - theta.values[at_k])))
             if not math.isfinite(residual):
                 raise NCThetaError("functional equation residual is not a finite "
-                                   f"double at g={tuple(int(v) for v in g.index)}")
+                                   f"double at g={tuple(int(v) for v in g)}")
             entries.append({
-                "g": [int(v) for v in g.index],
+                "g": [int(v) for v in g],
                 "kind": kind,
                 "interior_radius": int(R - gr),
                 "max_residual": residual,
@@ -274,14 +293,11 @@ def verify_functional_equation(ctx: HermitianFormContext, emb: EmbeddingMap,
     convention the whole truncation ball is scanned for vanishing
     factors before any division (DegenerateTranslation).
 
-    This is the one-g call of the batched engine
-    verify_functional_equations, which reads the coefficient cube of
-    Theta, builds a closed-formula table on the truncation ball once and
-    evaluates every translation from them; a run over many g should call
-    the engine directly.  Its entries equal those of this call exactly.
+    The one-g call of verify_functional_equations, whose entries equal
+    those of this call exactly; a run over many g should call it directly.
     """
-    return verify_functional_equations(ctx, emb, theta, [g], kind, tail_eps,
-                                       residual_tol)[0]
+    return verify_functional_equations(ctx, emb, theta, g.index[None, :], kind,
+                                       tail_eps, residual_tol)[0]
 
 
 def functional_equation_residual_ops(ctx: HermitianFormContext,
@@ -293,7 +309,7 @@ def functional_equation_residual_ops(ctx: HermitianFormContext,
     factor_g = translation_factor(ctx, emb, g, kind, tail_eps)
     shifted = translate(ctx, emb, g, theta, kind, tail_eps)
     lhs = QuantumElement.basis(emb, g.index).multiply(shifted).scaled(factor_g.value)
-    gr = int(np.max(np.abs(g.index))) if g.index.size else 0
+    gr = int(np.max(np.abs(g.index)))
     return max((abs(lhs.coeff(k) - theta.coeff(k))
                 for k in ball(emb.d, theta.radius - gr)), default=0.0)
 
@@ -308,10 +324,10 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
     the phase residual.  modified: the law defines T, so the check is
     that the batched ratio T of the closed-formula factors agrees with
     the same ratio formed pair by pair from scalar factors to 1e-12
-    relative.  The factors, T and alpha of all pairs are formed in one
-    batch on the 3n rows g, h and g + h (modified: one closed-formula
-    call, with BallTable's caveat on its bits); only the comparison is
-    scalar.  NCThetaError when C_g C_h of a pair underflows to 0.
+    relative.  The factors, T and alpha of all pairs come from one
+    _translations call; only the comparison is scalar.  manin pairs whose
+    C_g C_h, C_{g+h} or T leaves the normal double range are compared on
+    the exponent scale.  NCThetaError when C_g C_h underflows to 0.
     """
     _check_kind(kind)
     message = f"pairs must hold two indices of length {emb.d}"
@@ -323,35 +339,30 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
         raise DimensionMismatch(message)
     K = _integral(K.reshape(-1, 2, emb.d)).astype(int)
     n = len(K)
-    rows = np.concatenate([K[:, 0], K[:, 1], K[:, 0] + K[:, 1]])
-    blocks = emb.blocks(rows)
-    g, h = (tuple(b[at].astype(float) for b in blocks)
-            for at in (slice(0, n), slice(n, 2 * n)))
-    alpha = np.exp(1j * np.pi * cocycle_exponent_arrays(g, h))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if kind == KIND_MANIN:
-            x = complex_coordinates(ctx, blocks[0], blocks[1])
-            factors = np.exp(-np.pi / 2 * hermitian_pairing_arrays(ctx, x, x).real)
-            T = np.exp(-np.pi * hermitian_pairing_arrays(ctx, x[:n], x[n:2 * n]))
-            degenerate = np.zeros(3 * n, dtype=bool)
-        else:
-            factors, norms = theta_coefficients(ctx, emb, rows, tail_eps)
-            T = factors[2 * n:] / (factors[:n] * factors[n:2 * n] * alpha)
-            degenerate = norms < STRUCTURAL_ZERO_TOL
+    factors, zero, alpha, T, exponents = _translations(
+        ctx, emb, K[:, 0], K[:, 1], kind, tail_eps)
+    far = np.zeros(n, dtype=bool)
+    if kind == KIND_MANIN:
+        # where C_g C_h, C_{g+h} or T leaves the normal double range, the
+        # ratio of the two sides from the exponents alone
+        c_g, c_h, c_gh = factors
+        (log_g, log_h, log_gh), log_T = exponents
+        tiny = np.finfo(float).tiny
+        far = ((c_g * c_h < tiny) | (c_gh < tiny) | ~np.isfinite(T)
+               | (np.abs(T) < tiny))
+        far_ratio = np.exp(log_gh - log_g - log_h - log_T) / alpha
     max_mod = 0.0
     max_phase = 0.0
     max_rel = 0.0
     n_skipped = 0
     for i in range(n):
-        if degenerate[i] or degenerate[n + i]:
+        if zero[0][i] or zero[1][i]:
             n_skipped += 1
             continue
-        fg, fh, fgh = (complex(factors[j]) for j in (i, n + i, 2 * n + i))
+        fg, fh, fgh = (complex(f[i]) for f in factors)
         if fg * fh == 0:
             raise _underflow(K[i])
-        lhs = fgh / (fg * fh)
-        rhs = T[i] * alpha[i]
-        ratio = lhs / rhs
+        ratio = far_ratio[i] if far[i] else fgh / (fg * fh) / (T[i] * alpha[i])
         max_mod = max(max_mod, abs(abs(ratio) - 1.0))
         max_phase = max(max_phase, abs(float(np.angle(ratio))))
         if kind == KIND_MODIFIED:
@@ -386,7 +397,9 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
     modified: searches the ball (zero excluded: the unnormalized factor
     at 0 deviates by construction) for a concrete witness triple with
     absolute deviation above 1e-6 and reports it; absence of a witness is
-    reported as such, never as a universal additivity claim.
+    reported as such, never as a universal additivity claim.  Each triple
+    is one _translations call; it is skipped when a factor of g1, g2,
+    g1 + g2 or h vanishes structurally, checked before any underflow.
     """
     _check_kind(kind)
     # the ball by shells of growing sup norm, lexicographic within a shell
@@ -400,17 +413,12 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
             i1, i2, ih = (ball(3, n_pts // 2) + n_pts // 2).T
         else:
             idx = rng.integers(0, n_pts, size=(5000, 3))
-            diag = np.arange(n_pts)
-            i1 = np.concatenate([idx[:, 0], diag])
-            i2 = np.concatenate([idx[:, 1], diag])
-            ih = np.concatenate([idx[:, 2], diag])
-        W1, W2, _, _ = emb.blocks(K_pts)
-        X = complex_coordinates(ctx, W1, W2)
-        W1s, W2s, _, _ = emb.blocks(K_pts[i1] + K_pts[i2])
-        Xs = complex_coordinates(ctx, W1s, W2s)
-        h1 = hermitian_pairing_arrays(ctx, X[i1], X[ih])
-        h2 = hermitian_pairing_arrays(ctx, X[i2], X[ih])
-        h12 = hermitian_pairing_arrays(ctx, Xs, X[ih])
+            diag = np.repeat(np.arange(n_pts)[:, None], 3, axis=1)
+            i1, i2, ih = np.concatenate([idx, diag]).T
+        X, Xs = (complex_coordinates(ctx, *emb.blocks(K)[:2])
+                 for K in (K_pts, K_pts[i1] + K_pts[i2]))
+        h1, h2, h12 = (hermitian_pairing_arrays(ctx, x, X[ih])
+                       for x in (X[i1], X[i2], Xs))
         max_log = float(np.max(np.abs(h1 + h2 - h12))) if len(i1) else 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             t12 = np.exp(-np.pi * h12)
@@ -437,13 +445,15 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
     triples = itertools.product(nonzero, repeat=3)
     for a, b, h in itertools.islice(triples, max_checks):
         checked += 1
+        G, H = np.stack([a, b, a + b]), np.stack([h] * 3)
+        factors, zero, _, (t1, t2, t12), _ = _translations(ctx, emb, G, H, kind,
+                                                           tail_eps)
         try:
-            t1, t2, t12 = (_multipliers(ctx, emb, emb.point(g), h[None, :], kind,
-                                        tail_eps) for g in (a, b, a + b))
+            _check_factors(factors, zero, G, H)
         except DegenerateTranslation:
             skipped += 1
             continue
-        dev = abs(t1[0] * t2[0] - t12[0])
+        dev = abs(t1 * t2 - t12)
         if dev > WITNESS_DEVIATION:
             return {
                 "kind": kind,

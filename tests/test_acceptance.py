@@ -219,12 +219,12 @@ def test_criterion_7_functional_equation_mixed():
         ctx = HermitianFormContext(omega)
         th = nc.quantum_theta(emb, GaussianVector.pure(omega, emb.q), 4)
         assert not nc.degeneracy_scan(ctx, emb, 4)
-        points = [emb.point(k) for k in ball(emb.d, 2)]
+        points = ball(emb.d, 2)
         entries = nc.verify_functional_equations(ctx, emb, th, points,
                                                  manin.KIND_MODIFIED)
         assert len(entries) == len(points)
         for g, rep in zip(points, entries):
-            assert rep["max_residual"] < 1e-9, g.index
+            assert rep["max_residual"] < 1e-9, g
 
 
 def test_criterion_8_additivity_dichotomy():

@@ -115,6 +115,17 @@ def test_nonexistence_search_p2q2():
     assert report["certified"]
 
 
+def test_nonexistence_search_without_continuous_part():
+    # p = 0: no symmetric basis, so the Omega fit has no unknowns (its
+    # residual is max |A|, 0 for an empty A) and only G is fitted
+    emb = nc.canonical_embedding(0, 2, Q=np.eye(2), Delta=np.diag([0.2, 0.7]))
+    report = nc.verify_nonexistence_by_search(
+        emb, full_structure(1j, 1.0), trials=3, seed=3)
+    assert report["certified"]
+    assert report["trials"] == 4 and report["left_ranks"] == [0] * 4
+    assert report["required_rank"] == 1
+
+
 def test_nonexistence_search_solvable_control():
     emb = nc.canonical_embedding(1, 0, theta=[0.5])
     report = nc.verify_nonexistence_by_search(

@@ -8,7 +8,7 @@ from nctheta.errors import (DegenerateTranslation, DimensionMismatch,
                              NCThetaError)
 from nctheta.heisenberg import GaussianVector
 from nctheta.lattice import ball, cocycle_exponent_arrays
-from nctheta.manin import (TranslationFactor, _multipliers,
+from nctheta.manin import (TranslationFactor, _multipliers, _translations,
                            functional_equation_residual_ops)
 from nctheta.theta import (STRUCTURAL_ZERO_TOL, TAIL_EPS, HermitianFormContext,
                            b_product_arrays, complex_coordinates, hermitian_form,
@@ -49,6 +49,15 @@ def test_translation_factor_degenerate_flag():
     g = emb.point([0, 0, 1, 0])  # r = (0.5, 0), m = (1, 0)
     tf = nc.translation_factor(ctx, emb, g, "modified")
     assert tf.degenerate and abs(tf.value) < 1e-14
+
+
+def test_translation_form_dimension_checked(inst_1_0):
+    # a form of another dimension is a typed error in both conventions
+    emb, _ = inst_1_0
+    ctx = HermitianFormContext(np.diag([1j, 1j]))
+    for kind in ("manin", "modified"):
+        with pytest.raises(DimensionMismatch):
+            nc.translation_factor(ctx, emb, emb.point([1, 0]), kind)
 
 
 def test_translate_identity_and_support(inst_1_0):
@@ -97,6 +106,11 @@ def test_translate_degenerate_offenders_listed():
     with pytest.raises(DegenerateTranslation) as exc:
         nc.translate(ctx, emb, emb.point([0, 0, 0, 1]), el, "modified")
     assert (0, 0, 1, 0) in exc.value.indices
+    # g itself is checked even when the element has no support
+    with pytest.raises(DegenerateTranslation) as exc:
+        nc.translate(ctx, emb, emb.point([0, 0, 1, 0]),
+                     nc.QuantumElement.from_coeffs(emb, {}, 1), "modified")
+    assert exc.value.indices == [(0, 0, 1, 0)]
 
 
 def test_functional_equation_p1q0(inst_1_0):
@@ -129,7 +143,7 @@ def test_functional_equation_interior_radius(inst_1_0):
         nc.verify_functional_equation(ctx, emb, th, emb.point([3, 0]), "manin")
     with pytest.raises(ValueError):
         nc.verify_functional_equations(
-            ctx, emb, th, [emb.point([0, 0]), emb.point([0, -3])], "manin")
+            ctx, emb, th, np.array([[0, 0], [0, -3]]), "manin")
 
 
 def test_functional_equation_matches_ops_path(inst_1_0, inst_1_2):
@@ -196,7 +210,7 @@ def test_degeneracy_scan_and_flag_before_division():
     # the batched engine scans before its first translation, even one
     # whose own factor is fine
     with pytest.raises(DegenerateTranslation) as exc:
-        nc.verify_functional_equations(ctx, emb, th, [emb.point([0, 0, 0, 0])],
+        nc.verify_functional_equations(ctx, emb, th, np.array([[0, 0, 0, 0]]),
                                        "modified")
     assert exc.value.indices == zeros
 
@@ -213,8 +227,7 @@ def test_functional_equation_underflow_raises():
             lambda: nc.verify_functional_equation(
                 ctx, emb, th, emb.point([0, 0, 0]), "modified"),
             lambda: nc.verify_functional_equations(
-                ctx, emb, th, [emb.point([0, 1, 0]), emb.point([0, 0, 0])],
-                "modified")):
+                ctx, emb, th, np.array([[0, 1, 0], [0, 0, 0]]), "modified")):
         with pytest.raises(NCThetaError, match="underflow") as exc:
             call()
         assert not isinstance(exc.value, DegenerateTranslation)
@@ -272,6 +285,22 @@ def test_cocycle_consistency_trivial_pairs(inst_1_0):
     assert rep["max_phase_residual"] < 1e-14
 
 
+def test_cocycle_consistency_manin_beyond_double_range():
+    # Omega = 0.1i, theta = 10: H(x, x) = 10 |k|^2, so on ball(2, 3)
+    # C_{g+h} underflows to 0 at 60 pairs while every C_g C_h stays
+    # nonzero, and in the last three pairs C_g C_h is subnormal; there the
+    # ratio of the two sides is formed from the exponents, and the law holds
+    emb = nc.canonical_embedding(1, 0, theta=[10.0])
+    ctx = HermitianFormContext(np.array([[0.1j]]))
+    K = ball(2, 3)
+    pairs = [(g, h) for g in K for h in K]
+    pairs += [((3, 3), (5, 2)), ((3, 3), (-5, -2)), ((-3, 3), (2, 5))]
+    rep = nc.verify_cocycle_consistency(ctx, emb, "manin", pairs)
+    assert rep["pass"] and rep["pairs_checked"] == len(pairs)
+    assert rep["max_modulus_residual"] < 1e-10
+    assert rep["max_phase_residual"] < 1e-10
+
+
 def test_cocycle_consistency_modified(inst_1_2, inst_0_2):
     rng = np.random.default_rng(1)
     for emb, omega in [inst_1_2, inst_0_2]:
@@ -319,17 +348,31 @@ def test_additivity_search_order(inst_1_0, monkeypatch):
     ctx = HermitianFormContext(omega)
     seen = []
 
-    def recording(ctx_, emb_, g, indices, *args):
-        seen.append(tuple(indices[0].tolist()))
-        return _multipliers(ctx_, emb_, g, indices, *args)
+    def recording(ctx_, emb_, G, H, *args):
+        seen.append(tuple(H[0].tolist()))
+        return _translations(ctx_, emb_, G, H, *args)
 
-    monkeypatch.setattr(nc.manin, "_multipliers", recording)
+    monkeypatch.setattr(nc.manin, "_translations", recording)
     rep = nc.additivity_probe(ctx, emb, "modified", search_radius=2,
                               max_checks=24)
     assert rep["verdict"] == "no_witness_found" and rep["search_truncated"]
     expected = sorted(itertools.product(range(-2, 3), repeat=2),
                       key=lambda k: (max(abs(x) for x in k), k))
-    assert seen[::3] == [k for k in expected if any(k)]
+    # one kernel call per triple
+    assert seen == [k for k in expected if any(k)]
+
+
+def test_additivity_witness_equals_frozen_multipliers(inst_1_2, inst_0_2):
+    # one kernel call per triple keeps the bits of the three one-g
+    # multiplier calls it replaced
+    for emb, omega in [inst_1_2, inst_0_2]:
+        ctx = HermitianFormContext(omega)
+        w = nc.additivity_probe(ctx, emb, "modified", search_radius=3)["witness"]
+        h = np.array([w["h"]])
+        t1, t2, t12 = (_frozen_multipliers(ctx, emb, emb.point(g), h, "modified",
+                                           TAIL_EPS)[0][0]
+                       for g in (w["g1"], w["g2"], np.add(w["g1"], w["g2"])))
+        assert w["deviation"] == float(abs(t1 * t2 - t12))
 
 
 def test_additivity_zero_translation_convention(inst_1_2):
@@ -355,7 +398,7 @@ def test_manin_zero_translation_is_identity(inst_1_0):
 def test_functional_equation_full_ball(inst_1_2):
     emb, omega = inst_1_2
     ctx, th = build(emb, omega)
-    points = [emb.point(k) for k in ball(emb.d, 2)]
+    points = ball(emb.d, 2)
     batched = nc.verify_functional_equations(ctx, emb, th, points, "modified")
     assert len(batched) == len(points)
     # the batch shares one cube and one table; its entries carry the
@@ -363,7 +406,7 @@ def test_functional_equation_full_ball(inst_1_2):
     # whole table)
     for i in range(0, len(points), 60):
         assert batched[i] == nc.verify_functional_equation(
-            ctx, emb, th, points[i], "modified")
+            ctx, emb, th, emb.point(points[i]), "modified")
     assert max(entry["max_residual"] for entry in batched) < 1e-9
 
 
@@ -376,15 +419,15 @@ def test_modified_residual_compares_the_two_routes(inst_1_2):
     R = th.radius
     closed, _ = theta_coefficients(ctx, emb, ball(emb.d, R))
     closed = closed.reshape(th.values.shape)
-    points = [emb.point(k) for k in ball(emb.d, R // 2)]
+    points = ball(emb.d, R // 2)
     entries = nc.verify_functional_equations(ctx, emb, th, points, "modified")
     for g, entry in zip(points, entries):
-        at_gh = ball(emb.d, R - int(np.max(np.abs(g.index)))) + R
-        at_h = at_gh - g.index
+        at_gh = ball(emb.d, R - int(np.max(np.abs(g)))) + R
+        at_h = at_gh - g
         c_gh, c_h = closed[tuple(at_gh.T)], closed[tuple(at_h.T)]
         theta_gh, theta_h = th.values[tuple(at_gh.T)], th.values[tuple(at_h.T)]
         direct = np.max(np.abs(c_gh * theta_h / c_h - theta_gh))
-        assert abs(entry["max_residual"] - direct) <= 1e-15, g.index
+        assert abs(entry["max_residual"] - direct) <= 1e-15, g
 
 
 # Frozen copies of the index-based functional-equation engine, the scalar
@@ -553,9 +596,9 @@ def test_engine_equals_frozen_index_engine(name, inst_1_2, inst_1_0, inst_2_0,
     emb, omega, kind = _guard_instances(inst_1_2, inst_1_0, inst_2_0,
                                         inst_general)[name]
     ctx, th = build(emb, omega, R=4)
-    points = [emb.point(k) for k in ball(emb.d, th.radius // 2)]
-    assert nc.verify_functional_equations(ctx, emb, th, points, kind) == \
-        _frozen_engine(ctx, emb, th, points, kind)
+    K = ball(emb.d, th.radius // 2)
+    assert nc.verify_functional_equations(ctx, emb, th, K, kind) == \
+        _frozen_engine(ctx, emb, th, [emb.point(k) for k in K], kind)
 
 
 @pytest.mark.parametrize("name", GUARDS)
@@ -581,10 +624,10 @@ def test_batched_factors_near_frozen_where_halfwidths_differ(tail_eps,
     # reports stay within 1e-15 absolute of the one-row route
     emb, omega = inst_1_2
     ctx, th = build(emb, omega)
-    points = [emb.point(k) for k in ball(emb.d, th.radius // 2)]
-    new = nc.verify_functional_equations(ctx, emb, th, points, "modified",
-                                         tail_eps)
-    old = _frozen_engine(ctx, emb, th, points, "modified", tail_eps)
+    K = ball(emb.d, th.radius // 2)
+    new = nc.verify_functional_equations(ctx, emb, th, K, "modified", tail_eps)
+    old = _frozen_engine(ctx, emb, th, [emb.point(k) for k in K], "modified",
+                         tail_eps)
     for a, b in zip(new, old):
         assert a["max_residual"] == pytest.approx(b["max_residual"], abs=1e-15)
         assert {**a, "max_residual": 0} == {**b, "max_residual": 0}
@@ -594,6 +637,18 @@ def test_batched_factors_near_frozen_where_halfwidths_differ(tail_eps,
         a = nc.verify_cocycle_consistency(ctx, emb, "modified", pairs, tail_eps)
         b = _frozen_cocycle(ctx, emb, "modified", pairs, tail_eps)
         assert a == pytest.approx(b, abs=1e-15), seed
+
+
+def test_engine_rejects_rows_as_blocks_does(inst_1_2):
+    emb, omega = inst_1_2
+    ctx, th = build(emb, omega, R=2)
+    for K, error in ((np.array([[0, 0, 0.5, 0]]), ValueError),
+                     (np.array([[0, 0, 1]]), DimensionMismatch),
+                     (np.zeros(4, dtype=int), DimensionMismatch)):
+        for call in (emb.blocks, lambda K: nc.verify_functional_equations(
+                ctx, emb, th, K, "modified")):
+            with pytest.raises(error):
+                call(K)
 
 
 def test_cocycle_rejects_ragged_pairs(inst_1_2):
@@ -644,7 +699,7 @@ def test_engine_errors_in_frozen_order():
         ctx, th = build(emb, omega, R=4 if emb is degenerate else 2)
         points = [emb.point(k) for k in ks]
         new = _outcome(lambda: nc.verify_functional_equations(
-            ctx, emb, th, points, "modified"))
+            ctx, emb, th, np.array(ks), "modified"))
         assert new == _outcome(lambda: _frozen_engine(
             ctx, emb, th, points, "modified")), ks
         seen.append(new)
