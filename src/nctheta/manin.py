@@ -18,6 +18,7 @@ in the second they provably do not, and the probe exhibits witnesses.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -325,9 +326,12 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
     that the batched ratio T of the closed-formula factors agrees with
     the same ratio formed pair by pair from scalar factors to 1e-12
     relative.  The factors, T and alpha of all pairs come from one
-    _translations call; only the comparison is scalar.  manin pairs whose
-    C_g C_h, C_{g+h} or T leaves the normal double range are compared on
-    the exponent scale.  NCThetaError when C_g C_h underflows to 0.
+    _translations call; only the comparison is scalar.  A pair where C_g,
+    C_h or C_{g+h} vanishes structurally is skipped and counted as
+    degenerate.  manin pairs whose C_g C_h, C_{g+h} or T leaves the normal
+    double range are compared on the exponent scale.  NCThetaError when
+    C_g C_h underflows to 0, or when any other pair's ratio of the two
+    sides is 0 or not finite (C_{g+h} or T out of double range).
     """
     _check_kind(kind)
     message = f"pairs must hold two indices of length {emb.d}"
@@ -356,13 +360,20 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
     max_rel = 0.0
     n_skipped = 0
     for i in range(n):
-        if zero[0][i] or zero[1][i]:
+        if zero[0][i] or zero[1][i] or zero[2][i]:
             n_skipped += 1
             continue
         fg, fh, fgh = (complex(f[i]) for f in factors)
         if fg * fh == 0:
             raise _underflow(K[i])
-        ratio = far_ratio[i] if far[i] else fgh / (fg * fh) / (T[i] * alpha[i])
+        if far[i]:
+            ratio = far_ratio[i]
+        else:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                ratio = fgh / (fg * fh) / (T[i] * alpha[i])
+            # C_{g+h} or T out of double range: 0/0, x/0 or 0/x
+            if ratio == 0 or not cmath.isfinite(ratio):
+                raise _underflow(K[i])
         max_mod = max(max_mod, abs(abs(ratio) - 1.0))
         max_phase = max(max_phase, abs(float(np.angle(ratio))))
         if kind == KIND_MODIFIED:

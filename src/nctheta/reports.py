@@ -1,27 +1,96 @@
 """Deterministic JSON emission for verification reports.
 
-Dictionaries are emitted with sorted keys, floats with 17 significant
-digits, and complex numbers as {"im": ..., "re": ...} objects, so that
-identical inputs always serialize to identical bytes.
+Identical inputs always serialize to identical bytes.  The byte contract:
+
+* Layout: two-space indentation, one element or ``"key": value`` member
+  per line, members separated by ``",\\n"``; an empty container is ``{}``
+  or ``[]``; the text ends with one newline.  Dictionary keys must be
+  strings, are written in sorted order, and are written unescaped.
+* Floats (Python and numpy): an integral value below 1e16 in magnitude is
+  written with one decimal (``2.0``, ``-0.0``), any other value with 17
+  significant digits (``%.17g``).  NaN and infinities raise ValueError.
+* Integers (Python and numpy) in decimal; booleans (Python and numpy) as
+  ``true``/``false``; ``None`` as ``null``.
+* Complex numbers as ``{"im": ..., "re": ...}`` objects; numpy arrays as
+  nested lists; tuples as lists.
+* Strings with backslash, double quote, newline and tab escaped.
+* Any other object raises TypeError.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 
 def _format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"reports must contain finite numbers, got {x}")
-    if x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and abs(x) < 1e16:
         return f"{x:.1f}"
     return f"{x:.17g}"
 
 
+def _quote(s: str) -> str:
+    out = s.replace("\\", "\\\\").replace('"', '\\"')
+    out = out.replace("\n", "\\n").replace("\t", "\\t")
+    return f'"{out}"'
+
+
 def _render(obj, indent: int, pad: str) -> str:
+    """Dispatch on the exact type; float and int members of a dict or list
+    are formatted in the loop, without a recursive call."""
+    t = type(obj)
+    if t is float:
+        return _format_float(obj)
+    if t is int:
+        return str(obj)
+    if t is str:
+        return _quote(obj)
+    if t is bool:
+        return "true" if obj else "false"
+    if t is dict:
+        for k in obj:
+            if not isinstance(k, str):
+                raise TypeError("report keys must be strings")
+        if not obj:
+            return "{}"
+        inner = pad + " " * indent
+        parts = []
+        for k in sorted(obj):
+            v = obj[k]
+            t = type(v)
+            if t is float:
+                parts.append(f'"{k}": {_format_float(v)}')
+            elif t is int:
+                parts.append(f'"{k}": {v}')
+            else:
+                parts.append(f'"{k}": {_render(v, indent, inner)}')
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner = pad + " " * indent
+        parts = []
+        for v in obj:
+            t = type(v)
+            if t is float:
+                parts.append(_format_float(v))
+            elif t is int:
+                parts.append(str(v))
+            else:
+                parts.append(_render(v, indent, inner))
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+    return _render_other(obj, indent, pad)
+
+
+def _render_other(obj, indent: int, pad: str) -> str:
+    """None, numpy scalars and arrays, complex numbers and subclasses of the
+    builtin types: checked in this order, converted, and rendered again."""
     if obj is None:
         return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -30,25 +99,13 @@ def _render(obj, indent: int, pad: str) -> str:
     if isinstance(obj, (complex, np.complexfloating)):
         return _render({"re": float(obj.real), "im": float(obj.imag)}, indent, pad)
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\t", "\\t")
-        return f'"{out}"'
+        return _quote(obj)
     if isinstance(obj, np.ndarray):
         return _render(obj.tolist(), indent, pad)
-    inner = pad + " " * indent
     if isinstance(obj, dict):
-        if any(not isinstance(k, str) for k in obj):
-            raise TypeError("report keys must be strings")
-        keys = sorted(obj)
-        if not keys:
-            return "{}"
-        items = [f'{inner}"{k}": ' + _render(obj[k], indent, inner) for k in keys]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return _render({k: obj[k] for k in obj}, indent, pad)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [inner + _render(v, indent, inner) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        return _render(list(obj), indent, pad)
     raise TypeError(f"cannot serialize {type(obj)} into a report")
 
 
@@ -58,6 +115,7 @@ def render_report(obj) -> str:
 
 
 def write_report(path, obj):
+    """Write the report to path and return its text."""
     text = render_report(obj)
     with open(path, "w") as fh:
         fh.write(text)

@@ -109,9 +109,16 @@ def _shifted_lattice_sums(c1: np.ndarray, c0: np.ndarray,
     bmax = float(np.max(np.abs(rem.real))) / (2.0 * np.pi) if c1.size else 0.0
     N = _series_halfwidth(a.real, bmax, tail_eps)
     j = np.arange(-N, N + 1, dtype=float)
-    terms = np.exp(-np.pi * a * j[:, None] ** 2 + rem.ravel()[None, :] * j[:, None])
-    # a running sum: sum() would add a lone element's terms pairwise
-    core = np.cumsum(terms, axis=0)[-1].reshape(c1.shape)
+    quad = -np.pi * a * j ** 2
+    # one term row at a time, added in order: holds two rows, not 2N+1, and
+    # sum() would add a lone element's terms pairwise.  Raveled, so the
+    # results are C-ordered whatever c1's layout: b.prod over an F-ordered
+    # array rounds differently.
+    flat = rem.ravel()
+    core = np.exp(quad[0] + flat * j[0])
+    for i in range(1, 2 * N + 1):
+        core += np.exp(quad[i] + flat * j[i])
+    core = core.reshape(c1.shape)
     scale = np.exp(-np.pi * a * n0**2 + c1 * n0 + c0)
     return scale * core, np.abs(core), n0
 

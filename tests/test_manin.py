@@ -301,6 +301,22 @@ def test_cocycle_consistency_manin_beyond_double_range():
     assert rep["max_phase_residual"] < 1e-10
 
 
+def test_cocycle_consistency_modified_underflow_raises():
+    # Omega = 0.1i, theta = 10: for g = (-3, -3, -3) and h over ball(3, 3),
+    # C_{g+h} underflows to 0 at 36 pairs where no factor vanishes
+    # structurally; the ratio of the two sides is then 0/0
+    emb = nc.canonical_embedding(1, 1, theta=[10.0], Q=[[1.0]], Delta=[[0.3]])
+    ctx = HermitianFormContext(np.array([[0.1j]]))
+    pairs = [((-3, -3, -3), h) for h in ball(3, 3)]
+    with pytest.raises(NCThetaError, match="underflow"):
+        nc.verify_cocycle_consistency(ctx, emb, "modified", pairs)
+    # at lattice index +-5 the b-factor has a zero: C_{g+h} vanishes
+    # structurally, and the pair is skipped rather than compared
+    rep = nc.verify_cocycle_consistency(
+        ctx, emb, "modified", [((0, 0, 2), (0, 0, 3)), ((1, 0, -2), (0, 1, -3))])
+    assert rep["pairs_skipped_degenerate"] == 2 and rep["pairs_checked"] == 0
+
+
 def test_cocycle_consistency_modified(inst_1_2, inst_0_2):
     rng = np.random.default_rng(1)
     for emb, omega in [inst_1_2, inst_0_2]:

@@ -1,8 +1,13 @@
+import enum
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import nctheta as nc
+from nctheta import cli, reports
+from nctheta.heisenberg import GaussianVector
 from nctheta.reports import render_report
 
 
@@ -45,3 +50,187 @@ def test_determinism():
     obj = {"values": [0.1 * k for k in range(20)],
            "flags": {"a": True, "b": False}}
     assert render_report(obj) == render_report(obj)
+
+
+# The isinstance-chain renderer that wrote every report before the
+# exact-type dispatch, frozen as the reference for its bytes and errors.
+
+def _frozen_format_float(x: float) -> str:
+    if not np.isfinite(x):
+        raise ValueError(f"reports must contain finite numbers, got {x}")
+    if x == int(x) and abs(x) < 1e16:
+        return f"{x:.1f}"
+    return f"{x:.17g}"
+
+
+def _frozen_render(obj, indent: int, pad: str) -> str:
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _frozen_format_float(float(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _frozen_render({"re": float(obj.real), "im": float(obj.imag)},
+                              indent, pad)
+    if isinstance(obj, str):
+        out = obj.replace("\\", "\\\\").replace('"', '\\"')
+        out = out.replace("\n", "\\n").replace("\t", "\\t")
+        return f'"{out}"'
+    if isinstance(obj, np.ndarray):
+        return _frozen_render(obj.tolist(), indent, pad)
+    inner = pad + " " * indent
+    if isinstance(obj, dict):
+        if any(not isinstance(k, str) for k in obj):
+            raise TypeError("report keys must be strings")
+        keys = sorted(obj)
+        if not keys:
+            return "{}"
+        items = [f'{inner}"{k}": ' + _frozen_render(obj[k], indent, inner)
+                 for k in keys]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [inner + _frozen_render(v, indent, inner) for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(obj)} into a report")
+
+
+def _frozen_render_report(obj) -> str:
+    return _frozen_render(obj, indent=2, pad="") + "\n"
+
+
+def _outcome(render, obj):
+    """The rendered text, or the type of the exception raised."""
+    try:
+        return render(obj)
+    except Exception as exc:  # compared between the two renderers
+        return type(exc)
+
+
+def _captured_reports(monkeypatch, tmp_path, config):
+    """The report objects run_config writes for config."""
+    captured = {}
+
+    def capture(path, obj):
+        captured[path] = obj
+        return reports.write_report(path, obj)
+
+    monkeypatch.setattr(cli, "write_report", capture)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.run_config(cli.load_config(str(path)), str(tmp_path / "out"),
+                          seed=1) == 0
+    return captured
+
+
+ACCEPTANCE = {"embedding": {"p": 1, "q": 2, "theta": [0.5], "Q": [[1, 0], [0, 1]],
+                            "Delta": [[0.2, 0.0], [0.0, 0.7]]},
+              "truncation_R": 4, "seed": 123}
+CONTINUOUS = {"embedding": {"p": 2, "q": 0, "theta": [0.5, 0.25]},
+              "truncation_R": 4, "seed": 123}
+
+
+@pytest.mark.parametrize("config", [ACCEPTANCE, CONTINUOUS],
+                         ids=["p1q2", "p2q0"])
+def test_pipeline_reports_equal_frozen_renderer(monkeypatch, tmp_path, config):
+    captured = _captured_reports(monkeypatch, tmp_path, config)
+    assert len(captured) == 4
+    for path, obj in captured.items():
+        text = render_report(obj)
+        assert text == _frozen_render_report(obj), path
+        with open(path) as fh:
+            assert fh.read() == text
+
+
+def test_element_reports_equal_frozen_renderer(inst_1_2):
+    # the shape the algebra benchmark writes: to_dict of Theta and Theta*Theta
+    emb, omega = inst_1_2
+    element = nc.quantum_theta(emb, GaussianVector.pure(omega, emb.q), 2)
+    obj = {"theta": element.to_dict(),
+           "product": element.multiply(element).to_dict()}
+    assert render_report(obj) == _frozen_render_report(obj)
+
+
+def test_write_report_returns_the_text(tmp_path):
+    obj = {"a": [1, 2.5, np.float64(0.1)], "b": {"c": 1 - 1j}}
+    path = tmp_path / "r.json"
+    text = reports.write_report(str(path), obj)
+    assert text == path.read_text() == _frozen_render_report(obj)
+
+
+class _Dict(dict):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Flag(enum.IntEnum):
+    ON = 1
+
+
+_EDGE_FLOATS = [0.0, -0.0, 1e16, -1e16, np.nextafter(1e16, 0.0),
+                np.nextafter(1e16, np.inf), np.nextafter(-1e16, 0.0),
+                np.nextafter(-1e16, -np.inf), 9007199254740993.0, 0.5, 2.0,
+                5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.7976931348623157e308]
+
+_floats = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from(_EDGE_FLOATS).map(float))
+_floats32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), _floats, st.text(max_size=6),
+    _floats.map(np.float64), _floats32.map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.text(max_size=4).map(np.str_),
+    st.builds(complex, _floats, _floats),
+    st.builds(complex, _floats32, _floats32).map(np.complex64),
+    st.integers().map(_Int), st.just(_Flag.ON),
+    _floats.map(np.array),
+    st.lists(st.lists(_floats, min_size=2, max_size=2), min_size=1,
+             max_size=3).map(np.array),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(
+        lambda v: np.array(v).reshape(-1, 1)),
+)
+_keys = st.text(max_size=5) | st.text(max_size=5).map(np.str_)
+_reports = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4).map(_List),
+        st.dictionaries(_keys, inner, max_size=4),
+        st.dictionaries(_keys, inner, max_size=3).map(_Dict),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_reports)
+def test_generated_objects_equal_frozen_renderer(obj):
+    assert _outcome(render_report, obj) == _outcome(_frozen_render_report, obj)
+
+
+@pytest.mark.parametrize("obj", [
+    float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+    np.float32("inf"), complex(1.0, float("nan")),
+    [0.5, 1.0, float("nan")], {"a": [2.0, float("inf")]},
+    np.array([1.0, np.nan]),
+    {1: "x"}, {"a": 1, 2: "b"}, {("a",): 1.0}, _Dict({3: 1}),
+    # a non-string key is reported before a non-finite value
+    {"a": float("nan"), 0: 1},
+    object(), {"a": object()}, [1, {1, 2}], b"bytes", {"a": [np.datetime64(0, "s")]},
+])
+def test_errors_match_frozen_renderer(obj):
+    got = _outcome(render_report, obj)
+    assert isinstance(got, type) and issubclass(got, (ValueError, TypeError))
+    assert got is _outcome(_frozen_render_report, obj)

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,59 @@ def test_series_halfwidth_bisects():
     start = time.perf_counter()
     assert _series_halfwidth(1e-10, 0.0, 1e-15) == 372501
     assert time.perf_counter() - start < 5e-3
+
+
+def _frozen_shifted_lattice_sums(c1, c0, tail_eps=TAIL_EPS, a=1.0):
+    """The lattice-series kernel as a (2N+1) x rows term array and its
+    running sum, for reference."""
+    c1 = np.asarray(c1, dtype=complex)
+    c0 = np.asarray(c0, dtype=complex)
+    n0 = np.round(c1.real / (2.0 * np.pi * a.real))
+    rem = c1 - 2.0 * np.pi * a * n0
+    bmax = float(np.max(np.abs(rem.real))) / (2.0 * np.pi) if c1.size else 0.0
+    N = _series_halfwidth(a.real, bmax, tail_eps)
+    j = np.arange(-N, N + 1, dtype=float)
+    terms = np.exp(-np.pi * a * j[:, None] ** 2 + rem.ravel()[None, :] * j[:, None])
+    core = np.cumsum(terms, axis=0)[-1].reshape(c1.shape)
+    scale = np.exp(-np.pi * a * n0**2 + c1 * n0 + c0)
+    return scale * core, np.abs(core), n0
+
+
+def _lattice_sum_cases():
+    rng = np.random.default_rng(11)
+    wide = rng.normal(size=(3, 4000)) * 20 + 1j * rng.normal(size=(3, 4000)) * 5
+    return {
+        # one element: sum() would add its terms pairwise
+        "one": (np.array([[0.3 - 2.1j]]), np.array([[0.1j]]), 1.0),
+        # F-ordered, as b_product_arrays can pass it
+        "wide": (wide.T, rng.normal(size=(4000, 3)) + 0j, 1.0),
+        "complex_a": (rng.normal(size=(300, 2)) * 3 + 1j * rng.normal(size=(300, 2)),
+                      rng.normal(size=(300, 2)) + 0j, 0.7 - 0.4j),
+    }
+
+
+@pytest.mark.parametrize("name", ["one", "wide", "complex_a"])
+def test_shifted_lattice_sums_equal_frozen_running_sum(name):
+    c1, c0, a = _lattice_sum_cases()[name]
+    got = _shifted_lattice_sums(c1, c0, a=a)
+    want = _frozen_shifted_lattice_sums(c1, c0, a=a)
+    for x, y in zip(got, want):
+        assert x.shape == y.shape and x.flags.c_contiguous == y.flags.c_contiguous
+        assert (x == y).all()
+
+
+def test_shifted_lattice_sums_peak_memory():
+    # the terms are added one row at a time: no (2N+1) x rows array
+    c1, c0, a = _lattice_sum_cases()["wide"]
+    peaks = []
+    for kernel in (_shifted_lattice_sums, _frozen_shifted_lattice_sums):
+        tracemalloc.start()
+        try:
+            kernel(c1, c0, a=a)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 0.6 * peaks[1], peaks
 
 
 def test_b_factor_values():
