@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateTranslation, DimensionMismatch, NCThetaError
 from .lattice import (EmbeddingMap, LatticePoint, QuantumElement, _cmul,
-                      _integral, ball, cocycle_exponent_arrays)
+                      _component_dot, _integral, ball, cocycle_exponent_arrays)
 from .theta import (STRUCTURAL_ZERO_TOL, TAIL_EPS, HermitianFormContext,
                     complex_coordinates, hermitian_pairing_arrays,
                     theta_coefficients)
@@ -187,13 +187,8 @@ def degeneracy_scan(ctx: HermitianFormContext, emb: EmbeddingMap, radius: int,
 
 def _sliced_dot(xs, cubes: list, at: tuple):
     """sum_j xs[j] * cubes[j][at] with the bits of np.sum(..., axis=-1) over
-    the stacked products, which adds fewer than 8 doubles one at a time
-    from zero; summed so, the engine's slices take 0.10 ms per g, not the
-    0.19 ms of np.sum (p=1, q=2 and p=2, q=0 at R=4)."""
-    terms = [x * cube[at] for x, cube in zip(xs, cubes)]
-    if terms and len(terms) * terms[0].itemsize >= 64:
-        return np.sum(np.stack(terms, axis=-1), axis=-1)
-    return sum(terms, 0.0)
+    the stacked products (see lattice._component_dot)."""
+    return _component_dot(xs, [cube[at] for cube in cubes])
 
 
 def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
@@ -306,13 +301,22 @@ def functional_equation_residual_ops(ctx: HermitianFormContext,
                                      g: LatticePoint, kind: str,
                                      tail_eps: float = TAIL_EPS) -> float:
     """Same residual computed literally through translate and the twisted
-    product; reference path for cross-checking the array implementation."""
+    product; reference path for cross-checking the array implementation.
+
+    The residual is the largest |lhs_k - Theta_k| over the interior ball
+    |k|_inf <= R - |g|_inf, read off as slices of the two cubes, with
+    np.hypot for the modulus (the bits of abs of a Python complex); 0.0
+    when that ball is empty, and NaN when a difference is NaN."""
     factor_g = translation_factor(ctx, emb, g, kind, tail_eps)
     shifted = translate(ctx, emb, g, theta, kind, tail_eps)
     lhs = QuantumElement.basis(emb, g.index).multiply(shifted).scaled(factor_g.value)
-    gr = int(np.max(np.abs(g.index)))
-    return max((abs(lhs.coeff(k) - theta.coeff(k))
-                for k in ball(emb.d, theta.radius - gr)), default=0.0)
+    interior = theta.radius - int(np.max(np.abs(g.index)))
+    if interior < 0:
+        return 0.0
+    lhs_at, theta_at = ((slice(x.radius - interior, x.radius + interior + 1),)
+                        * emb.d for x in (lhs, theta))
+    diff = lhs.values[lhs_at] - theta.values[theta_at]
+    return float(np.max(np.hypot(diff.real, diff.imag)))
 
 
 def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,

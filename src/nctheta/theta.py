@@ -174,8 +174,11 @@ class HermitianFormContext:
 def _vecmat(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Rows x_i @ M over leading axes, by stacked matmul so that a row has
     the bits of its one-row call (a batched @ picks its kernel by the
-    batch size)."""
-    return np.matmul(x[..., None, :], M)[..., 0, :]
+    batch size).  Both matmul helpers take C-ordered copies of their
+    operands: rows without unit stride, as in an F-ordered array, go
+    through matmul's non-BLAS loop, which rounds differently (seen from
+    rows of 5 entries)."""
+    return np.matmul(np.ascontiguousarray(x)[..., None, :], M)[..., 0, :]
 
 
 def complex_coordinates(ctx: HermitianFormContext, w1: np.ndarray,
@@ -202,7 +205,9 @@ def hermitian_pairing_arrays(ctx: HermitianFormContext, xg: np.ndarray,
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row dot products x_i @ y_i, by stacked matmul to keep their rounding."""
+    """Row dot products x_i @ y_i, by stacked matmul to keep their
+    rounding; C-ordered as in _vecmat."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 

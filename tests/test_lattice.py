@@ -1,13 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import nctheta as nc
-from nctheta.errors import (DimensionMismatch, SingularEmbedding, SingularQ,
+from nctheta.errors import (DimensionMismatch, NCThetaError, SingularEmbedding,
+                            SingularQ,
                             ZeroTheta)
 from nctheta.heisenberg import GaussianVector
-from nctheta.lattice import QuantumElement, ball, cocycle_exponent_arrays
+from nctheta.lattice import (PRODUCT_CHUNK, QuantumElement, _cmul, ball,
+                             cocycle_exponent_arrays)
 
 
 def test_canonical_embedding_q0_blocks():
@@ -71,6 +74,17 @@ def test_lattice_point_blocks_match_product():
         full = emb.phi @ k
         np.testing.assert_allclose(np.concatenate([h.w1, h.w2, h.m, h.r]),
                                    full, atol=1e-12)
+
+
+def test_blocks_ignore_memory_layout(inst_general):
+    # an F-ordered operand (np.argwhere returns one) takes another einsum
+    # loop; every layout must give the bits of the one-row calls
+    emb = inst_general
+    K = ball(emb.d, 2)
+    rows = [emb.blocks(k[None]) for k in K]
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        for j, block in enumerate(emb.blocks(layout(K))):
+            assert block.tobytes() == np.concatenate([r[j] for r in rows]).tobytes()
 
 
 def test_lattice_point_dimension_mismatch():
@@ -167,6 +181,31 @@ def test_cocycle_exponent_arrays_matches_scalar(inst_general):
     for i in range(len(K)):
         assert vec[i] == pytest.approx(
             nc.cocycle_exponent(g, emb.point(K[i])), abs=1e-12)
+
+
+@pytest.mark.parametrize("p,q", [(0, 3), (1, 2), (3, 1), (2, 5), (8, 9)])
+def test_cocycle_exponent_arrays_keep_np_sum_bits(p, q):
+    # components are summed one at a time; a broadcast batch must carry the
+    # bits of np.sum over the last axis, short (sequential) or long
+    # (pairwise), and of its one-row calls
+    rng = np.random.default_rng(p + 10 * q)
+
+    def blocks(*lead):
+        return (rng.normal(size=lead + (p,)), rng.normal(size=lead + (p,)),
+                rng.integers(-5, 6, size=lead + (q,)),
+                rng.normal(size=lead + (q,)) * 10.0 ** rng.integers(-8, 8))
+
+    x, y = blocks(9, 1), blocks(40)
+    w1x, w2x, mx, rx = x
+    w1y, w2y, my, ry = y
+    frozen = (np.sum(w1x * w2y, axis=-1) + np.sum(mx * ry, axis=-1)
+              - np.sum(w1y * w2x, axis=-1) - np.sum(my * rx, axis=-1))
+    batch = cocycle_exponent_arrays(x, y)
+    assert batch.shape == (9, 40) and batch.tobytes() == frozen.tobytes()
+    rows = [cocycle_exponent_arrays([b[i, 0] for b in x], y) for i in range(9)]
+    assert np.stack(rows).tobytes() == frozen.tobytes()
+    with pytest.raises(DimensionMismatch):
+        cocycle_exponent_arrays(x, (w1y, w2y, my[:, :-1], ry))
 
 
 def test_induced_theta_canonical_q0():
@@ -307,6 +346,78 @@ def test_quantum_theta_product_equals_scalar_double_loop(inst_1_2):
             expected[key] = expected.get(key, 0j) + term
     assert prod.radius == 4
     assert prod.coeffs == {k: v for k, v in expected.items() if abs(v) >= 1e-300}
+
+
+def _frozen_multiply(a, b):
+    """The twisted product as a per-k1 np.add.at loop over the support of
+    b, for reference."""
+    emb = a.embedding
+    K1, c1 = a.as_arrays()
+    K2, c2 = b.as_arrays()
+    R = a.radius + b.radius
+    values = np.zeros((2 * R + 1,) * emb.d, dtype=complex)
+    blocks2 = emb.blocks(K2)
+    for k1, x, c in zip(K1, zip(*emb.blocks(K1)), c1):
+        alpha = np.exp(1j * np.pi * cocycle_exponent_arrays(x, blocks2))
+        np.add.at(values, tuple((K2 + k1 + R).T), _cmul(_cmul(c, c2), alpha))
+    return QuantumElement(embedding=emb, values=values)
+
+
+def _wide_range_element(emb, rng, n, radius):
+    """n random support points (fewer where keys repeat) with coefficients
+    from 1e-20 to 1e4, mixed signs, and some real, imaginary or -0.0 parts."""
+    coeffs = {}
+    for _ in range(n):
+        k = tuple(int(v) for v in rng.integers(-radius, radius + 1, emb.d))
+        re, im = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-20, 4, 2)
+        re, im = [(re, im), (re, -0.0), (0.0, im), (-0.0, im)][rng.integers(4)]
+        coeffs[k] = complex(re, im)
+    return QuantumElement.from_coeffs(emb, coeffs, radius)
+
+
+@pytest.mark.parametrize("name", ["p1q2", "raw_phi"])
+def test_product_equals_frozen_add_at_loop(name, inst_1_2, inst_general):
+    emb = inst_1_2[0] if name == "p1q2" else inst_general
+    rng = np.random.default_rng(21)
+    zero = QuantumElement.from_coeffs(emb, {}, 1)
+    for r1, r2 in itertools.product(range(4), repeat=2):
+        a = _wide_range_element(emb, rng, 7, r1)
+        b = _wide_range_element(emb, rng, 5, r2)
+        for x, y in [(a, b), (b, a), (zero, b), (a, zero), (zero, zero)]:
+            got, want = x.multiply(y), _frozen_multiply(x, y)
+            assert got.radius == want.radius
+            assert got.values.tobytes() == want.values.tobytes()
+    # a left support longer than one chunk, against a dense right factor
+    dense = _wide_range_element(emb, rng, 4 * PRODUCT_CHUNK, 2)
+    assert len(dense.coeffs) > PRODUCT_CHUNK
+    for x, y in [(dense, dense), (dense, a), (a, dense)]:
+        assert x.multiply(y).values.tobytes() == _frozen_multiply(x, y).values.tobytes()
+
+
+def test_theta_product_peak_memory(inst_1_2):
+    # the left support is paired with the right cube PRODUCT_CHUNK rows at
+    # a time; one 625 x 625 batch would need about 25 MB
+    emb, omega = inst_1_2
+    th = nc.quantum_theta(emb, GaussianVector.pure(omega, emb.q), 2)
+    assert len(th.coeffs) == 625
+    tracemalloc.start()
+    try:
+        th.multiply(th)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
+def test_product_rejects_non_finite_coefficients(inst_1_2):
+    emb, _ = inst_1_2
+    finite = QuantumElement.from_coeffs(emb, {(0, 1, 0, 0): 2.0}, 1)
+    for bad in (complex(np.inf, 0.0), complex(0.0, -np.inf), complex(np.nan, 1.0)):
+        other = QuantumElement.from_coeffs(emb, {(1, 0, 0, 0): bad}, 1)
+        with pytest.raises(NCThetaError):
+            finite.multiply(other)
+        with pytest.raises(NCThetaError):
+            other.multiply(finite)
 
 
 def test_quantum_element_serialization_roundtrip(inst_1_0):

@@ -157,6 +157,35 @@ def test_functional_equation_matches_ops_path(inst_1_0, inst_1_2):
         assert rep["max_residual"] == pytest.approx(ref, abs=1e-14)
 
 
+def _frozen_residual_ops(ctx, emb, theta, g, kind):
+    """functional_equation_residual_ops with its per-key coeff() loop,
+    for reference."""
+    factor_g = nc.translation_factor(ctx, emb, g, kind)
+    shifted = nc.translate(ctx, emb, g, theta, kind)
+    lhs = nc.QuantumElement.basis(emb, g.index).multiply(shifted).scaled(
+        factor_g.value)
+    gr = int(np.max(np.abs(g.index)))
+    return max((abs(lhs.coeff(k) - theta.coeff(k))
+                for k in ball(emb.d, theta.radius - gr)), default=0.0)
+
+
+@pytest.mark.parametrize("name,kind", [("p1q0", "manin"), ("p2q0", "manin"),
+                                       ("p1q2", "modified")])
+def test_residual_ops_equals_frozen_per_key_loop(name, kind, corpus):
+    emb, omega = corpus[name]
+    for R in (1, 2, 3):
+        ctx, th = build(emb, omega, R)
+        # |g|_inf = 0, R/2, R and R + 1, the last with no interior ball
+        for size in (0, R // 2, R, R + 1):
+            idx = np.zeros(emb.d, dtype=int)
+            idx[0], idx[-1] = size, -(size // 2)
+            g = emb.point(idx)
+            got = functional_equation_residual_ops(ctx, emb, th, g, kind)
+            assert got == _frozen_residual_ops(ctx, emb, th, g, kind), (R, size)
+            if size > R:
+                assert got == 0.0
+
+
 def test_functional_equation_p0q2(inst_0_2):
     emb, omega = inst_0_2
     ctx, th = build(emb, omega)

@@ -11,7 +11,8 @@ from nctheta.errors import (BadTau, DivergentIntegral, GridMismatch,
 from nctheta.heisenberg import GaussianVector
 from nctheta.lattice import ball
 from nctheta.theta import (SERIES_BUDGET, TAIL_EPS, HermitianFormContext,
-                           _series_halfwidth, _shifted_lattice_sums,
+                           _closed_inner_products, _series_halfwidth,
+                           _shifted_lattice_sums,
                            b_product_arrays, complex_coordinates,
                            hermitian_pairing_arrays, theta_coefficients)
 
@@ -173,6 +174,35 @@ def test_shifted_lattice_sums_peak_memory():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= 0.6 * peaks[1], peaks
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_lattice_kernels_ignore_memory_layout(q):
+    # b.prod(axis=1) rounds differently on F-ordered arrays; the kernels
+    # must give the bits of C-ordered input whatever layout they are passed
+    rng = np.random.default_rng(q)
+    n = 400
+    layouts = (np.ascontiguousarray, np.asfortranarray)
+    c1 = rng.normal(size=(n, q)) * 20 + 1j * rng.normal(size=(n, q)) * 5
+    c0 = rng.normal(size=(n, q)) + 1j * rng.normal(size=(n, q))
+    sums = [_shifted_lattice_sums(lay(c1), lay(c0)) for lay in layouts]
+    r = rng.uniform(-3, 3, size=(n, q))
+    m = rng.integers(-6, 7, size=(n, q))
+    products = [b_product_arrays(lay(r), lay(m)) for lay in layouts]
+    emb = nc.canonical_embedding(1, q, theta=[0.5], Q=np.eye(q),
+                                 Delta=rng.uniform(0.05, 0.45, size=(q, q)))
+    blocks = emb.blocks(rng.integers(-3, 4, size=(n, emb.d)))
+    f = GaussianVector(p=1, q=q, omega=[[0.3 + 1.2j]], ell=[0.1 - 0.2j],
+                       c0=0.8 - 0.3j, n0=rng.integers(-1, 2, q),
+                       mu=rng.normal(size=q) + 0.1j)
+    g = GaussianVector.pure([[0.5j]], q)
+    inner = [_closed_inner_products(f, g, [lay(b) for b in blocks], TAIL_EPS)
+             for lay in layouts]
+    for c_out, f_out in zip(*sums):
+        assert c_out.tobytes() == f_out.tobytes()
+    for c_out, f_out in zip(*products):
+        assert c_out.tobytes() == f_out.tobytes()
+    assert inner[0].tobytes() == inner[1].tobytes()
 
 
 def test_b_factor_values():
