@@ -63,18 +63,18 @@ class RunConfig:
             raise ConfigError(f"bad embedding: {exc}")
         self.structure = self._parse_structure(raw.get("complex_structure"))
         self.truncation_R = raw.get("truncation_R", 4)
-        if not isinstance(self.truncation_R, int) or self.truncation_R < 1:
+        if type(self.truncation_R) is not int or self.truncation_R < 1:
             raise ConfigError("truncation_R must be an integer >= 1")
         tol = dict(DEFAULT_TOLERANCES)
         extra = raw.get("tolerances", {})
         if not isinstance(extra, dict) or not set(extra) <= set(tol):
             raise ConfigError(f"tolerances must be a subset of {sorted(tol)}")
         tol.update(extra)
-        if any(not (isinstance(v, (int, float)) and v > 0) for v in tol.values()):
+        if any(type(v) not in (int, float) or not v > 0 for v in tol.values()):
             raise ConfigError("tolerances must be positive numbers")
         self.tolerances = tol
         self.seed = raw.get("seed", 0)
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         outputs = raw.get("outputs", ["classify", "theta", "verify"])
         if not isinstance(outputs, list) or \
@@ -83,15 +83,16 @@ class RunConfig:
         self.outputs = outputs
 
     def _parse_structure(self, raw):
+        """The configured structure; by default the partial one when p and q
+        are both >= 1, else the diagonal full one (None for odd d)."""
         emb = self.embedding
         if raw is None:
-            if emb.p == 0:
+            if emb.p and emb.q:
+                return holomorphy.ComplexStructure.default_partial(emb.p)
+            if emb.d % 2:
                 return None
-            if emb.q == 0:
-                half = emb.d // 2
-                return holomorphy.ComplexStructure.full(1j * np.eye(half),
-                                                        np.eye(half))
-            return holomorphy.ComplexStructure.default_partial(emb.p)
+            half = emb.d // 2
+            return holomorphy.ComplexStructure.full(1j * np.eye(half), np.eye(half))
         if not isinstance(raw, dict) or "kind" not in raw:
             raise ConfigError("complex_structure needs a 'kind' field")
         kind = raw["kind"]
@@ -133,156 +134,153 @@ def _embedding_block(emb: EmbeddingMap) -> dict:
 
 
 def _classify_report(cfg: RunConfig) -> dict:
-    emb = cfg.embedding
-    cs = cfg.structure
-    report = {"schema_version": SCHEMA_VERSION, "instance": _embedding_block(emb)}
-    if cs is not None and cs.kind == "full":
-        report["classification"] = holomorphy.classify_holomorphic(emb, cs).to_dict()
-    elif emb.p == 0:
-        if emb.d % 2 == 0:
-            half = emb.d // 2
-            default_full = holomorphy.ComplexStructure.full(1j * np.eye(half),
-                                                            np.eye(half))
-            report["classification"] = \
-                holomorphy.classify_holomorphic(emb, default_full).to_dict()
-        else:
-            report["classification"] = {
-                "variant": "skipped",
-                "witness": {"note": "odd dimension admits no full structure"}}
+    emb, cs = cfg.embedding, cfg.structure
+    if cs is None:
+        classification = {"variant": "skipped",
+                          "witness": {"note": "odd dimension admits no full structure"}}
+    elif cs.kind == "full":
+        classification = holomorphy.classify_holomorphic(emb, cs).to_dict()
     else:
         try:
             omega, gmat, witness = holomorphy.solve_partial(emb, cs)
-            report["classification"] = holomorphy.HolomorphyResult(
+            classification = holomorphy.HolomorphyResult(
                 "partial", omega, gmat, witness).to_dict()
         except NoPartialStructure as exc:
-            report["classification"] = {"variant": "no_partial_structure",
-                                        "witness": {"condition": exc.condition}}
-    return report
+            classification = {"variant": "no_partial_structure",
+                              "witness": {"condition": exc.condition}}
+    return {"schema_version": SCHEMA_VERSION, "instance": _embedding_block(emb),
+            "classification": classification}
 
 
-def _theta_form(cfg: RunConfig) -> np.ndarray:
-    """Quadratic form for the theta pipeline (empty for p = 0).
+def _theta_vector(cfg: RunConfig) -> GaussianVector:
+    """Theta vector of the pipeline (the lattice Gaussian for p = 0).
 
     Full structures on q = 0 resolve through the classifier; everything
     else goes through the partial equations (with the default diagonal
     structure when the config supplied a full one on a mixed embedding).
     """
-    emb = cfg.embedding
-    cs = cfg.structure
+    emb, cs = cfg.embedding, cfg.structure
     if emb.p == 0:
-        return np.zeros((0, 0), dtype=complex)
-    if cs is not None and cs.kind == "full" and emb.q == 0:
+        return GaussianVector.pure(np.zeros((0, 0)), emb.q)
+    if cs.kind == "full" and emb.q == 0:
         result = holomorphy.classify_holomorphic(emb, cs)
         if result.variant != "unique":
             raise NoPartialStructure(
                 result.witness.get("failed_condition", "nonexistent"),
                 "supplied structure admits no holomorphic vector")
-        return result.omega
-    partial = cs if cs is not None and cs.kind == "partial" else \
-        holomorphy.ComplexStructure.default_partial(emb.p)
-    return holomorphy.build_theta_vector(emb, partial).omega
+        return GaussianVector.pure(result.omega)
+    if cs.kind == "full":
+        cs = holomorphy.ComplexStructure.default_partial(emb.p)
+    return holomorphy.build_theta_vector(emb, cs)
+
+
+def _theta_report(cfg: RunConfig, vec: GaussianVector, failures: list):
+    """Build the element of `vec` and its closed-formula table and check
+    that the two coefficient routes agree to inner_rel.  Returns (element,
+    form context, table, report); the report is None unless "theta" is
+    among the outputs."""
+    emb, tol = cfg.embedding, cfg.tolerances
+    R, tail_eps = cfg.truncation_R, tol["tail_eps"]
+    ctx = theta.HermitianFormContext(vec.omega)
+    element = theta.quantum_theta(emb, vec, R, tail_eps=tail_eps)
+    table = manin.BallTable.build(ctx, emb, R, tail_eps)
+    support = element.values != 0
+    coeffs, closed = element.values[support], table.values[support]
+    keep = np.abs(closed) > 1e-13
+    formula_residual = float(np.max(np.abs(coeffs - closed))) \
+        if coeffs.size else 0.0
+    phase_residual = float(np.max(np.abs(np.angle(coeffs[keep] / closed[keep])))) \
+        if np.any(keep) else 0.0
+    formula_tol = tol["inner_rel"] * float(np.max(np.abs(closed), initial=0.0))
+    if formula_residual > formula_tol:
+        failures.append(f"coefficient formula residual {formula_residual:.3e}"
+                        f" exceeds inner_rel bound {formula_tol:.3e}")
+    report = None
+    if "theta" in cfg.outputs:
+        certificate = theta.decay_certificate(element)
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "p": emb.p,
+            "q": emb.q,
+            "omega": vec.omega,
+            "R": R,
+            "tail_bound": certificate.get("tail_bound", 0.0),
+            "decay_certificate": certificate,
+            "coefficient_formula_residual": formula_residual,
+            "coefficient_phase_residual": phase_residual,
+            "element": element.to_dict(),
+        }
+    return element, ctx, table, report
+
+
+def _verify_report(cfg: RunConfig, ctx: theta.HermitianFormContext, element,
+                   table: manin.BallTable, failures: list) -> dict:
+    """Functional equation for every |g|_inf <= R // 2; unless a translation
+    is degenerate, also the cocycle law on seeded pairs and the additivity
+    probe.  overall_pass covers the failures of every stage so far."""
+    emb, tol = cfg.embedding, cfg.tolerances
+    tail_eps = tol["tail_eps"]
+    kind = manin.KIND_MANIN if emb.q == 0 else manin.KIND_MODIFIED
+    g_radius = cfg.truncation_R // 2
+    report = {"schema_version": SCHEMA_VERSION, "instance": _embedding_block(emb),
+              "kind": kind, "seed": cfg.seed, "degenerate": False,
+              "cocycle_consistency": None, "additivity": None}
+    try:
+        results = manin.verify_functional_equations(
+            ctx, emb, element, ball(emb.d, g_radius), kind,
+            tail_eps=tail_eps, residual_tol=tol["residual_abs"], table=table)
+    except DegenerateTranslation as exc:
+        report["degenerate"] = True
+        report["functional_equation"] = [{
+            "g": None, "kind": kind, "degenerate": True,
+            "witnesses": [list(i) for i in exc.indices[:16]], "pass": False}]
+        failures.append(
+            f"degenerate translation factors at {len(exc.indices)} ball indices")
+    else:
+        report["functional_equation"] = results
+        failures += [f"functional equation residual {entry['max_residual']:.3e}"
+                     f" at g={tuple(entry['g'])}"
+                     for entry in results if not entry["pass"]]
+        rng = np.random.default_rng(cfg.seed)
+        pair_ball = max(1, g_radius)
+        pair_idx = rng.integers(-pair_ball, pair_ball + 1, size=(100, 2, emb.d))
+        consistency = report["cocycle_consistency"] = \
+            manin.verify_cocycle_consistency(ctx, emb, kind, pair_idx,
+                                             tail_eps=tail_eps)
+        if not consistency["pass"]:
+            failures.append("cocycle consistency residual out of tolerance")
+        additivity = report["additivity"] = manin.additivity_probe(
+            ctx, emb, kind, search_radius=3, tail_eps=tail_eps, seed=cfg.seed)
+        if kind == manin.KIND_MANIN and additivity["verdict"] != "additive":
+            failures.append("translations unexpectedly non-additive")
+        if kind == manin.KIND_MODIFIED and \
+                additivity["verdict"] != "witness_found":
+            failures.append("no non-additivity witness found")
+    report["overall_pass"] = not failures
+    return report
 
 
 def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
-    """Execute the configured pipeline and write reports; returns exit code."""
+    """Run the report stages the outputs need (classify; theta; verify,
+    which needs theta and counts its formula check), write the reports
+    asked for and return the exit code."""
     if seed is not None:
         cfg.seed = seed
-    emb = cfg.embedding
-    tol = cfg.tolerances
-    tail_eps = tol["tail_eps"]
     failures = []
     reports = {}
-
     if "classify" in cfg.outputs:
         reports["classify"] = _classify_report(cfg)
-
-    theta_el = None
-    ctx = None
     if "theta" in cfg.outputs or "verify" in cfg.outputs:
         try:
-            omega = _theta_form(cfg)
+            vec = _theta_vector(cfg)
         except NoPartialStructure as exc:
             failures.append(f"theta vector: {exc}")
             reports["theta"] = {"schema_version": SCHEMA_VERSION, "error": str(exc)}
-            omega = None
-        if omega is not None:
-            vec = GaussianVector.pure(omega, emb.q)
-            ctx = theta.HermitianFormContext(omega)
-            theta_el = theta.quantum_theta(emb, vec, cfg.truncation_R,
-                                           tail_eps=tail_eps)
-            certificate = theta.decay_certificate(theta_el)
-            table = manin.BallTable.build(ctx, emb, cfg.truncation_R, tail_eps)
-            support = theta_el.values != 0
-            coeffs, closed = theta_el.values[support], table.values[support]
-            keep = np.abs(closed) > 1e-13
-            formula_residual = float(np.max(np.abs(coeffs - closed))) \
-                if coeffs.size else 0.0
-            phase_residual = float(np.max(np.abs(np.angle(coeffs[keep] / closed[keep])))) \
-                if np.any(keep) else 0.0
-            formula_tol = tol["inner_rel"] * float(np.max(np.abs(closed), initial=0.0))
-            if formula_residual > formula_tol:
-                failures.append(f"coefficient formula residual {formula_residual:.3e}"
-                                f" exceeds inner_rel bound {formula_tol:.3e}")
-            reports["theta"] = {
-                "schema_version": SCHEMA_VERSION,
-                "p": emb.p,
-                "q": emb.q,
-                "omega": omega,
-                "R": cfg.truncation_R,
-                "tail_bound": certificate.get("tail_bound", 0.0),
-                "decay_certificate": certificate,
-                "coefficient_formula_residual": formula_residual,
-                "coefficient_phase_residual": phase_residual,
-                "element": theta_el.to_dict(),
-            }
-
-    if "verify" in cfg.outputs and theta_el is not None:
-        kind = manin.KIND_MANIN if emb.q == 0 else manin.KIND_MODIFIED
-        rng = np.random.default_rng(cfg.seed)
-        g_radius = cfg.truncation_R // 2
-        degenerate = False
-        try:
-            results = manin.verify_functional_equations(
-                ctx, emb, theta_el, ball(emb.d, g_radius), kind,
-                tail_eps=tail_eps, residual_tol=tol["residual_abs"], table=table)
-        except DegenerateTranslation as exc:
-            degenerate = True
-            results = [{"g": None, "kind": kind, "degenerate": True,
-                        "witnesses": [list(i) for i in exc.indices[:16]],
-                        "pass": False}]
-            failures.append(
-                f"degenerate translation factors at {len(exc.indices)} ball indices")
         else:
-            failures += [f"functional equation residual {entry['max_residual']:.3e}"
-                         f" at g={tuple(entry['g'])}"
-                         for entry in results if not entry["pass"]]
-        consistency = None
-        additivity = None
-        if not degenerate:
-            pair_ball = max(1, g_radius)
-            pair_idx = rng.integers(-pair_ball, pair_ball + 1, size=(100, 2, emb.d))
-            consistency = manin.verify_cocycle_consistency(
-                ctx, emb, kind, pair_idx, tail_eps=tail_eps)
-            if not consistency["pass"]:
-                failures.append("cocycle consistency residual out of tolerance")
-            additivity = manin.additivity_probe(ctx, emb, kind, search_radius=3,
-                                                tail_eps=tail_eps, seed=cfg.seed)
-            if kind == manin.KIND_MANIN and additivity["verdict"] != "additive":
-                failures.append("translations unexpectedly non-additive")
-            if kind == manin.KIND_MODIFIED and \
-                    additivity["verdict"] != "witness_found":
-                failures.append("no non-additivity witness found")
-        reports["verify"] = {
-            "schema_version": SCHEMA_VERSION,
-            "instance": _embedding_block(emb),
-            "kind": kind,
-            "seed": cfg.seed,
-            "functional_equation": results,
-            "cocycle_consistency": consistency,
-            "additivity": additivity,
-            "degenerate": degenerate,
-            "overall_pass": not failures,
-        }
+            element, ctx, table, reports["theta"] = _theta_report(cfg, vec, failures)
+            if "verify" in cfg.outputs:
+                reports["verify"] = _verify_report(cfg, ctx, element, table,
+                                                   failures)
 
     os.makedirs(out_dir, exist_ok=True)
     for name in cfg.outputs:

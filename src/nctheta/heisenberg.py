@@ -153,14 +153,6 @@ class LinearGaussian:
         poly = self.coef_s @ s + self.coef_n @ n + self.const
         return complex(poly * self.base.evaluate(s, n))
 
-    def plus(self, other: "LinearGaussian") -> "LinearGaussian":
-        """Sum of two prefactors over the same base vector."""
-        if other.base is not self.base:
-            raise DimensionMismatch("prefactor sums require an identical base")
-        return LinearGaussian(coef_s=self.coef_s + other.coef_s,
-                              coef_n=self.coef_n + other.coef_n,
-                              const=self.const + other.const, base=self.base)
-
 
 def apply_connection(emb: EmbeddingMap, j: int, f: GaussianVector) -> LinearGaussian:
     """The j-th connection (0-based) acting on f; connection_combination

@@ -378,11 +378,6 @@ class QuantumElement:
                 windows[tuple(at)] += term
         return QuantumElement(embedding=emb, values=values)
 
-    def __mul__(self, other):
-        if isinstance(other, QuantumElement):
-            return self.multiply(other)
-        return NotImplemented
-
     def to_dict(self) -> dict:
         """Serialization with keys sorted lexicographically."""
         K, c = self.as_arrays()

@@ -77,8 +77,6 @@ def _translations(ctx: HermitianFormContext, emb: EmbeddingMap, G, H,
     exponents of the factors and of T, from one blocks call and (modified)
     one closed-formula call on the stacked rows, with BallTable's caveat
     on its bits.  Unchecked: an underflowed C_g C_h gives inf or NaN."""
-    if ctx.p != emb.p:
-        raise DimensionMismatch("lattice points do not match the form dimension")
     n = len(G) + len(H)
     parts = (slice(0, len(G)), slice(len(G), n), slice(n, None))
     rows = np.concatenate([G, H, G + H])

@@ -183,16 +183,18 @@ def _vecmat(x: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 def complex_coordinates(ctx: HermitianFormContext, w1: np.ndarray,
                         w2: np.ndarray) -> np.ndarray:
-    """x = Omega w1 + w2, vectorized over leading axes."""
-    return _vecmat(np.asarray(w1), ctx.omega) + np.asarray(w2)
+    """x = Omega w1 + w2, vectorized over leading axes; DimensionMismatch
+    unless the rows of w1 have the form's p entries."""
+    w1 = np.asarray(w1)
+    if w1.shape[-1:] != (ctx.p,):
+        raise DimensionMismatch("lattice points do not match the form dimension")
+    return _vecmat(w1, ctx.omega) + np.asarray(w2)
 
 
 def hermitian_form(ctx: HermitianFormContext, g: LatticePoint,
                    h: LatticePoint) -> complex:
     """Sesquilinear H(g, h) = x_g^T (Im Omega)^{-1} conj(x_h) on the
     continuous blocks; H(h, h) is real and nonnegative."""
-    if g.p != ctx.p or h.p != ctx.p:
-        raise DimensionMismatch("lattice points do not match the form dimension")
     return complex(hermitian_pairing_arrays(
         ctx, complex_coordinates(ctx, g.w1, g.w2),
         complex_coordinates(ctx, h.w1, h.w2)))

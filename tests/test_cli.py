@@ -186,6 +186,74 @@ def test_subcommand_scopes(tmp_path):
     assert not (out2 / "verify.json").exists()
 
 
+
+MIXED_EMBEDDING = {"p": 1, "q": 2, "theta": [0.5], "Q": [[1, 0], [0, 1]],
+                   "Delta": [[0.2, 0.0], [0.0, 0.7]]}
+FULL_MIXED = {"kind": "full", "t1": [[[0, 1], [0, 0]], [[0, 0], [0, 1]]],
+              "t2": [[1, 0], [0, 1]]}
+# one config per structure branch: (config, classification variant, exit code)
+STRUCTURE_BRANCHES = {
+    "full_q0": ({"embedding": {"p": 1, "q": 0, "theta": [0.5]},
+                 "complex_structure": {"kind": "full", "t1": [[[0.0, 0.5]]],
+                                       "t2": [[1.0]]}}, "unique", 0),
+    "full_mixed": ({"embedding": MIXED_EMBEDDING,
+                    "complex_structure": FULL_MIXED}, "nonexistent", 0),
+    "partial": ({"embedding": MIXED_EMBEDDING,
+                 "complex_structure": {"kind": "partial", "t1": [[[0, 1]]],
+                                       "t2": [[1.0]]}}, "partial", 0),
+    "delta_only": ({"embedding": {"p": 0, "q": 2, "Q": [[2, 1], [0, 1]],
+                                  "Delta": [[0.15, 0.0], [0.0, 0.25]]}},
+                   "delta_only", 0),
+    "skipped": ({"embedding": {"p": 0, "q": 1, "Q": [[1]], "Delta": [[0.3]]}},
+                "skipped", 0),
+    "failing_full": ({"embedding": {"p": 1, "q": 0, "theta": [0.5]},
+                      "complex_structure": {"kind": "full", "t1": [[[0, -0.5]]],
+                                            "t2": [[1.0]]}}, "nonexistent", 2),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(STRUCTURE_BRANCHES))
+def test_subcommands_write_the_bytes_of_all(tmp_path, branch):
+    config, variant, code = STRUCTURE_BRANCHES[branch]
+    cfg = write_config(tmp_path, dict(config, truncation_R=2, seed=3))
+    scopes = {"all": ["classify", "theta", "verify"], "classify": ["classify"],
+              "theta": ["classify", "theta"], "verify": ["verify"]}
+    outs = {command: tmp_path / command for command in scopes}
+    for command, out in outs.items():
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == \
+            (0 if command == "classify" else code)
+    classify = json.loads((outs["all"] / "classify.json").read_text())
+    assert classify["classification"]["variant"] == variant
+    # a failed theta vector leaves an error theta report and no verify report
+    made = ["classify", "theta", "verify"] if code == 0 else ["classify", "theta"]
+    for command, out in outs.items():
+        written = [name for name in scopes[command] if name in made]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["reports_written"] == written
+        assert sorted(path.name for path in out.iterdir()) == \
+            sorted([f"{name}.json" for name in written] + ["summary.json"])
+        for name in written:
+            assert (out / f"{name}.json").read_bytes() == \
+                (outs["all"] / f"{name}.json").read_bytes(), (command, name)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"truncation_R": True, "seed": False},
+    {"truncation_R": True},
+    {"seed": False},
+    {"seed": True},
+    {"tolerances": {"inner_rel": True}},
+    {"tolerances": {"residual_abs": True}},
+    {"tolerances": {"tail_eps": True}},
+])
+def test_boolean_numbers_rejected(tmp_path, overrides):
+    # bool is an int subclass: JSON true/false must not stand in for numbers
+    cfg = write_config(tmp_path, dict(
+        {"embedding": {"p": 1, "q": 0, "theta": [0.5]}}, **overrides))
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
+
 def test_partial_structure_config(tmp_path):
     cfg = write_config(tmp_path, {
         "embedding": {"p": 1, "q": 2, "theta": [0.5],

@@ -8,8 +8,8 @@ from nctheta.errors import (DegenerateTranslation, DimensionMismatch,
                              NCThetaError)
 from nctheta.heisenberg import GaussianVector
 from nctheta.lattice import ball, cocycle_exponent_arrays
-from nctheta.manin import (TranslationFactor, _multipliers, _translations,
-                           functional_equation_residual_ops)
+from nctheta.manin import (BallTable, TranslationFactor, _multipliers,
+                           _translations, functional_equation_residual_ops)
 from nctheta.theta import (STRUCTURAL_ZERO_TOL, TAIL_EPS, HermitianFormContext,
                            b_product_arrays, complex_coordinates, hermitian_form,
                            hermitian_pairing_arrays, theta_coefficients)
@@ -52,12 +52,25 @@ def test_translation_factor_degenerate_flag():
 
 
 def test_translation_form_dimension_checked(inst_1_0):
-    # a form of another dimension is a typed error in both conventions
-    emb, _ = inst_1_0
+    # a form of another dimension is a typed error in both conventions,
+    # raised by complex_coordinates, the one place that compares the two
+    emb, omega = inst_1_0
+    _, element = build(emb, omega, R=2)
     ctx = HermitianFormContext(np.diag([1j, 1j]))
+    g = emb.point([1, 0])
     for kind in ("manin", "modified"):
-        with pytest.raises(DimensionMismatch):
-            nc.translation_factor(ctx, emb, emb.point([1, 0]), kind)
+        for call in [
+                lambda: theta_coefficients(ctx, emb, ball(emb.d, 1)),
+                lambda: BallTable.build(ctx, emb, 2),
+                lambda: nc.verify_functional_equations(ctx, emb, element,
+                                                       ball(emb.d, 1), kind),
+                lambda: nc.translate(ctx, emb, g, element, kind),
+                lambda: nc.translation_factor(ctx, emb, g, kind),
+                lambda: hermitian_form(ctx, g, g),
+                lambda: complex_coordinates(ctx, np.zeros((3, 1)),
+                                            np.zeros((3, 1)))]:
+            with pytest.raises(DimensionMismatch):
+                call()
 
 
 def test_translate_identity_and_support(inst_1_0):
