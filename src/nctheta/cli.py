@@ -28,13 +28,19 @@ SCHEMA_VERSION = 1
 DEFAULT_TOLERANCES = {"inner_rel": 1e-6, "residual_abs": 1e-9, "tail_eps": 1e-15}
 
 
+def _real(v) -> bool:
+    """A JSON number: int or float, not a boolean."""
+    return type(v) in (int, float)
+
+
 def _complex_entry(v):
-    if isinstance(v, (int, float)):
+    if _real(v):
         return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    if isinstance(v, dict) and set(v) <= {"re", "im"} and v:
-        return complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
+    if isinstance(v, list) and len(v) == 2 and all(map(_real, v)):
+        return complex(v[0], v[1])
+    if isinstance(v, dict) and v and set(v) <= {"re", "im"} and \
+            all(map(_real, v.values())):
+        return complex(v.get("re", 0.0), v.get("im", 0.0))
     raise ConfigError(f"cannot parse complex entry {v!r}")
 
 
@@ -133,13 +139,32 @@ def _embedding_block(emb: EmbeddingMap) -> dict:
     return {"p": emb.p, "q": emb.q, "phi": emb.phi}
 
 
-def _classify_report(cfg: RunConfig) -> dict:
+def _full_classification(cfg: RunConfig) -> holomorphy.HolomorphyResult | None:
+    """The classifier's result for a configured full structure, computed
+    once for the stages that read it: the classify report, and the theta
+    vector on q = 0.  None when no stage needs it."""
+    emb, cs = cfg.embedding, cfg.structure
+    if cs is None or cs.kind != "full":
+        return None
+    if "classify" in cfg.outputs or (emb.q == 0 and _runs_theta(cfg)):
+        return holomorphy.classify_holomorphic(emb, cs)
+    return None
+
+
+def _runs_theta(cfg: RunConfig) -> bool:
+    """Whether the theta stage runs: its report or the verify stage,
+    which reads its element, is asked for."""
+    return "theta" in cfg.outputs or "verify" in cfg.outputs
+
+
+def _classify_report(cfg: RunConfig,
+                     full: holomorphy.HolomorphyResult | None) -> dict:
     emb, cs = cfg.embedding, cfg.structure
     if cs is None:
         classification = {"variant": "skipped",
                           "witness": {"note": "odd dimension admits no full structure"}}
     elif cs.kind == "full":
-        classification = holomorphy.classify_holomorphic(emb, cs).to_dict()
+        classification = full.to_dict()
     else:
         try:
             omega, gmat, witness = holomorphy.solve_partial(emb, cs)
@@ -152,23 +177,24 @@ def _classify_report(cfg: RunConfig) -> dict:
             "classification": classification}
 
 
-def _theta_vector(cfg: RunConfig) -> GaussianVector:
+def _theta_vector(cfg: RunConfig,
+                  full: holomorphy.HolomorphyResult | None) -> GaussianVector:
     """Theta vector of the pipeline (the lattice Gaussian for p = 0).
 
-    Full structures on q = 0 resolve through the classifier; everything
-    else goes through the partial equations (with the default diagonal
-    structure when the config supplied a full one on a mixed embedding).
+    Full structures on q = 0 resolve through the classifier's result
+    `full`; everything else goes through the partial equations (with the
+    default diagonal structure when the config supplied a full one on a
+    mixed embedding).
     """
     emb, cs = cfg.embedding, cfg.structure
     if emb.p == 0:
         return GaussianVector.pure(np.zeros((0, 0)), emb.q)
     if cs.kind == "full" and emb.q == 0:
-        result = holomorphy.classify_holomorphic(emb, cs)
-        if result.variant != "unique":
+        if full.variant != "unique":
             raise NoPartialStructure(
-                result.witness.get("failed_condition", "nonexistent"),
+                full.witness.get("failed_condition", "nonexistent"),
                 "supplied structure admits no holomorphic vector")
-        return GaussianVector.pure(result.omega)
+        return GaussianVector.pure(full.omega)
     if cs.kind == "full":
         cs = holomorphy.ComplexStructure.default_partial(emb.p)
     return holomorphy.build_theta_vector(emb, cs)
@@ -208,7 +234,7 @@ def _theta_report(cfg: RunConfig, vec: GaussianVector, failures: list):
             "decay_certificate": certificate,
             "coefficient_formula_residual": formula_residual,
             "coefficient_phase_residual": phase_residual,
-            "element": element.to_dict(),
+            "element": element,
         }
     return element, ctx, table, report
 
@@ -268,11 +294,12 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
         cfg.seed = seed
     failures = []
     reports = {}
+    full = _full_classification(cfg)
     if "classify" in cfg.outputs:
-        reports["classify"] = _classify_report(cfg)
-    if "theta" in cfg.outputs or "verify" in cfg.outputs:
+        reports["classify"] = _classify_report(cfg, full)
+    if _runs_theta(cfg):
         try:
-            vec = _theta_vector(cfg)
+            vec = _theta_vector(cfg, full)
         except NoPartialStructure as exc:
             failures.append(f"theta vector: {exc}")
             reports["theta"] = {"schema_version": SCHEMA_VERSION, "error": str(exc)}

@@ -379,7 +379,9 @@ class QuantumElement:
         return QuantumElement(embedding=emb, values=values)
 
     def to_dict(self) -> dict:
-        """Serialization with keys sorted lexicographically."""
+        """Serialization with keys sorted lexicographically.  The reports
+        renderer writes a QuantumElement itself with the bytes it writes
+        for this dict (see nctheta.reports)."""
         K, c = self.as_arrays()
         return {"radius": self.radius,
                 "coeffs": [{"k": k, "re": z.real, "im": z.imag}
@@ -392,12 +394,26 @@ class QuantumElement:
         return cls.from_coeffs(emb, coeffs, int(data["radius"]))
 
 
+def _has_bool(v) -> bool:
+    if isinstance(v, list):
+        return any(map(_has_bool, v))
+    return isinstance(v, bool)
+
+
 def embedding_from_config(cfg: dict) -> EmbeddingMap:
     """Build an embedding from its JSON form.
 
     Accepts either canonical parameters {"p", "q", "theta", "Q", "Delta"}
-    or a raw matrix {"p", "q", "phi"}; p and q are always explicit.
+    or a raw matrix {"p", "q", "phi"}; p and q are always explicit.  JSON
+    booleans, which Python reads as 0 and 1, raise TypeError in any of
+    these fields.
     """
+    if not isinstance(cfg, dict):
+        raise TypeError("an embedding config must be a JSON object")
+    flagged = [k for k in ("p", "q", "theta", "Q", "Delta", "phi")
+               if _has_bool(cfg.get(k))]
+    if flagged:
+        raise TypeError(f"booleans are not numbers: {flagged}")
     if "phi" in cfg:
         phi = np.asarray(cfg["phi"], dtype=float)
         if "p" in cfg and "q" in cfg:

@@ -13,6 +13,9 @@ Identical inputs always serialize to identical bytes.  The byte contract:
   ``true``/``false``; ``None`` as ``null``.
 * Complex numbers as ``{"im": ..., "re": ...}`` objects; numpy arrays as
   nested lists; tuples as lists.
+* A ``QuantumElement`` (exact type) as its ``to_dict()`` would be written,
+  byte for byte: ``{"coeffs": [{"im", "k", "re"} rows], "radius": R}``,
+  written from its support arrays without building that dict.
 * Strings with backslash, double quote, newline and tab escaped.
 * Any other object raises TypeError.
 """
@@ -22,6 +25,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .lattice import QuantumElement
+
+# support rows of a QuantumElement per %-formatting call of its writer
+ELEMENT_CHUNK = 4096
 
 
 def _format_float(x: float) -> str:
@@ -82,7 +90,42 @@ def _render(obj, indent: int, pad: str) -> str:
             else:
                 parts.append(_render(v, indent, inner))
         return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+    if t is QuantumElement:
+        return _render_element(obj, indent, pad)
     return _render_other(obj, indent, pad)
+
+
+def _render_element(element: QuantumElement, indent: int, pad: str) -> str:
+    """element.to_dict() as _render writes it, from element.as_arrays():
+    one row template per choice of the float formats of "im" and "re",
+    and one template % args call per ELEMENT_CHUNK rows."""
+    p1, p2, p3, p4 = (pad + " " * (indent * j) for j in (1, 2, 3, 4))
+    tail = f'"radius": {element.radius}\n{pad}}}'
+    K, c = element.as_arrays()
+    if not len(K):
+        return f'{{\n{p1}"coeffs": [],\n{p1}{tail}'
+    k = f",\n{p4}".join(["%d"] * K.shape[1])
+    # templates[2 * re_short + im_short]: a part is short when
+    # _format_float writes it with one decimal
+    templates = [f'{{\n{p3}"im": {im},\n{p3}"k": [\n{p4}{k}\n{p3}],\n'
+                 f'{p3}"re": {re}\n{p2}}}'
+                 for re in ("%.17g", "%.1f") for im in ("%.17g", "%.1f")]
+    sep = f",\n{p2}"
+    chunks = []
+    for start in range(0, len(K), ELEMENT_CHUNK):
+        rows = slice(start, start + ELEMENT_CHUNK)
+        parts = np.stack((c.imag[rows], c.real[rows]), axis=1)
+        finite = np.isfinite(parts)
+        if not finite.all():
+            _format_float(float(parts[~finite][0]))  # raises ValueError
+        short = (np.trunc(parts) == parts) & (np.abs(parts) < 1e16)
+        args = np.empty((len(parts), K.shape[1] + 2), dtype=object)
+        args[:, 0], args[:, 1:-1], args[:, -1] = parts[:, 0], K[rows], parts[:, 1]
+        template = sep.join([templates[i] for i in
+                             (2 * short[:, 1] + short[:, 0]).tolist()])
+        chunks.append(template % tuple(args.ravel().tolist()))
+    return f'{{\n{p1}"coeffs": [\n{p2}' + sep.join(chunks) + \
+        f'\n{p1}],\n{p1}{tail}'
 
 
 def _render_other(obj, indent: int, pad: str) -> str:

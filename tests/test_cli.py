@@ -1,12 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nctheta import cli, theta
+from nctheta import cli, holomorphy, theta
 from nctheta.errors import ConfigError
 from nctheta.heisenberg import GaussianVector
 from nctheta.lattice import ball, embedding_from_config
+
+
+VERIFY_CONT = Path(__file__).parent.parent / "perfbench" / "workloads" / "verify_cont.json"
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -253,6 +257,45 @@ def test_boolean_numbers_rejected(tmp_path, overrides):
     out = tmp_path / "out"
     assert cli.main(["all", "--config", cfg, "--out", str(out)]) == 1
     assert not out.exists()
+
+@pytest.mark.parametrize("config", [
+    {"embedding": {"p": 1, "q": 0, "theta": [0.5]},
+     "complex_structure": {"kind": "full", "t1": [[[0, True]]], "t2": [[True]]}},
+    {"embedding": {"p": 1, "q": 0, "theta": [0.5]},
+     "complex_structure": {"kind": "full", "t1": [[{"re": 0, "im": True}]],
+                           "t2": [[1]]}},
+    {"embedding": {"p": 1, "q": 1, "theta": [True], "Q": [[True]],
+                   "Delta": [[0.3]]}},
+    {"embedding": {"p": 1, "q": 1, "theta": [0.5], "Q": [[1]],
+                   "Delta": [[False]]}},
+    {"embedding": {"p": True, "q": 0, "theta": [0.5]}},
+    {"embedding": {"p": 1, "q": 0, "phi": [[0.5, 0.0], [0.0, True]]}},
+], ids=["t1_pair_t2", "t1_object", "theta_Q", "Delta", "p", "phi"])
+def test_boolean_matrix_entries_rejected(tmp_path, config):
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert cli.main(["classify", "--config", cfg, "--out", str(out)]) == 1
+    assert cli.main(["all", "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_full_structure_on_q0_classified_once(tmp_path, monkeypatch):
+    # the classify and theta reports read one classifier result
+    calls = []
+    classify = holomorphy.classify_holomorphic
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(holomorphy, "classify_holomorphic", counted)
+    config = json.loads(VERIFY_CONT.read_text())
+    cfg = write_config(tmp_path, config)
+    assert cli.main(["all", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    assert len(calls) == 2
+
 
 def test_partial_structure_config(tmp_path):
     cfg = write_config(tmp_path, {

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import nctheta as nc
 from nctheta import cli, reports
 from nctheta.heisenberg import GaussianVector
-from nctheta.reports import render_report
+from nctheta.lattice import QuantumElement
+from nctheta.reports import ELEMENT_CHUNK, render_report
 
 
 def test_roundtrip_and_sorted_keys():
@@ -137,13 +138,21 @@ CONTINUOUS = {"embedding": {"p": 2, "q": 0, "theta": [0.5, 0.25]},
 @pytest.mark.parametrize("config", [ACCEPTANCE, CONTINUOUS],
                          ids=["p1q2", "p2q0"])
 def test_pipeline_reports_equal_frozen_renderer(monkeypatch, tmp_path, config):
+    # the theta report carries the element itself; the frozen renderer
+    # gets its to_dict() in its place
     captured = _captured_reports(monkeypatch, tmp_path, config)
     assert len(captured) == 4
+    elements = 0
     for path, obj in captured.items():
         text = render_report(obj)
+        if "element" in obj:
+            assert type(obj["element"]) is QuantumElement, path
+            obj = dict(obj, element=obj["element"].to_dict())
+            elements += 1
         assert text == _frozen_render_report(obj), path
         with open(path) as fh:
             assert fh.read() == text
+    assert elements == 1
 
 
 def test_element_reports_equal_frozen_renderer(inst_1_2):
@@ -234,3 +243,92 @@ def test_errors_match_frozen_renderer(obj):
     got = _outcome(render_report, obj)
     assert isinstance(got, type) and issubclass(got, (ValueError, TypeError))
     assert got is _outcome(_frozen_render_report, obj)
+
+
+# The element writer against the generic rendering of to_dict().
+
+_ELEMENT_FLOATS = [0.0, -0.0, 1.0, -3.0, 0.5, 1e16, -1e16,
+                   np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf),
+                   np.nextafter(-1e16, 0.0), np.nextafter(-1e16, -np.inf),
+                   9007199254740993.0, 4503599627370495.5, -1.2345678901234567e15,
+                   1.5e300, 1.7976931348623157e308, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 1e-310, 0.1]
+_element_floats = (st.sampled_from(_ELEMENT_FLOATS).map(float)
+                   | st.floats(allow_nan=False, allow_infinity=False))
+# one embedding per dimension d = 2p + q
+_EMBEDDINGS = {1: nc.canonical_embedding(0, 1, Q=[[1]], Delta=[[0.5]]),
+               2: nc.canonical_embedding(1, 0, theta=[0.5]),
+               3: nc.canonical_embedding(1, 1, theta=[0.5], Q=[[1]], Delta=[[0.5]]),
+               4: nc.canonical_embedding(2, 0, theta=[0.5, 0.25])}
+
+
+# side of a square cube with room for two chunks and one row
+_BULK_SIDE = 2 * (int(np.sqrt(2 * ELEMENT_CHUNK + 1)) // 2) + 3
+
+
+def _bulk_element(size, seed):
+    """A d = 2 element whose support is the first `size` entries of its
+    cube, with parts drawn from _ELEMENT_FLOATS and a normal law."""
+    rng = np.random.default_rng(seed)
+    parts = np.where(rng.random((size, 2)) < 0.5,
+                     rng.choice(_ELEMENT_FLOATS, size=(size, 2)),
+                     rng.normal(size=(size, 2)) * 10.0 ** rng.integers(-5, 20, (size, 2)))
+    parts[np.abs(parts).max(axis=1) < 1e-300, 0] = 1.0  # keep every row
+    values = np.zeros(_BULK_SIDE ** 2, dtype=complex)
+    values[:size] = parts[:, 0] + 1j * parts[:, 1]
+    element = QuantumElement(_EMBEDDINGS[2], values.reshape(_BULK_SIDE, -1))
+    assert np.count_nonzero(element.values) == size
+    return element
+
+
+@st.composite
+def _elements(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return _bulk_element(draw(st.sampled_from([ELEMENT_CHUNK - 1, ELEMENT_CHUNK,
+                                                   ELEMENT_CHUNK + 1])),
+                             draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 4))
+    side = 2 * draw(st.integers(0, 2 if d < 4 else 1)) + 1
+    values = np.zeros(side ** d, dtype=complex)
+    for at, re, im in draw(st.lists(st.tuples(st.integers(0, side ** d - 1),
+                                              _element_floats, _element_floats),
+                                    max_size=12)):
+        values[at] = complex(re, im)
+    return QuantumElement(_EMBEDDINGS[d], values.reshape((side,) * d))
+
+
+def _element_mismatch(el):
+    """None if el renders as el.to_dict() does, in a dict and in a list,
+    else the first lines that differ (a plain assert would diff the whole
+    texts, which takes minutes at a few thousand rows)."""
+    fast = render_report({"e": el, "l": [el]}).splitlines()
+    slow = render_report({"e": el.to_dict(), "l": [el.to_dict()]}).splitlines()
+    if fast == slow:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(fast, slow)) if a != b),
+              min(len(fast), len(slow)))
+    return at, fast[at:at + 3], slow[at:at + 3]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_elements())
+def test_element_renders_as_its_dict(el):
+    assert _element_mismatch(el) is None
+
+
+@pytest.mark.parametrize("size", [0, 1, ELEMENT_CHUNK - 1, ELEMENT_CHUNK,
+                                  ELEMENT_CHUNK + 1, 2 * ELEMENT_CHUNK + 1])
+def test_element_chunk_boundaries(size):
+    assert _element_mismatch(_bulk_element(size, seed=size)) is None
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("at", [0, ELEMENT_CHUNK + 2])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_element_non_finite_raises(bad, at, part):
+    values = _bulk_element(2 * ELEMENT_CHUNK, seed=at).values.copy()
+    values.ravel()[at] = complex(bad, 0.5) if part == "re" else complex(1.0, bad)
+    el = QuantumElement(_EMBEDDINGS[2], values)
+    for obj in ({"e": el}, {"e": el.to_dict()}):
+        with pytest.raises(ValueError):
+            render_report(obj)

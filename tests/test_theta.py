@@ -90,18 +90,38 @@ def test_theta_out_of_range_raises():
     assert time.perf_counter() - start < 1.0
 
 
+def _halfwidth_holds(n, a, b, log_tail):
+    """The tail condition at one n, in scalar arithmetic."""
+    log_ratio = -math.pi * a * (2 * n + 3) + 2 * math.pi * b
+    if log_ratio >= 0.0:
+        return False
+    log_head = -math.pi * a * (n + 1) ** 2 + 2 * math.pi * b * (n + 1)
+    return log_head + math.log(2.0 / (1.0 - math.exp(log_ratio))) < log_tail
+
+
 def _linear_halfwidth(a, b, tail_eps):
-    """The halfwidth search as a linear walk from b/a, for reference."""
+    """The halfwidth search as a linear scan up from b/a, for reference.
+
+    Each block of consecutive n (64 at first, then twice as many up to
+    2^16) is tested at once in numpy, whose exp and log may round
+    otherwise than math's; where its margin to the bound is within 1e-6,
+    the scalar test decides.  The products and sums are the scalar
+    test's, in its order, so their bits agree.
+    """
     log_tail = math.log(tail_eps)
-    n = max(1, math.ceil(b / a) + 1)
+    start, block = max(1, math.ceil(b / a) + 1), 64
     while True:
+        n = np.arange(start, start + block)
         log_ratio = -math.pi * a * (2 * n + 3) + 2 * math.pi * b
-        if log_ratio < 0.0:
-            ratio = math.exp(log_ratio)
-            log_head = -math.pi * a * (n + 1) ** 2 + 2 * math.pi * b * (n + 1)
-            if log_head + math.log(2.0 / (1.0 - ratio)) < log_tail:
-                return n
-        n += 1
+        log_head = -math.pi * a * (n + 1) ** 2 + 2 * math.pi * b * (n + 1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            margin = log_tail - (log_head + np.log(2.0 / (1.0 - np.exp(log_ratio))))
+        holds = (log_ratio < 0.0) & (margin > 0.0)
+        near = (log_ratio < 0.0) & (np.abs(margin) <= 1e-6)
+        holds[near] = [_halfwidth_holds(k, a, b, log_tail) for k in n[near].tolist()]
+        if holds.any():
+            return int(n[np.argmax(holds)])
+        start, block = start + block, min(2 * block, 2**16)
 
 
 def test_series_halfwidth_matches_linear_search():
