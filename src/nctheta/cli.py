@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -29,8 +30,11 @@ DEFAULT_TOLERANCES = {"inner_rel": 1e-6, "residual_abs": 1e-9, "tail_eps": 1e-15
 
 
 def _real(v) -> bool:
-    """A JSON number: int or float, not a boolean."""
-    return type(v) in (int, float)
+    """A JSON number that is a finite double: int or float, not a boolean."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an int beyond double range
+        return False
 
 
 def _complex_entry(v):
@@ -65,7 +69,8 @@ class RunConfig:
             raise ConfigError("config requires an 'embedding' object")
         try:
             self.embedding: EmbeddingMap = embedding_from_config(raw["embedding"])
-        except (NCThetaError, ValueError, KeyError, TypeError) as exc:
+        except (NCThetaError, ValueError, KeyError, TypeError,
+                OverflowError) as exc:  # from an int beyond double range
             raise ConfigError(f"bad embedding: {exc}")
         self.structure = self._parse_structure(raw.get("complex_structure"))
         self.truncation_R = raw.get("truncation_R", 4)
@@ -76,8 +81,8 @@ class RunConfig:
         if not isinstance(extra, dict) or not set(extra) <= set(tol):
             raise ConfigError(f"tolerances must be a subset of {sorted(tol)}")
         tol.update(extra)
-        if any(type(v) not in (int, float) or not v > 0 for v in tol.values()):
-            raise ConfigError("tolerances must be positive numbers")
+        if any(not _real(v) or not v > 0 for v in tol.values()):
+            raise ConfigError("tolerances must be positive finite numbers")
         self.tolerances = tol
         self.seed = raw.get("seed", 0)
         if type(self.seed) is not int or self.seed < 0:
@@ -139,16 +144,24 @@ def _embedding_block(emb: EmbeddingMap) -> dict:
     return {"p": emb.p, "q": emb.q, "phi": emb.phi}
 
 
-def _full_classification(cfg: RunConfig) -> holomorphy.HolomorphyResult | None:
-    """The classifier's result for a configured full structure, computed
-    once for the stages that read it: the classify report, and the theta
-    vector on q = 0.  None when no stage needs it."""
+def _classification(cfg: RunConfig):
+    """The classifier's result for the configured structure, computed once
+    for the stages that read it: the classify report, and the theta
+    vector unless a full structure meets a lattice sector.  A
+    HolomorphyResult (variant "partial" from solve_partial), the
+    NoPartialStructure that solve_partial raised, or None when no stage
+    needs it."""
     emb, cs = cfg.embedding, cfg.structure
-    if cs is None or cs.kind != "full":
+    if cs is None or not ("classify" in cfg.outputs or (
+            _runs_theta(cfg) and (cs.kind == "partial" or emb.q == 0))):
         return None
-    if "classify" in cfg.outputs or (emb.q == 0 and _runs_theta(cfg)):
+    if cs.kind == "full":
         return holomorphy.classify_holomorphic(emb, cs)
-    return None
+    try:
+        return holomorphy.HolomorphyResult(
+            "partial", *holomorphy.solve_partial(emb, cs))
+    except NoPartialStructure as exc:
+        return exc
 
 
 def _runs_theta(cfg: RunConfig) -> bool:
@@ -157,47 +170,42 @@ def _runs_theta(cfg: RunConfig) -> bool:
     return "theta" in cfg.outputs or "verify" in cfg.outputs
 
 
-def _classify_report(cfg: RunConfig,
-                     full: holomorphy.HolomorphyResult | None) -> dict:
-    emb, cs = cfg.embedding, cfg.structure
-    if cs is None:
+def _classify_report(cfg: RunConfig, classification) -> dict:
+    if classification is None:
         classification = {"variant": "skipped",
                           "witness": {"note": "odd dimension admits no full structure"}}
-    elif cs.kind == "full":
-        classification = full.to_dict()
+    elif isinstance(classification, NoPartialStructure):
+        classification = {"variant": "no_partial_structure",
+                          "witness": {"condition": classification.condition}}
     else:
-        try:
-            omega, gmat, witness = holomorphy.solve_partial(emb, cs)
-            classification = holomorphy.HolomorphyResult(
-                "partial", omega, gmat, witness).to_dict()
-        except NoPartialStructure as exc:
-            classification = {"variant": "no_partial_structure",
-                              "witness": {"condition": exc.condition}}
-    return {"schema_version": SCHEMA_VERSION, "instance": _embedding_block(emb),
+        classification = classification.to_dict()
+    return {"schema_version": SCHEMA_VERSION,
+            "instance": _embedding_block(cfg.embedding),
             "classification": classification}
 
 
-def _theta_vector(cfg: RunConfig,
-                  full: holomorphy.HolomorphyResult | None) -> GaussianVector:
+def _theta_vector(cfg: RunConfig, classification) -> GaussianVector:
     """Theta vector of the pipeline (the lattice Gaussian for p = 0).
 
-    Full structures on q = 0 resolve through the classifier's result
-    `full`; everything else goes through the partial equations (with the
-    default diagonal structure when the config supplied a full one on a
-    mixed embedding).
+    A full structure on q = 0 and a partial one resolve through the
+    run's `classification`; a full structure on a mixed embedding goes
+    through the partial equations of the default diagonal structure.
     """
     emb, cs = cfg.embedding, cfg.structure
     if emb.p == 0:
         return GaussianVector.pure(np.zeros((0, 0)), emb.q)
-    if cs.kind == "full" and emb.q == 0:
-        if full.variant != "unique":
-            raise NoPartialStructure(
-                full.witness.get("failed_condition", "nonexistent"),
-                "supplied structure admits no holomorphic vector")
-        return GaussianVector.pure(full.omega)
-    if cs.kind == "full":
-        cs = holomorphy.ComplexStructure.default_partial(emb.p)
-    return holomorphy.build_theta_vector(emb, cs)
+    if cs.kind == "full" and emb.q:
+        return holomorphy.build_theta_vector(
+            emb, holomorphy.ComplexStructure.default_partial(emb.p))
+    if isinstance(classification, NoPartialStructure):
+        raise classification
+    if cs.kind == "partial":
+        return holomorphy.partial_theta_vector(emb, classification)
+    if classification.variant != "unique":
+        raise NoPartialStructure(
+            classification.witness.get("failed_condition", "nonexistent"),
+            "supplied structure admits no holomorphic vector")
+    return GaussianVector.pure(classification.omega)
 
 
 def _theta_report(cfg: RunConfig, vec: GaussianVector, failures: list):
@@ -294,12 +302,12 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
         cfg.seed = seed
     failures = []
     reports = {}
-    full = _full_classification(cfg)
+    classification = _classification(cfg)
     if "classify" in cfg.outputs:
-        reports["classify"] = _classify_report(cfg, full)
+        reports["classify"] = _classify_report(cfg, classification)
     if _runs_theta(cfg):
         try:
-            vec = _theta_vector(cfg, full)
+            vec = _theta_vector(cfg, classification)
         except NoPartialStructure as exc:
             failures.append(f"theta vector: {exc}")
             reports["theta"] = {"schema_version": SCHEMA_VERSION, "error": str(exc)}

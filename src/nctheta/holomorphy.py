@@ -265,12 +265,20 @@ def build_theta_vector(emb: EmbeddingMap, cs: ComplexStructure) -> GaussianVecto
     Gaussian family contains no solution and NoPartialStructure is
     raised with the offending coupling size.
     """
-    omega, g_matrix, witness = solve_partial(emb, cs)
-    if witness["g_max_abs"] > SYMMETRY_TOL:
+    return partial_theta_vector(emb, HolomorphyResult(
+        "partial", *solve_partial(emb, cs)))
+
+
+def partial_theta_vector(emb: EmbeddingMap,
+                         solved: HolomorphyResult) -> GaussianVector:
+    """build_theta_vector from a solved partial structure: solve_partial's
+    result as a "partial" HolomorphyResult."""
+    coupling = solved.witness["g_max_abs"]
+    if coupling > SYMMETRY_TOL:
         raise NoPartialStructure(
             "lattice coupling",
-            f"holomorphy needs a lattice cross term of size {witness['g_max_abs']:.3e}")
-    return GaussianVector.pure(omega, emb.q)
+            f"holomorphy needs a lattice cross term of size {coupling:.3e}")
+    return GaussianVector.pure(solved.omega, emb.q)
 
 
 def antiholomorphic_residual(emb: EmbeddingMap, cs: ComplexStructure,

@@ -27,10 +27,10 @@ import numpy as np
 
 from .errors import DegenerateTranslation, DimensionMismatch, NCThetaError
 from .lattice import (EmbeddingMap, LatticePoint, QuantumElement, _cmul,
-                      _component_dot, _integral, ball, cocycle_exponent_arrays)
+                      _integral, ball, cocycle_arrays)
 from .theta import (STRUCTURAL_ZERO_TOL, TAIL_EPS, HermitianFormContext,
-                    complex_coordinates, hermitian_pairing_arrays,
-                    theta_coefficients)
+                    _gaussian_factor, complex_coordinates,
+                    hermitian_pairing_arrays, theta_coefficients)
 
 KIND_MANIN = "manin"
 KIND_MODIFIED = "modified"
@@ -82,19 +82,31 @@ def _translations(ctx: HermitianFormContext, emb: EmbeddingMap, G, H,
     rows = np.concatenate([G, H, G + H])
     W1, W2, M, Rr = emb.blocks(rows)
     g, h = ([b[at] for b in (W1, W2, M.astype(float), Rr)] for at in parts[:2])
-    alpha = np.exp(1j * np.pi * cocycle_exponent_arrays(g, h))
+    alpha = cocycle_arrays(g, h)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if kind == KIND_MANIN:
             x = complex_coordinates(ctx, W1, W2)
-            log_c = -np.pi / 2 * hermitian_pairing_arrays(ctx, x, x).real
-            log_T = -np.pi * hermitian_pairing_arrays(ctx, x[parts[0]], x[parts[1]])
-            c, zero = np.exp(log_c), np.zeros(len(rows), dtype=bool)
+            c, log_c = _gaussian_factor(ctx, x)
+            T, log_T = _manin_multiplier(
+                hermitian_pairing_arrays(ctx, x[parts[0]], x[parts[1]]))
+            zero = np.zeros(len(rows), dtype=bool)
             return ([c[at] for at in parts], [zero[at] for at in parts], alpha,
-                    np.exp(log_T), ([log_c[at] for at in parts], log_T))
+                    T, ([log_c[at] for at in parts], log_T))
         values, norms = theta_coefficients(ctx, emb, rows, tail_eps)
-        c_g, c_h, c_gh = (values[at] for at in parts)
+        factors = [values[at] for at in parts]
         zero = [norms[at] < STRUCTURAL_ZERO_TOL for at in parts]
-        return (c_g, c_h, c_gh), zero, alpha, c_gh / (c_g * c_h * alpha), None
+        return factors, zero, alpha, _modified_multiplier(*factors, alpha), None
+
+
+def _manin_multiplier(H):
+    """T_g(h) = exp(-pi H(g, h)) (manin) and its exponent."""
+    exponent = -np.pi * H
+    return np.exp(exponent), exponent
+
+
+def _modified_multiplier(c_g, c_h, c_gh, alpha):
+    """T_g(h) = C_{g+h} / (C_g C_h alpha(g, h)) (modified)."""
+    return c_gh / (c_g * c_h * alpha)
 
 
 def _underflow(indices) -> NCThetaError:
@@ -183,12 +195,6 @@ def degeneracy_scan(ctx: HermitianFormContext, emb: EmbeddingMap, radius: int,
     return BallTable.build(ctx, emb, radius, tail_eps).zeros()
 
 
-def _sliced_dot(xs, cubes: list, at: tuple):
-    """sum_j xs[j] * cubes[j][at] with the bits of np.sum(..., axis=-1) over
-    the stacked products (see lattice._component_dot)."""
-    return _component_dot(xs, [cube[at] for cube in cubes])
-
-
 def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
                                 theta: QuantumElement, indices: np.ndarray,
                                 kind: str, tail_eps: float = TAIL_EPS,
@@ -197,15 +203,15 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
     """verify_functional_equation for each row g of an (n, d) index array.
 
     On the interior ball h = k - g runs over a shifted slice of a cube of
-    side 2R + 1, so each g reads views of the cubes of Theta, of the
-    ball's blocks per component (and complex coordinates, manin) and of
-    the closed-formula `table` (modified; built unless given), with the
-    bits of gathering those rows by index.  C_g is the table entry at g
-    (modified; see BallTable for when it equals translation_factor) or one
-    exp(-(pi/2) H(g, g)) call for all g (manin).  The table also serves
-    the degeneracy scan.  As T_g(h) = c_{g+h} / (C_g c_h alpha), the
-    modified residual checks that the inner-product coefficient over the
-    closed formula agrees at h and g + h.
+    side 2R + 1.  The ball's blocks (and complex coordinates, manin) are
+    component-major cubes viewed with the components last, so each g
+    passes basic slices of them to the formulas of _translations, with
+    the bits of gathering those rows by index.  C_g, c_h and c_{g+h} are
+    entries and slices of the closed-formula `table` (modified; built
+    unless given; see BallTable), which also serves the degeneracy scan;
+    the manin C_g of all g is one _gaussian_factor call.  As T_g(h) =
+    c_{g+h} / (C_g c_h alpha), the modified residual checks that the
+    inner-product coefficient over the closed formula agrees at h and g + h.
 
     Errors come in the order of the single-g calls: bad rows (as blocks),
     |g|_inf > R/2 (ValueError), the degeneracy scan (DegenerateTranslation),
@@ -214,11 +220,12 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
     """
     _check_kind(kind)
     R = theta.radius
-    W1g, W2g, Mg, Rg = emb.blocks(indices)
-    G = _integral(np.asarray(indices)).astype(int)
-    radii = np.max(np.abs(G), axis=1)
+    rows = list(emb.blocks(indices))
+    G = np.round(indices).astype(int)  # integral: blocks checked it
+    radii = np.max(np.abs(G), axis=1).tolist()
     if any(2 * gr > R for gr in radii):
         raise ValueError("translation index must satisfy |g|_inf <= R/2")
+    cubes = [block.astype(float) for block in emb.blocks(ball(emb.d, R))]
     if kind == KIND_MODIFIED:
         if table is None:
             table = BallTable.build(ctx, emb, R, tail_eps)
@@ -228,43 +235,39 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
         if zeros:
             raise DegenerateTranslation(zeros, "theta support hits theta zeros")
         factors = [complex(table.values[tuple(g + R)]) for g in G]
+        has_zero = np.any(table.values == 0)
     else:
-        xs = complex_coordinates(ctx, W1g, W2g)
-        factors = [complex(c) for c in
-                   np.exp(-np.pi / 2 * hermitian_pairing_arrays(ctx, xs, xs).real)]
-    W1, W2, M, Rr = emb.blocks(ball(emb.d, R))
-    X = complex_coordinates(ctx, W1, W2) if kind == KIND_MANIN else W1[:, :0]
-    # per-component cubes, contiguous so that slices of them sum fast
-    w1, w2, m, r, xbar = ([np.ascontiguousarray(c).reshape(theta.values.shape)
-                           for c in block.T]
-                          for block in (W1, W2, M.astype(float), Rr, np.conj(X)))
+        rows.append(complex_coordinates(ctx, rows[0], rows[1]))
+        factors = _gaussian_factor(ctx, rows[4])[0].tolist()
+        cubes.append(complex_coordinates(ctx, cubes[0], cubes[1]))
+    cubes = [np.moveaxis(np.ascontiguousarray(block.T).reshape(
+        (block.shape[1],) + theta.values.shape), 0, -1) for block in cubes]
     entries = []
     # overflow and division by an underflowed product end in a residual
     # that is not finite, which raises below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i, (g, gr, C_g) in enumerate(zip(G, radii, factors)):
-            at_k = tuple(slice(gr, 2 * R + 1 - gr) for _ in g)
+        for g, gr, C_g, row in zip(G.tolist(), radii, factors, zip(*rows)):
+            at_k = (slice(gr, 2 * R + 1 - gr),) * len(g)
             at_h = tuple(slice(gr - v, 2 * R + 1 - gr - v) for v in g)
-            alpha = np.exp(1j * np.pi * (
-                _sliced_dot(W1g[i], w2, at_h) + _sliced_dot(Mg[i], r, at_h)
-                - _sliced_dot(W2g[i], w1, at_h) - _sliced_dot(Rg[i], m, at_h)))
+            h = [cube[at_h] for cube in cubes]
+            alpha = cocycle_arrays(row[:4], h[:4])
             if kind == KIND_MANIN:
-                T = np.exp(-np.pi * _sliced_dot(xs[i] @ ctx.im_inv, xbar, at_h))
+                T, _ = _manin_multiplier(hermitian_pairing_arrays(ctx, row[4], h[4]))
             else:
                 c_h = table.values[at_h]
-                if C_g == 0 or np.any(c_h == 0):
+                if has_zero and (C_g == 0 or np.any(c_h == 0)):
                     raise _underflow([g] if C_g == 0 else
                                      np.argwhere(c_h == 0) + (gr - R) - g)
-                T = table.values[at_k] / (C_g * c_h * alpha)
+                T = _modified_multiplier(C_g, c_h, table.values[at_k], alpha)
             lhs = C_g * alpha * T * theta.values[at_h]
-            residual = float(np.max(np.abs(lhs - theta.values[at_k])))
+            residual = float(np.abs(lhs - theta.values[at_k]).max())
             if not math.isfinite(residual):
                 raise NCThetaError("functional equation residual is not a finite "
-                                   f"double at g={tuple(int(v) for v in g)}")
+                                   f"double at g={tuple(g)}")
             entries.append({
-                "g": [int(v) for v in g],
+                "g": g,
                 "kind": kind,
-                "interior_radius": int(R - gr),
+                "interior_radius": R - gr,
                 "max_residual": residual,
                 "degenerate": False,
                 "witnesses": [],
@@ -283,12 +286,9 @@ def verify_functional_equation(ctx: HermitianFormContext, emb: EmbeddingMap,
     sides are fully resolved by the truncated element, so boundary
     clipping cannot produce false failures; the verdict is
     max_residual < residual_tol, with nothing added to the tolerance.
-    Requires |g|_inf <= R/2 (ValueError otherwise).  For the modified
-    convention the whole truncation ball is scanned for vanishing
-    factors before any division (DegenerateTranslation).
 
-    The one-g call of verify_functional_equations, whose entries equal
-    those of this call exactly; a run over many g should call it directly.
+    The one-g call of verify_functional_equations, with its errors and
+    entries; a run over many g should call it directly.
     """
     return verify_functional_equations(ctx, emb, theta, g.index[None, :], kind,
                                        tail_eps, residual_tol)[0]
@@ -379,7 +379,7 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
         max_mod = max(max_mod, abs(abs(ratio) - 1.0))
         max_phase = max(max_phase, abs(float(np.angle(ratio))))
         if kind == KIND_MODIFIED:
-            t_scalar = fgh / (fg * fh * alpha[i])
+            t_scalar = _modified_multiplier(fg, fh, fgh, alpha[i])
             max_rel = max(max_rel, abs(t_scalar - T[i]) / max(abs(T[i]), 1e-300))
     if kind == KIND_MANIN:
         ok = max_mod < MODULUS_TOL
@@ -434,8 +434,8 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
                        for x in (X[i1], X[i2], Xs))
         max_log = float(np.max(np.abs(h1 + h2 - h12))) if len(i1) else 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            t12 = np.exp(-np.pi * h12)
-            t1t2 = np.exp(-np.pi * h1) * np.exp(-np.pi * h2)
+            t12 = _manin_multiplier(h12)[0]
+            t1t2 = _manin_multiplier(h1)[0] * _manin_multiplier(h2)[0]
             rel = np.abs(t1t2 - t12) / np.maximum(np.abs(t12), 1e-300)
         # where a multiplier leaves the normal double range, the same
         # deviation from the exponents alone

@@ -24,7 +24,7 @@ from .errors import (BadTau, DimensionMismatch, DivergentIntegral,
                      GridMismatch, NCThetaError)
 from .heisenberg import GaussianVector, SampledVector, _check_omega
 from .lattice import (EmbeddingMap, LatticePoint, QuantumElement, _cmul,
-                      _readonly, ball)
+                      _component_dot, _readonly, ball)
 
 TAIL_EPS = 1e-15
 # Most terms a theta series may sum on each side of its peak.
@@ -202,8 +202,14 @@ def hermitian_form(ctx: HermitianFormContext, g: LatticePoint,
 
 def hermitian_pairing_arrays(ctx: HermitianFormContext, xg: np.ndarray,
                              xh: np.ndarray) -> np.ndarray:
-    """H on precomputed complex coordinates, broadcasting over rows."""
-    return np.sum(_vecmat(xg, ctx.im_inv) * np.conj(xh), axis=-1)
+    """H on complex coordinates, broadcasting over rows (_component_dot)."""
+    return _component_dot(_vecmat(xg, ctx.im_inv), np.conj(xh))
+
+
+def _gaussian_factor(ctx: HermitianFormContext, x: np.ndarray):
+    """exp(-(pi/2) H(x, x)), the manin C_g, and its exponent."""
+    exponent = -np.pi / 2 * hermitian_pairing_arrays(ctx, x, x).real
+    return np.exp(exponent), exponent
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -393,9 +399,8 @@ def theta_coefficients(ctx: HermitianFormContext, emb: EmbeddingMap,
     """
     W1, W2, M, Rr = emb.blocks(indices)
     x = complex_coordinates(ctx, W1, W2)
-    hvals = hermitian_pairing_arrays(ctx, x, x).real
     bt, min_norm = b_product_arrays(Rr, M, tail_eps)
-    return bt * np.exp(-np.pi / 2 * hvals), min_norm
+    return bt * _gaussian_factor(ctx, x)[0], min_norm
 
 
 def decay_certificate(element: QuantumElement) -> dict:

@@ -10,7 +10,9 @@ from nctheta.heisenberg import GaussianVector
 from nctheta.lattice import ball, embedding_from_config
 
 
-VERIFY_CONT = Path(__file__).parent.parent / "perfbench" / "workloads" / "verify_cont.json"
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads"
+VERIFY_CONT = WORKLOADS / "verify_cont.json"
+VERIFY_MIXED = WORKLOADS / "verify_mixed.json"
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -270,26 +272,39 @@ def test_boolean_numbers_rejected(tmp_path, overrides):
                    "Delta": [[False]]}},
     {"embedding": {"p": True, "q": 0, "theta": [0.5]}},
     {"embedding": {"p": 1, "q": 0, "phi": [[0.5, 0.0], [0.0, True]]}},
-], ids=["t1_pair_t2", "t1_object", "theta_Q", "Delta", "p", "phi"])
-def test_boolean_matrix_entries_rejected(tmp_path, config):
+    # numbers beyond double range: JSON's 1e400 reads as inf, a 339-digit
+    # integer does not convert to a float
+    {"embedding": {"p": 1, "q": 0, "theta": [0.5]},
+     "complex_structure": {"kind": "full", "t1": [[[0, 1e400]]], "t2": [[1.0]]}},
+    {"embedding": {"p": 1, "q": 0, "theta": [0.5]},
+     "complex_structure": {"kind": "full", "t1": [[[0, 0.5]]], "t2": [[10 ** 338]]}},
+    {"embedding": {"p": 1, "q": 0, "theta": [1e400]}},
+], ids=["t1_pair_t2", "t1_object", "theta_Q", "Delta", "p", "phi",
+        "t1_inf", "t2_339_digits", "theta_inf"])
+def test_boolean_matrix_entries_rejected(tmp_path, capsys, config):
     cfg = write_config(tmp_path, config)
     out = tmp_path / "out"
-    assert cli.main(["classify", "--config", cfg, "--out", str(out)]) == 1
-    assert cli.main(["all", "--config", cfg, "--out", str(out)]) == 1
+    for command in ("classify", "all"):
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not out.exists()
 
 
-def test_full_structure_on_q0_classified_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("solver, workload", [
+    ("classify_holomorphic", VERIFY_CONT),  # full structure on q = 0
+    ("solve_partial", VERIFY_MIXED),  # default partial structure
+], ids=["full_q0", "partial"])
+def test_structure_classified_once(tmp_path, monkeypatch, solver, workload):
     # the classify and theta reports read one classifier result
     calls = []
-    classify = holomorphy.classify_holomorphic
+    solve = getattr(holomorphy, solver)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return classify(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(holomorphy, "classify_holomorphic", counted)
-    config = json.loads(VERIFY_CONT.read_text())
+    monkeypatch.setattr(holomorphy, solver, counted)
+    config = json.loads(workload.read_text())
     cfg = write_config(tmp_path, config)
     assert cli.main(["all", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
@@ -415,10 +430,13 @@ def test_far_coefficients_match_closed_zeros(tmp_path):
 @pytest.mark.parametrize("embedding, R, code", [
     ({"p": 1, "q": 0, "theta": [10.0]}, 4, 0),
     ({"p": 1, "q": 0, "theta": [50.0]}, 4, 2),
-    ({"p": 1, "q": 1, "theta": [50.0], "Q": [[1]], "Delta": [[0.3]]}, 2, 2)])
+    ({"p": 1, "q": 1, "theta": [50.0], "Q": [[1]], "Delta": [[0.3]]}, 2, 2),
+    # C_g underflows and T overflows where theta_h has underflowed to 0
+    ({"p": 1, "q": 0, "theta": [1000.0]}, 2, 2)])
 def test_multipliers_beyond_double_range(tmp_path, capsys, embedding, R, code):
     # translation multipliers overflow or their products underflow: the
-    # run either writes finite reports or stops with a typed NCThetaError
+    # run either writes finite reports or stops with a typed NCThetaError at
+    # the first translation, g = (-R/2, ..., -R/2), and writes no report
     cfg = write_config(tmp_path, {"embedding": embedding, "truncation_R": R})
     out = tmp_path / "out"
     assert cli.main(["all", "--config", cfg, "--out", str(out)]) == code
@@ -428,5 +446,8 @@ def test_multipliers_beyond_double_range(tmp_path, capsys, embedding, R, code):
         assert additivity["max_relative_deviation"] < 1e-10
     else:
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "NCThetaError"
-        assert "not a finite double" in err["reason"]
+        first = tuple([-(R // 2)] * (2 * embedding["p"] + embedding["q"]))
+        assert err == {"error": "NCThetaError",
+                       "reason": "functional equation residual is not a "
+                                 f"finite double at g={first}"}
+        assert not out.exists()

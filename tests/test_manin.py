@@ -627,6 +627,9 @@ RAW_PHI_1_2 = np.array([[0.5, 0.13, 0.0, 0.0],
 
 
 GUARDS = ["p1q2", "p1q0", "p2q0", "raw_p1q2", "general", "p0q3"]
+# p = 2 with a lattice sector (d = 6) guards the engine, at R = 2, and the
+# cocycle check
+ENGINE_GUARDS = GUARDS + ["p2q2"]
 
 
 def _guard_instances(inst_1_2, inst_1_0, inst_2_0, inst_general):
@@ -635,6 +638,12 @@ def _guard_instances(inst_1_2, inst_1_0, inst_2_0, inst_general):
     vec = nc.build_theta_vector(emb_general,
                                 nc.ComplexStructure.default_partial(1))
     raw = nc.EmbeddingMap(p=1, q=2, phi=RAW_PHI_1_2)
+    # the acceptance Q and Delta with two continuous components: p = 2
+    # together with a lattice sector
+    emb_2_2 = nc.canonical_embedding(2, 2, theta=[0.5, 0.25], Q=np.eye(2),
+                                     Delta=np.diag([0.2, 0.7]))
+    vec_2_2 = nc.build_theta_vector(emb_2_2,
+                                    nc.ComplexStructure.default_partial(2))
     return {
         "p1q2": (*inst_1_2, "modified"),
         "p1q0": (*inst_1_0, "manin"),
@@ -645,21 +654,22 @@ def _guard_instances(inst_1_2, inst_1_0, inst_2_0, inst_general):
         "p0q3": (nc.canonical_embedding(0, 3, Q=np.eye(3),
                                         Delta=np.diag([0.13, 0.31, 0.71])),
                  np.zeros((0, 0), dtype=complex), "modified"),
+        "p2q2": (emb_2_2, vec_2_2.omega, "modified"),
     }
 
 
-@pytest.mark.parametrize("name", GUARDS)
+@pytest.mark.parametrize("name", ENGINE_GUARDS)
 def test_engine_equals_frozen_index_engine(name, inst_1_2, inst_1_0, inst_2_0,
                                            inst_general):
     emb, omega, kind = _guard_instances(inst_1_2, inst_1_0, inst_2_0,
                                         inst_general)[name]
-    ctx, th = build(emb, omega, R=4)
+    ctx, th = build(emb, omega, R=2 if name == "p2q2" else 4)
     K = ball(emb.d, th.radius // 2)
     assert nc.verify_functional_equations(ctx, emb, th, K, kind) == \
         _frozen_engine(ctx, emb, th, [emb.point(k) for k in K], kind)
 
 
-@pytest.mark.parametrize("name", GUARDS)
+@pytest.mark.parametrize("name", ENGINE_GUARDS)
 def test_cocycle_equals_frozen_scalar_loop(name, inst_1_2, inst_1_0, inst_2_0,
                                            inst_general):
     emb, omega, kind = _guard_instances(inst_1_2, inst_1_0, inst_2_0,
@@ -775,22 +785,39 @@ def test_engine_errors_in_frozen_order():
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_sliced_dot_keeps_np_sum_bits(dtype):
-    # the engine sums per-component cubes by hand; each row must carry the
-    # bits of np.sum over the stacked products, for short and long axes
+def test_kernels_on_cube_views_keep_np_sum_bits(dtype):
+    # the engine passes the kernels a row of g against basic slices of
+    # component-major cubes viewed with the components last; each entry
+    # must carry the bits of np.sum over the stacked products, for short
+    # (sequential) and long (pairwise) axes, and the shape of that sum
+    # when there are no components (p = 0)
     rng = np.random.default_rng(5)
+    at = (slice(1, 6), slice(2, 7))
+
+    def draw(*shape):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
     for n in range(10):
-        cubes = [rng.standard_normal((7, 7)) * 10.0 ** rng.integers(-6, 6, (7, 7))
-                 for _ in range(n)]
-        xs = rng.standard_normal(n)
+        xs = [draw(n) for _ in range(4)]
+        cubes = [draw(n, 7, 7) for _ in range(4)]
+        views = [np.moveaxis(c, 0, -1)[at] for c in cubes]
+        stacked = [np.stack([c[j][at] for j in range(n)], axis=-1) if n else
+                   np.zeros((5, 5, 0), dtype) for c in cubes]
+        (w1x, w2x, mx, rx), (w1y, w2y, my, ry) = xs, stacked
+        expected = (np.sum(w1x * w2y, axis=-1) + np.sum(mx * ry, axis=-1)
+                    - np.sum(w1y * w2x, axis=-1) - np.sum(my * rx, axis=-1))
+        got = cocycle_exponent_arrays(xs, views)
+        assert got.dtype == expected.dtype and got.shape == (5, 5)
+        assert got.tobytes() == expected.tobytes(), n
         if dtype is complex:
-            cubes = [c + 1j * rng.standard_normal((7, 7)) for c in cubes]
-            xs = xs + 1j * rng.standard_normal(n)
-        at = (slice(1, 6), slice(2, 7))
-        stacked = np.stack([c[at] for c in cubes], axis=-1) if n else \
-            np.zeros((5, 5, 0), dtype)
-        expected = np.sum(xs * stacked, axis=-1)
-        got = nc.manin._sliced_dot(xs, cubes, at)
-        np.testing.assert_array_equal(got, expected)
-        if n:
-            assert got.dtype == expected.dtype
+            a, b = rng.standard_normal((2, n, n))
+            omega = (a + a.T) / 2 + 1j * (b @ b.T + n * np.eye(n))
+        else:
+            omega = 1j * np.eye(n)  # a real im_inv keeps real rows real
+        ctx = HermitianFormContext(omega)
+        expected = np.sum(nc.theta._vecmat(xs[0], ctx.im_inv)
+                          * np.conj(stacked[0]), axis=-1)
+        got = hermitian_pairing_arrays(ctx, xs[0], views[0])
+        assert got.dtype == expected.dtype and got.shape == (5, 5)
+        assert got.tobytes() == expected.tobytes(), n
