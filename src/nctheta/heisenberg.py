@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, GridTooLarge, SingularEmbedding
-from .lattice import EmbeddingMap, LatticePoint, _integral, _readonly
+from .lattice import (GRID_BUDGET, EmbeddingMap, LatticePoint, _integral,
+                      _readonly)
 
 SYM_TOL = 1e-12
-GRID_BUDGET = 10_000_000
 
 
 def _check_omega(omega) -> np.ndarray:

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NCThetaError, SingularEmbedding,
-                     SingularQ, ZeroTheta)
+from .errors import (DimensionMismatch, GridTooLarge, NCThetaError,
+                     SingularEmbedding, SingularQ, ZeroTheta)
 
 INT_TOL = 1e-12
 DET_TOL = 1e-10
 # coefficients of smaller magnitude are not stored in a QuantumElement
 DROP_TOL = 1e-300
+GRID_BUDGET = 10_000_000
 # support rows of the left factor per cocycle batch of the twisted product:
 # bounds its temporaries to a few (64, |cube|) complex arrays
 PRODUCT_CHUNK = 64
@@ -240,7 +241,11 @@ def induced_theta(emb: EmbeddingMap) -> np.ndarray:
 
 def ball(d: int, r: int) -> np.ndarray:
     """Integer vectors with |k|_inf <= r as an (n, d) int array, in
-    lexicographic order (the order of itertools.product)."""
+    lexicographic order (the order of itertools.product); GridTooLarge
+    when there are more than GRID_BUDGET of them."""
+    if (2 * int(r) + 1) ** d > GRID_BUDGET:
+        raise GridTooLarge(f"ball of radius {r} in dimension {d} has over "
+                           f"{GRID_BUDGET} points")
     axes = [np.arange(-r, r + 1)] * d
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
 

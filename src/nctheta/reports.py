@@ -13,9 +13,10 @@ Identical inputs always serialize to identical bytes.  The byte contract:
   ``true``/``false``; ``None`` as ``null``.
 * Complex numbers as ``{"im": ..., "re": ...}`` objects; numpy arrays as
   nested lists; tuples as lists.
-* A ``QuantumElement`` (exact type) as its ``to_dict()`` would be written,
-  byte for byte: ``{"coeffs": [{"im", "k", "re"} rows], "radius": R}``,
-  written from its support arrays without building that dict.
+* One chunked row writer writes, with the bytes of these rules, a
+  ``QuantumElement`` (exact type, as its ``to_dict()``) and each list or
+  tuple of dicts with the same string keys whose values per key are all
+  exact floats, all exact ints, or all lists of one nonzero length of either.
 * Strings with backslash, double quote, newline and tab escaped.
 * Any other object raises TypeError.
 """
@@ -23,12 +24,13 @@ Identical inputs always serialize to identical bytes.  The byte contract:
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 
 import numpy as np
 
 from .lattice import QuantumElement
 
-# support rows of a QuantumElement per %-formatting call of its writer
+# rows per %-formatting call of the row writer
 ELEMENT_CHUNK = 4096
 
 
@@ -79,6 +81,9 @@ def _render(obj, indent: int, pad: str) -> str:
     if t is list or t is tuple:
         if not obj:
             return "[]"
+        text = type(obj[0]) is dict and _render_dict_rows(obj, indent, pad)
+        if text:
+            return text
         inner = pad + " " * indent
         parts = []
         for v in obj:
@@ -96,36 +101,66 @@ def _render(obj, indent: int, pad: str) -> str:
 
 
 def _render_element(element: QuantumElement, indent: int, pad: str) -> str:
-    """element.to_dict() as _render writes it, from element.as_arrays():
-    one row template per choice of the float formats of "im" and "re",
-    and one template % args call per ELEMENT_CHUNK rows."""
-    p1, p2, p3, p4 = (pad + " " * (indent * j) for j in (1, 2, 3, 4))
-    tail = f'"radius": {element.radius}\n{pad}}}'
+    """element.to_dict() as _render writes it, from element.as_arrays()."""
+    p1 = pad + " " * indent
     K, c = element.as_arrays()
-    if not len(K):
-        return f'{{\n{p1}"coeffs": [],\n{p1}{tail}'
-    k = f",\n{p4}".join(["%d"] * K.shape[1])
-    # templates[2 * re_short + im_short]: a part is short when
-    # _format_float writes it with one decimal
-    templates = [f'{{\n{p3}"im": {im},\n{p3}"k": [\n{p4}{k}\n{p3}],\n'
-                 f'{p3}"re": {re}\n{p2}}}'
-                 for re in ("%.17g", "%.1f") for im in ("%.17g", "%.1f")]
-    sep = f",\n{p2}"
-    chunks = []
-    for start in range(0, len(K), ELEMENT_CHUNK):
+    coeffs = _render_rows(["im", "k", "re"], [c.imag, K, c.real], indent, p1) \
+        if len(K) else "[]"
+    return f'{{\n{p1}"coeffs": {coeffs},\n{p1}"radius": {element.radius}\n{pad}}}'
+
+
+def _render_dict_rows(rows, indent: int, pad: str):
+    """rows, a list of dicts, through _render_rows when the dicts have the
+    same string keys and each key's values are all exact floats, all exact
+    ints, or all lists of one nonzero length of either; else None."""
+    first = rows[0]
+    if set(map(type, first)) != {str} or set(map(type, rows)) != {dict} \
+            or set(map(len, rows)) != {len(first)}:
+        return None
+    keys, columns = sorted(first), []
+    for k in keys:
+        col = list(map(dict.get, rows, repeat(k)))  # None where k is missing
+        types, shape = set(map(type, col)), (len(rows),)
+        if types == {list} and len(set(map(len, col))) == 1:
+            col = list(chain.from_iterable(col))  # empty lists leave no type
+            types, shape = set(map(type, col)), (len(rows), -1)
+        if types not in ({float}, {int}):
+            return None
+        columns.append(np.array(col, float if types == {float} else object).reshape(shape))
+    return _render_rows(keys, columns, indent, pad)
+
+
+def _render_rows(keys, columns, indent: int, pad: str) -> str:
+    """A list of n dicts with the sorted keys `keys` as _render writes it,
+    from one float or int array per key: (n,) for numbers, (n, m) for
+    lists of m numbers (int arrays of dtype object keep big ints).  Each
+    distinct float (bit pattern) of a column is formatted once; the rows
+    are filled into one row template, by one % call per ELEMENT_CHUNK rows."""
+    p1, p2, p3 = (pad + " " * (indent * j) for j in (1, 2, 3))
+    n, members, parts = len(columns[0]), [], []
+    for k, col in zip(keys, columns):
+        value, at, listed, width = "%d", None, col.ndim == 2, col.size // n
+        if col.dtype.kind == "f":
+            if not np.isfinite(col).all():
+                _format_float(float(col[~np.isfinite(col)][0]))  # raises ValueError
+            u, at = np.unique(col.view(np.int64), return_inverse=True)
+            u = u.view(float)
+            formats = np.where((np.trunc(u) == u) & (np.abs(u) < 1e16), "%.1f", "%.17g")
+            col = np.array((",".join(formats.tolist()) % tuple(u.tolist())).split(","),
+                           dtype=object)
+            value, at = "%s", at.reshape(n, width)
+        if listed:
+            value = f"[\n{p3}" + f",\n{p3}".join([value] * width) + f"\n{p2}]"
+        members.append('"' + k.replace("%", "%%") + '": ' + value)
+        parts.append((col.reshape(n, width) if at is None else col, at))
+    row, sep, chunks = f"{{\n{p2}" + f",\n{p2}".join(members) + f"\n{p1}}}", f",\n{p1}", []
+    for start in range(0, n, ELEMENT_CHUNK):
         rows = slice(start, start + ELEMENT_CHUNK)
-        parts = np.stack((c.imag[rows], c.real[rows]), axis=1)
-        finite = np.isfinite(parts)
-        if not finite.all():
-            _format_float(float(parts[~finite][0]))  # raises ValueError
-        short = (np.trunc(parts) == parts) & (np.abs(parts) < 1e16)
-        args = np.empty((len(parts), K.shape[1] + 2), dtype=object)
-        args[:, 0], args[:, 1:-1], args[:, -1] = parts[:, 0], K[rows], parts[:, 1]
-        template = sep.join([templates[i] for i in
-                             (2 * short[:, 1] + short[:, 0]).tolist()])
-        chunks.append(template % tuple(args.ravel().tolist()))
-    return f'{{\n{p1}"coeffs": [\n{p2}' + sep.join(chunks) + \
-        f'\n{p1}],\n{p1}{tail}'
+        args = np.concatenate([col[rows].astype(object) if at is None else col[at[rows]]
+                               for col, at in parts], axis=1)
+        head = sep if start else f"[\n{p1}"  # brackets too: one join, no copy of the text
+        chunks.append((head + sep.join([row] * len(args))) % tuple(args.ravel().tolist()))
+    return "".join(chunks + [f"\n{pad}]"])
 
 
 def _render_other(obj, indent: int, pad: str) -> str:

@@ -451,3 +451,16 @@ def test_multipliers_beyond_double_range(tmp_path, capsys, embedding, R, code):
                        "reason": "functional equation residual is not a "
                                  f"finite double at g={first}"}
         assert not out.exists()
+
+
+@pytest.mark.parametrize("R", [100_000, int("9" * 401)], ids=["1e5", "401_digits"])
+def test_truncation_radius_over_the_grid_budget(tmp_path, capsys, R):
+    # the ball of radius R has more points than GRID_BUDGET: a typed error
+    # before any allocation, not numpy's MemoryError or size ValueError
+    cfg = write_config(tmp_path, {"embedding": {"p": 1, "q": 0, "theta": [0.5]},
+                                  "truncation_R": R})
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "GridTooLarge"
+    assert not out.exists()

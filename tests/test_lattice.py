@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import nctheta as nc
-from nctheta.errors import (DimensionMismatch, NCThetaError, SingularEmbedding,
-                            SingularQ,
+from nctheta import lattice
+from nctheta.errors import (DimensionMismatch, GridTooLarge, NCThetaError,
+                            SingularEmbedding, SingularQ,
                             ZeroTheta)
 from nctheta.heisenberg import GaussianVector
 from nctheta.lattice import (PRODUCT_CHUNK, QuantumElement, _cmul, ball,
@@ -327,6 +328,15 @@ def test_ball_order_is_itertools_product():
         assert K.dtype.kind == "i"
         assert [tuple(k) for k in K.tolist()] == \
             list(itertools.product(range(-r, r + 1), repeat=d))
+
+
+def test_ball_over_the_grid_budget_raises(monkeypatch):
+    # the count is taken on Python ints before numpy allocates anything
+    monkeypatch.setattr(lattice, "GRID_BUDGET", 25)
+    assert ball(2, 2).shape == (25, 2) and ball(1, 12).shape == (25, 1)
+    for d, r in [(2, 3), (1, 13), (6, 100_000), (2, int("9" * 401))]:
+        with pytest.raises(GridTooLarge):
+            ball(d, r)
 
 
 def test_quantum_theta_product_equals_scalar_double_loop(inst_1_2):

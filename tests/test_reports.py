@@ -9,7 +9,9 @@ import nctheta as nc
 from nctheta import cli, reports
 from nctheta.heisenberg import GaussianVector
 from nctheta.lattice import QuantumElement
+from nctheta.manin import functional_equation_residual_ops
 from nctheta.reports import ELEMENT_CHUNK, render_report
+from nctheta.theta import HermitianFormContext
 
 
 def test_roundtrip_and_sorted_keys():
@@ -104,6 +106,20 @@ def _frozen_render_report(obj) -> str:
     return _frozen_render(obj, indent=2, pad="") + "\n"
 
 
+def _mismatch(got, want):
+    """None if got == want, else the first lines that differ (a plain
+    assert would diff the whole texts, which takes minutes at a few
+    thousand rows)."""
+    if got == want:
+        return None
+    if not (isinstance(got, str) and isinstance(want, str)):
+        return got, want
+    got, want = got.splitlines(), want.splitlines()
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    return at, got[at:at + 3], want[at:at + 3]
+
+
 def _outcome(render, obj):
     """The rendered text, or the type of the exception raised."""
     try:
@@ -155,13 +171,21 @@ def test_pipeline_reports_equal_frozen_renderer(monkeypatch, tmp_path, config):
     assert elements == 1
 
 
-def test_element_reports_equal_frozen_renderer(inst_1_2):
-    # the shape the algebra benchmark writes: to_dict of Theta and Theta*Theta
+def test_element_reports_equal_frozen_renderer(inst_1_2, tmp_path):
+    # the shape the algebra benchmark writes: to_dict of Theta and
+    # Theta*Theta, and reference functional-equation residuals
     emb, omega = inst_1_2
     element = nc.quantum_theta(emb, GaussianVector.pure(omega, emb.q), 2)
+    ctx = HermitianFormContext(omega)
+    residuals = [{"g": g, "residual": functional_equation_residual_ops(
+        ctx, emb, element, emb.point(g), "modified")}
+        for g in [[0, 0, 0, 1], [1, -1, 0, 0], [-1, 1, 1, 0]]]
     obj = {"theta": element.to_dict(),
-           "product": element.multiply(element).to_dict()}
-    assert render_report(obj) == _frozen_render_report(obj)
+           "product": element.multiply(element).to_dict(),
+           "fe_residuals": residuals}
+    text = reports.write_report(str(tmp_path / "algebra.json"), obj)
+    assert _mismatch(text, _frozen_render_report(obj)) is None
+    assert text == (tmp_path / "algebra.json").read_text()
 
 
 def test_write_report_returns_the_text(tmp_path):
@@ -298,16 +322,11 @@ def _elements(draw):
 
 
 def _element_mismatch(el):
-    """None if el renders as el.to_dict() does, in a dict and in a list,
-    else the first lines that differ (a plain assert would diff the whole
-    texts, which takes minutes at a few thousand rows)."""
-    fast = render_report({"e": el, "l": [el]}).splitlines()
-    slow = render_report({"e": el.to_dict(), "l": [el.to_dict()]}).splitlines()
-    if fast == slow:
-        return None
-    at = next((i for i, (a, b) in enumerate(zip(fast, slow)) if a != b),
-              min(len(fast), len(slow)))
-    return at, fast[at:at + 3], slow[at:at + 3]
+    """None if el renders as the frozen renderer writes el.to_dict(), in a
+    dict and in a list (a list of to_dict() rows takes the row writer in
+    render_report too), else the first lines that differ."""
+    return _mismatch(render_report({"e": el, "l": [el]}),
+                     _frozen_render_report({"e": el.to_dict(), "l": [el.to_dict()]}))
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -332,3 +351,113 @@ def test_element_non_finite_raises(bad, at, part):
     for obj in ({"e": el}, {"e": el.to_dict()}):
         with pytest.raises(ValueError):
             render_report(obj)
+
+
+# The row writer against the frozen renderer on lists of dicts.
+
+_ROW_KEYS = st.text(alphabet='ab%"\n\\{d', max_size=4)
+_ROW_INTS = st.integers(-9, 9) | st.integers() | st.sampled_from(
+    [2**63, -2**63 - 1, 2**64 + 1, -(3**90)])
+_ROW_KINDS = ["float", "int", "floats", "ints"]
+# changes after which a list of rows is no longer uniform, or not finite
+_ROW_BREAKS = [None, "bool", "np.float64", "str", "none", "ragged", "empty",
+               "missing", "renamed", "int_key", "nan", "inf", "huge_int"]
+
+
+def _uniform_rows(keys, kinds, width, size, floats, ints, seed):
+    """`size` dicts with the keys `keys`; the values of key j are of kind
+    kinds[j] (lists have `width` entries), drawn from the pools `floats`
+    and `ints` and, for floats, a normal law over many decades."""
+    rng = np.random.default_rng(seed)
+
+    def values(kind, count):
+        if kind in ("int", "ints"):
+            return [ints[i] for i in rng.integers(0, len(ints), count)]
+        normal = rng.normal(size=count) * 10.0 ** rng.integers(-320, 300, count)
+        pooled = np.array(floats)[rng.integers(0, len(floats), count)]
+        return np.where(rng.random(count) < 0.7, pooled, normal).tolist()
+
+    columns = []
+    for kind in kinds:
+        if kind in ("floats", "ints"):
+            flat = values(kind, size * width)
+            columns.append([flat[i:i + width] for i in range(0, len(flat), width)])
+        else:
+            columns.append(values(kind, size))
+    return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
+def _break_rows(rows, kinds, how, at, column):
+    """rows after the change `how` at row `at`, key number `column`."""
+    row = rows[at]
+    k = list(row)[column]
+    listed = kinds[column] in ("floats", "ints")
+    value = row[k][0] if listed else row[k]
+
+    def put(v):
+        if listed:
+            row[k] = [v] + row[k][1:]
+        else:
+            row[k] = v
+
+    if how == "bool":
+        put(True)
+    elif how == "np.float64":
+        put(np.float64(value))
+    elif how == "str":
+        put("x")
+    elif how == "none":
+        row[k] = None
+    elif how == "ragged":
+        row[k] = row[k] + [1] if listed else [value]
+    elif how == "empty":
+        for r in (rows if at % 2 else [row]):
+            r[k] = []
+    elif how == "missing":
+        del row[k]
+    elif how == "renamed":
+        row[k + "~"] = row.pop(k)
+    elif how == "int_key":
+        row[len(row)] = row.pop(k)
+    elif how in ("nan", "inf"):
+        put(float(how))
+    elif how == "huge_int":
+        put(10**4400)  # beyond the digits int to str writes
+    return rows
+
+
+@st.composite
+def _row_lists(draw):
+    keys = draw(st.lists(_ROW_KEYS, min_size=1, max_size=4, unique=True))
+    kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=len(keys),
+                          max_size=len(keys)))
+    size = draw(st.integers(1, 5))
+    if draw(st.integers(0, 19)) == 0:
+        size = draw(st.sampled_from([ELEMENT_CHUNK - 1, ELEMENT_CHUNK, ELEMENT_CHUNK + 1]))
+    rows = _uniform_rows(
+        keys, kinds, draw(st.integers(1, 3)), size,
+        draw(st.lists(_floats, min_size=1, max_size=6)),
+        draw(st.lists(_ROW_INTS, min_size=1, max_size=6)), draw(st.integers(0, 2**32 - 1)))
+    how = draw(st.sampled_from(_ROW_BREAKS))
+    if how is not None:
+        rows = _break_rows(rows, kinds, how, draw(st.integers(0, size - 1)),
+                           draw(st.integers(0, len(keys) - 1)))
+    return draw(st.sampled_from([list, tuple, lambda r: {"rows": r}]))(rows), how
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_row_lists())
+def test_row_lists_equal_frozen_renderer(drawn):
+    obj, how = drawn
+    got, want = _outcome(render_report, obj), _outcome(_frozen_render_report, obj)
+    assert _mismatch(got, want) is None
+    if how in ("nan", "inf", "huge_int"):
+        assert got is ValueError
+
+
+@pytest.mark.parametrize("size", [1, ELEMENT_CHUNK - 1, ELEMENT_CHUNK,
+                                  ELEMENT_CHUNK + 1, 2 * ELEMENT_CHUNK + 1])
+def test_row_chunk_boundaries(size):
+    rows = _uniform_rows(["a%d", 'k"\n', "re"], ["floats", "ints", "float"], 3, size,
+                         _EDGE_FLOATS, [0, -1, 2**64, 7], seed=size)
+    assert _mismatch(render_report(rows), _frozen_render_report(rows)) is None
