@@ -14,8 +14,8 @@ from .holomorphy import (ComplexStructure, HolomorphyResult,
                          classify_holomorphic, solve_partial,
                          verify_nonexistence_by_search)
 from .lattice import (EmbeddingMap, LatticePoint, QuantumElement,
-                      canonical_embedding, cocycle, cocycle_exponent,
-                      embedding_from_config, induced_theta)
+                      canonical_embedding, cocycle, embedding_from_config,
+                      induced_theta)
 from .manin import (KIND_MANIN, KIND_MODIFIED, TranslationFactor,
                     additivity_probe, degeneracy_scan, translate,
                     translation_factor, verify_cocycle_consistency,
@@ -37,7 +37,7 @@ __all__ = [
     "ZeroTheta", "additivity_probe", "antiholomorphic_residual",
     "apply_connection", "apply_generator", "apply_heisenberg", "b_factor",
     "build_theta_vector", "canonical_embedding", "classical_theta",
-    "classify_holomorphic", "cocycle", "cocycle_exponent",
+    "classify_holomorphic", "cocycle",
     "connection_combination", "connection_matrix", "decay_certificate",
     "degeneracy_scan", "embedding_from_config", "gaussian_integral",
     "heisenberg_on_linear", "hermitian_form", "induced_theta",

@@ -22,7 +22,8 @@ from . import holomorphy, manin, theta
 from .errors import (ConfigError, DegenerateTranslation, NCThetaError,
                      NoPartialStructure)
 from .heisenberg import GaussianVector
-from .lattice import EmbeddingMap, ball, embedding_from_config
+from .lattice import (EmbeddingMap, ball, embedding_from_config,
+                      seeded_integers)
 from .reports import render_report, write_report
 
 SCHEMA_VERSION = 1
@@ -55,6 +56,13 @@ def _complex_matrix(rows):
                     dtype=complex)
 
 
+def _seed(v) -> int:
+    """The run seed: a nonnegative int (not a boolean), else ConfigError."""
+    if type(v) is not int or v < 0:
+        raise ConfigError("seed must be a nonnegative integer")
+    return v
+
+
 class RunConfig:
     """Validated run configuration."""
 
@@ -84,9 +92,7 @@ class RunConfig:
         if any(not _real(v) or not v > 0 for v in tol.values()):
             raise ConfigError("tolerances must be positive finite numbers")
         self.tolerances = tol
-        self.seed = raw.get("seed", 0)
-        if type(self.seed) is not int or self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        self.seed = _seed(raw.get("seed", 0))
         outputs = raw.get("outputs", ["classify", "theta", "verify"])
         if not isinstance(outputs, list) or \
                 not set(outputs) <= {"classify", "theta", "verify"}:
@@ -275,9 +281,9 @@ def _verify_report(cfg: RunConfig, ctx: theta.HermitianFormContext, element,
         failures += [f"functional equation residual {entry['max_residual']:.3e}"
                      f" at g={tuple(entry['g'])}"
                      for entry in results if not entry["pass"]]
-        rng = np.random.default_rng(cfg.seed)
         pair_ball = max(1, g_radius)
-        pair_idx = rng.integers(-pair_ball, pair_ball + 1, size=(100, 2, emb.d))
+        pair_idx = seeded_integers(cfg.seed, -pair_ball, pair_ball + 1,
+                                   (100, 2, emb.d))
         consistency = report["cocycle_consistency"] = \
             manin.verify_cocycle_consistency(ctx, emb, kind, pair_idx,
                                              tail_eps=tail_eps)
@@ -299,7 +305,7 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
     which needs theta and counts its formula check), write the reports
     asked for and return the exit code."""
     if seed is not None:
-        cfg.seed = seed
+        cfg.seed = _seed(seed)
     failures = []
     reports = {}
     classification = _classification(cfg)

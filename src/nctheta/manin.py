@@ -27,9 +27,10 @@ import numpy as np
 
 from .errors import DegenerateTranslation, DimensionMismatch, NCThetaError
 from .lattice import (EmbeddingMap, LatticePoint, QuantumElement, _cmul,
-                      _integral, ball, cocycle_arrays)
+                      _component_dot, _integral, ball, cocycle_arrays,
+                      seeded_integers)
 from .theta import (STRUCTURAL_ZERO_TOL, TAIL_EPS, HermitianFormContext,
-                    _gaussian_factor, complex_coordinates,
+                    _gaussian_factor, _vecmat, complex_coordinates,
                     hermitian_pairing_arrays, theta_coefficients)
 
 KIND_MANIN = "manin"
@@ -237,9 +238,12 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
         factors = [complex(table.values[tuple(g + R)]) for g in G]
         has_zero = np.any(table.values == 0)
     else:
-        rows.append(complex_coordinates(ctx, rows[0], rows[1]))
-        factors = _gaussian_factor(ctx, rows[4])[0].tolist()
-        cubes.append(complex_coordinates(ctx, cubes[0], cubes[1]))
+        # H(g, h) = (x_g Im(Omega)^-1) . conj(x_h): the first factor per g
+        # and the conjugated cube of x_h are each formed once
+        x_g = complex_coordinates(ctx, rows[0], rows[1])
+        factors = _gaussian_factor(ctx, x_g)[0].tolist()
+        rows.append(_vecmat(x_g, ctx.im_inv))
+        cubes.append(np.conj(complex_coordinates(ctx, cubes[0], cubes[1])))
     cubes = [np.moveaxis(np.ascontiguousarray(block.T).reshape(
         (block.shape[1],) + theta.values.shape), 0, -1) for block in cubes]
     entries = []
@@ -252,7 +256,7 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
             h = [cube[at_h] for cube in cubes]
             alpha = cocycle_arrays(row[:4], h[:4])
             if kind == KIND_MANIN:
-                T, _ = _manin_multiplier(hermitian_pairing_arrays(ctx, row[4], h[4]))
+                T, _ = _manin_multiplier(_component_dot(row[4], h[4]))
             else:
                 c_h = table.values[at_h]
                 if has_zero and (C_g == 0 or np.any(c_h == 0)):
@@ -419,13 +423,12 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
     K_pts = ball(emb.d, search_radius)
     K_pts = K_pts[np.argsort(np.max(np.abs(K_pts), axis=1), kind="stable")]
     if kind == KIND_MANIN:
-        rng = np.random.default_rng(seed)
         n_pts = len(K_pts)
         if n_pts ** 3 <= 200_000:
             # n_pts is odd: every triple of point positions, lexicographically
             i1, i2, ih = (ball(3, n_pts // 2) + n_pts // 2).T
         else:
-            idx = rng.integers(0, n_pts, size=(5000, 3))
+            idx = seeded_integers(seed, 0, n_pts, (5000, 3))
             diag = np.repeat(np.arange(n_pts)[:, None], 3, axis=1)
             i1, i2, ih = np.concatenate([idx, diag]).T
         X, Xs = (complex_coordinates(ctx, *emb.blocks(K)[:2])
@@ -434,13 +437,15 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
                        for x in (X[i1], X[i2], Xs))
         max_log = float(np.max(np.abs(h1 + h2 - h12))) if len(i1) else 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            t12 = _manin_multiplier(h12)[0]
-            t1t2 = _manin_multiplier(h1)[0] * _manin_multiplier(h2)[0]
+            t1, t2, t12 = (_manin_multiplier(x)[0] for x in (h1, h2, h12))
+            t1t2 = t1 * t2
             rel = np.abs(t1t2 - t12) / np.maximum(np.abs(t12), 1e-300)
-        # where a multiplier leaves the normal double range, the same
-        # deviation from the exponents alone
+        # where a multiplier or the product leaves the normal double range
+        # (a subnormal factor has lost digits even when the product is
+        # normal), the same deviation from the exponents alone
         tiny = np.finfo(float).tiny
-        far = ~np.isfinite(rel) | (np.abs(t1t2) < tiny) | (np.abs(t12) < tiny)
+        far = ~np.isfinite(rel) | np.any(
+            [np.abs(t) < tiny for t in (t1, t2, t1t2, t12)], axis=0)
         rel[far] = np.abs(np.expm1(-np.pi * (h1 + h2 - h12)[far]))
         max_rel = float(np.max(rel)) if len(i1) else 0.0
         return {

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -464,3 +467,46 @@ def test_truncation_radius_over_the_grid_budget(tmp_path, capsys, R):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "GridTooLarge"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(-2**70)])
+def test_negative_seed_override_exits_one_before_any_stage(tmp_path, capsys,
+                                                           monkeypatch, seed):
+    # --seed -1 used to run the theta and FE stages and then die in the
+    # pair sampler with a traceback and no out dir
+    def stage(*args):
+        raise AssertionError("a stage ran")
+    monkeypatch.setattr(cli, "_classification", stage)
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", str(VERIFY_MIXED), "--out", str(out),
+                     "--seed", seed]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config", "reason": "seed must be a nonnegative integer"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_run_config_rejects_bad_seed_override(tmp_path, seed):
+    cfg = cli.load_config(str(VERIFY_MIXED))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError):
+        cli.run_config(cfg, str(out), seed)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workload", [VERIFY_MIXED, VERIFY_CONT],
+                         ids=["verify_mixed", "verify_cont"])
+def test_all_does_not_import_numpy_random(tmp_path, workload):
+    # the cocycle pairs and (verify_cont) the sampled additivity triples
+    # come from lattice.seeded_integers, not from numpy.random
+    script = ("import sys\n"
+              "from nctheta import cli\n"
+              "code = cli.main(['all', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+              "print(code, 'numpy.random' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, str(workload),
+                           str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

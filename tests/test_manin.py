@@ -8,8 +8,9 @@ from nctheta.errors import (DegenerateTranslation, DimensionMismatch,
                              NCThetaError)
 from nctheta.heisenberg import GaussianVector
 from nctheta.lattice import ball, cocycle_exponent_arrays
-from nctheta.manin import (BallTable, TranslationFactor, _multipliers,
-                           _translations, functional_equation_residual_ops)
+from nctheta.manin import (ADDITIVITY_TOL, BallTable, TranslationFactor,
+                           _multipliers, _translations,
+                           functional_equation_residual_ops)
 from nctheta.theta import (STRUCTURAL_ZERO_TOL, TAIL_EPS, HermitianFormContext,
                            b_product_arrays, complex_coordinates, hermitian_form,
                            hermitian_pairing_arrays, theta_coefficients)
@@ -821,3 +822,19 @@ def test_kernels_on_cube_views_keep_np_sum_bits(dtype):
         got = hermitian_pairing_arrays(ctx, xs[0], views[0])
         assert got.dtype == expected.dtype and got.shape == (5, 5)
         assert got.tobytes() == expected.tobytes(), n
+
+
+def test_additivity_probe_subnormal_multiplier_is_no_deviation():
+    # Omega = 7.6257 + 0.6209i: at one triple |T_g1(h)| = 1.6e-321 is
+    # subnormal and has lost its digits, while T_g2(h) = 9.8e40 makes the
+    # product normal again; such a triple is measured on the exponent
+    # scale, as any multiplier outside the normal double range
+    emb = nc.canonical_embedding(1, 0, theta=[0.8082604624727913])
+    structure = nc.ComplexStructure.full(
+        np.array([[6.163571480202582 + 0.5018596633410932j]]), np.array([[1]]))
+    result = nc.classify_holomorphic(emb, structure)
+    assert result.variant == "unique"
+    ctx = HermitianFormContext(result.omega)
+    rep = nc.additivity_probe(ctx, emb, "manin", search_radius=3)
+    assert rep["verdict"] == "additive"
+    assert rep["max_relative_deviation"] < ADDITIVITY_TOL
