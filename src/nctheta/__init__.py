@@ -45,5 +45,5 @@ __all__ = [
     "sample_on_grid", "solve_partial",
     "theta_coefficients", "translate", "translation_factor",
     "verify_cocycle_consistency", "verify_functional_equation",
-    "verify_functional_equations",
+    "verify_functional_equations", "verify_nonexistence_by_search",
 ]

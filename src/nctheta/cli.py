@@ -50,8 +50,6 @@ def _complex_entry(v):
 
 
 def _complex_matrix(rows):
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise ConfigError("complex matrices must be nested lists")
     return np.array([[_complex_entry(v) for v in row] for row in rows],
                     dtype=complex)
 
@@ -75,11 +73,7 @@ class RunConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "embedding" not in raw:
             raise ConfigError("config requires an 'embedding' object")
-        try:
-            self.embedding: EmbeddingMap = embedding_from_config(raw["embedding"])
-        except (NCThetaError, ValueError, KeyError, TypeError,
-                OverflowError) as exc:  # from an int beyond double range
-            raise ConfigError(f"bad embedding: {exc}")
+        self.embedding: EmbeddingMap = embedding_from_config(raw["embedding"])
         self.structure = self._parse_structure(raw.get("complex_structure"))
         self.truncation_R = raw.get("truncation_R", 4)
         if type(self.truncation_R) is not int or self.truncation_R < 1:
@@ -109,21 +103,11 @@ class RunConfig:
             if emb.d % 2:
                 return None
             half = emb.d // 2
-            return holomorphy.ComplexStructure.full(1j * np.eye(half), np.eye(half))
-        if not isinstance(raw, dict) or "kind" not in raw:
-            raise ConfigError("complex_structure needs a 'kind' field")
-        kind = raw["kind"]
-        if kind not in ("full", "partial"):
-            raise ConfigError("complex_structure kind must be 'full' or 'partial'")
-        try:
-            t1 = _complex_matrix(raw["t1"])
-            t2 = _complex_matrix(raw["t2"])
-            cs = holomorphy.ComplexStructure(kind=kind, t1=t1, t2=t2)
-        except KeyError as exc:
-            raise ConfigError(f"complex_structure missing {exc}")
-        except NCThetaError as exc:
-            raise ConfigError(f"bad complex_structure: {exc}")
-        if kind == "full":
+            return holomorphy.ComplexStructure("full", 1j * np.eye(half),
+                                               np.eye(half))
+        cs = holomorphy.ComplexStructure(raw["kind"], _complex_matrix(raw["t1"]),
+                                         _complex_matrix(raw["t2"]))
+        if cs.kind == "full":
             if emb.d % 2 != 0:
                 raise ConfigError(
                     f"full structure needs even total dimension, got d={emb.d}")
@@ -136,6 +120,9 @@ class RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
+    """The validated config at `path`; every error that reading or
+    validating it raises (OverflowError: an int beyond double range) is a
+    ConfigError."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -143,7 +130,13 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    return RunConfig(raw)
+    try:
+        return RunConfig(raw)
+    except ConfigError:
+        raise
+    except (NCThetaError, ValueError, KeyError, TypeError,
+            OverflowError) as exc:
+        raise ConfigError(f"bad config: {type(exc).__name__}: {exc}")
 
 
 def _embedding_block(emb: EmbeddingMap) -> dict:
@@ -164,8 +157,7 @@ def _classification(cfg: RunConfig):
     if cs.kind == "full":
         return holomorphy.classify_holomorphic(emb, cs)
     try:
-        return holomorphy.HolomorphyResult(
-            "partial", *holomorphy.solve_partial(emb, cs))
+        return holomorphy.solve_partial(emb, cs)
     except NoPartialStructure as exc:
         return exc
 
@@ -353,7 +345,10 @@ def main(argv=None) -> int:
         sp.add_argument("--out", default=".", help="output directory for reports")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # -h exits 0, a usage error 2
+        return 1 if exc.code else 0
     wanted = {
         "classify": ["classify"],
         "theta": ["classify", "theta"],

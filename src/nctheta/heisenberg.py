@@ -234,18 +234,18 @@ class SampledVector:
 
 
 def sample_on_grid(f: GaussianVector, grid_radius: float, step: float,
-                   lattice_radius: int, budget: int = GRID_BUDGET) -> SampledVector:
+                   lattice_radius: int) -> SampledVector:
     """Evaluate a Gaussian family member on a regular grid.
 
-    Raises GridTooLarge when the total point count exceeds the budget.
+    Raises GridTooLarge when the total point count exceeds GRID_BUDGET.
     """
     if grid_radius <= 0 or step <= 0 or lattice_radius <= 0:
         raise ValueError("grid parameters must be positive")
     ns = _axis_points(grid_radius, step)
     nn = 2 * lattice_radius + 1
     total = (ns ** f.p) * (nn ** f.q)
-    if total > budget:
-        raise GridTooLarge(f"grid with {total} points exceeds budget {budget}")
+    if total > GRID_BUDGET:
+        raise GridTooLarge(f"grid with {total} points exceeds budget {GRID_BUDGET}")
     s_ax = -grid_radius + step * np.arange(ns)
     n_ax = np.arange(-lattice_radius, lattice_radius + 1)
     axes = [s_ax] * f.p + [n_ax] * f.q

@@ -50,17 +50,9 @@ class ComplexStructure:
         object.__setattr__(self, "t2", _readonly(t2))
 
     @classmethod
-    def full(cls, t1, t2) -> "ComplexStructure":
-        return cls(kind="full", t1=t1, t2=t2)
-
-    @classmethod
-    def partial(cls, t1, t2) -> "ComplexStructure":
-        return cls(kind="partial", t1=t1, t2=t2)
-
-    @classmethod
     def default_partial(cls, p: int) -> "ComplexStructure":
         """(i I_p, I_p): the standard diagonal structure on the continuous part."""
-        return cls.partial(1j * np.eye(p), np.eye(p))
+        return cls("partial", 1j * np.eye(p), np.eye(p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +95,9 @@ def _acf_split(emb: EmbeddingMap, t1: np.ndarray, t2: np.ndarray, rows: slice):
 def _solve_quadratic_form(A: np.ndarray, C: np.ndarray):
     """Solve C Omega = A for symmetric Omega; report the three conditions.
 
-    Returns (omega or None, witness); omega is the symmetrized solution
-    when invertibility, symmetry and positivity all hold.
+    C is p x p with p >= 1.  Returns (omega or None, witness); omega is
+    the symmetrized solution when invertibility, symmetry and positivity
+    all hold.
     """
     p = A.shape[1]
     witness: dict = {}
@@ -113,15 +106,14 @@ def _solve_quadratic_form(A: np.ndarray, C: np.ndarray):
     if rank_c < p:
         witness["failed_condition"] = "invertibility"
         return None, witness
-    omega_raw = np.linalg.solve(C, A) if C.shape[0] == p else \
-        np.linalg.lstsq(C, A, rcond=None)[0]
-    sym_res = float(np.max(np.abs(omega_raw - omega_raw.T))) if p else 0.0
+    omega_raw = np.linalg.solve(C, A)
+    sym_res = float(np.max(np.abs(omega_raw - omega_raw.T)))
     witness["symmetry_residual"] = sym_res
     if sym_res > SYMMETRY_TOL:
         witness["failed_condition"] = "symmetry"
         return None, witness
     omega = (omega_raw + omega_raw.T) / 2
-    min_eig = float(np.min(np.linalg.eigvalsh(omega.imag))) if p else 0.0
+    min_eig = float(np.min(np.linalg.eigvalsh(omega.imag)))
     witness["min_im_eig"] = min_eig
     if not min_eig > POSITIVITY_TOL:
         witness["failed_condition"] = "positivity"
@@ -202,7 +194,7 @@ def verify_nonexistence_by_search(emb: EmbeddingMap, cs: ComplexStructure,
     for _ in range(trials):
         t1 = rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half))
         t2 = rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half))
-        structures.append(ComplexStructure.full(t1, t2))
+        structures.append(ComplexStructure("full", t1, t2))
     sym_basis = _symmetric_basis(p)
     residuals, left_ranks = [], []
     for struct in structures:
@@ -236,8 +228,9 @@ def verify_nonexistence_by_search(emb: EmbeddingMap, cs: ComplexStructure,
 def solve_partial(emb: EmbeddingMap, cs: ComplexStructure):
     """Quadratic form and lattice coupling for a partial structure.
 
-    Returns (omega, g_matrix, witness); raises NoPartialStructure when
-    any reduced condition (invertibility, symmetry, positivity) fails.
+    Returns a "partial" HolomorphyResult (omega, g_matrix, witness);
+    raises NoPartialStructure when any reduced condition
+    (invertibility, symmetry, positivity) fails.
     """
     p, q = emb.p, emb.q
     if p < 1:
@@ -252,7 +245,7 @@ def solve_partial(emb: EmbeddingMap, cs: ComplexStructure):
         raise NoPartialStructure(witness["failed_condition"], str(witness))
     g_matrix = np.linalg.solve(C, F).T if q else np.zeros((0, p))
     witness["g_max_abs"] = float(np.max(np.abs(g_matrix))) if q else 0.0
-    return omega, g_matrix, witness
+    return HolomorphyResult("partial", omega, g_matrix, witness)
 
 
 def build_theta_vector(emb: EmbeddingMap, cs: ComplexStructure) -> GaussianVector:
@@ -265,14 +258,12 @@ def build_theta_vector(emb: EmbeddingMap, cs: ComplexStructure) -> GaussianVecto
     Gaussian family contains no solution and NoPartialStructure is
     raised with the offending coupling size.
     """
-    return partial_theta_vector(emb, HolomorphyResult(
-        "partial", *solve_partial(emb, cs)))
+    return partial_theta_vector(emb, solve_partial(emb, cs))
 
 
 def partial_theta_vector(emb: EmbeddingMap,
                          solved: HolomorphyResult) -> GaussianVector:
-    """build_theta_vector from a solved partial structure: solve_partial's
-    result as a "partial" HolomorphyResult."""
+    """build_theta_vector from solve_partial's result."""
     coupling = solved.witness["g_max_abs"]
     if coupling > SYMMETRY_TOL:
         raise NoPartialStructure(

@@ -14,6 +14,7 @@ rows (Z^q) and q torus rows (T^q).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -378,15 +379,11 @@ class QuantumElement:
         return cls(embedding=emb, values=values)
 
     @classmethod
-    def basis(cls, emb: EmbeddingMap, index, radius: int | None = None) -> "QuantumElement":
-        """The basis element e(k) with unit coefficient at the given index."""
+    def basis(cls, emb: EmbeddingMap, index) -> "QuantumElement":
+        """The basis element e(k) with unit coefficient at the given index,
+        on the smallest ball that holds it."""
         key = tuple(int(x) for x in np.asarray(index))
-        rad = max((abs(x) for x in key), default=0) if radius is None else radius
-        return cls.from_coeffs(emb, {key: 1.0 + 0j}, rad)
-
-    @classmethod
-    def identity(cls, emb: EmbeddingMap) -> "QuantumElement":
-        return cls.basis(emb, np.zeros(emb.d, dtype=int))
+        return cls.from_coeffs(emb, {key: 1.0 + 0j}, max(map(abs, key), default=0))
 
     @property
     def radius(self) -> int:
@@ -428,12 +425,10 @@ class QuantumElement:
         entries of `other` add terms of +-0, which leave every sum's bits
         as they are (a finite x + (+-0) is x, and the sums, started at +0,
         are never -0); a non-finite coefficient, whose 0 * inf would spread
-        NaN, raises NCThetaError.
+        NaN, raises NCThetaError.  The two embeddings must have equal Phi,
+        whose shape (2p+2q, 2p+q) fixes p and q.
         """
-        if other.embedding is not self.embedding and not (
-                self.embedding.p == other.embedding.p
-                and self.embedding.q == other.embedding.q
-                and np.array_equal(self.embedding.phi, other.embedding.phi)):
+        if not np.array_equal(self.embedding.phi, other.embedding.phi):
             raise DimensionMismatch("elements built over different embeddings")
         if not (np.all(np.isfinite(self.values))
                 and np.all(np.isfinite(other.values))):
@@ -486,7 +481,8 @@ def embedding_from_config(cfg: dict) -> EmbeddingMap:
     Accepts either canonical parameters {"p", "q", "theta", "Q", "Delta"}
     or a raw matrix {"p", "q", "phi"}; p and q are always explicit.  JSON
     booleans, which Python reads as 0 and 1, raise TypeError in any of
-    these fields.
+    these fields, and so do p and q unless they are ints (operator.index:
+    numpy ints pass, floats and strings do not).
     """
     if not isinstance(cfg, dict):
         raise TypeError("an embedding config must be a JSON object")
@@ -494,14 +490,11 @@ def embedding_from_config(cfg: dict) -> EmbeddingMap:
                if _has_bool(cfg.get(k))]
     if flagged:
         raise TypeError(f"booleans are not numbers: {flagged}")
+    if "phi" in cfg and not ("p" in cfg and "q" in cfg):
+        raise ValueError("raw phi configs must carry p and q")
+    p, q = operator.index(cfg["p"]), operator.index(cfg["q"])
     if "phi" in cfg:
-        phi = np.asarray(cfg["phi"], dtype=float)
-        if "p" in cfg and "q" in cfg:
-            p, q = int(cfg["p"]), int(cfg["q"])
-        else:
-            raise ValueError("raw phi configs must carry p and q")
-        return EmbeddingMap(p=p, q=q, phi=phi)
-    p, q = int(cfg["p"]), int(cfg["q"])
+        return EmbeddingMap(p=p, q=q, phi=np.asarray(cfg["phi"], dtype=float))
     return canonical_embedding(
         p, q,
         theta=cfg.get("theta") if p else None,

@@ -38,6 +38,8 @@ KIND_MODIFIED = "modified"
 MODULUS_TOL = 1e-10
 ADDITIVITY_TOL = 1e-10
 WITNESS_DEVIATION = 1e-6
+# triples the modified additivity probe checks at most
+MAX_CHECKS = 20_000
 
 
 def _check_kind(kind: str):
@@ -402,7 +404,7 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
 
 def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
                      search_radius: int, tail_eps: float = TAIL_EPS,
-                     seed: int = 0, max_checks: int = 20_000) -> dict:
+                     seed: int = 0) -> dict:
     """Composition law of translations over a search ball.
 
     manin: T_{g1}(h) T_{g2}(h) = T_{g1+g2}(h) holds because H is linear
@@ -414,11 +416,13 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
     modified: searches the ball (zero excluded: the unnormalized factor
     at 0 deviates by construction) for a concrete witness triple with
     absolute deviation above 1e-6 and reports it; absence of a witness is
-    reported as such, never as a universal additivity claim.  Each triple
-    is one _translations call; it is skipped when a factor of g1, g2,
-    g1 + g2 or h vanishes structurally, checked before any underflow.
+    reported as such, never as a universal additivity claim.  It checks
+    at most MAX_CHECKS triples, each one _translations call; a triple is
+    skipped when a factor of g1, g2, g1 + g2 or h vanishes structurally,
+    checked before any underflow.
     """
     _check_kind(kind)
+    base = {"kind": kind, "search_radius": int(search_radius)}
     # the ball by shells of growing sup norm, lexicographic within a shell
     K_pts = ball(emb.d, search_radius)
     K_pts = K_pts[np.argsort(np.max(np.abs(K_pts), axis=1), kind="stable")]
@@ -449,41 +453,30 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
         rel[far] = np.abs(np.expm1(-np.pi * (h1 + h2 - h12)[far]))
         max_rel = float(np.max(rel)) if len(i1) else 0.0
         return {
-            "kind": kind,
+            **base,
             "verdict": "additive" if max(max_log, max_rel) < ADDITIVITY_TOL
             else "deviation_found",
             "max_exponent_residual": max_log,
             "max_relative_deviation": max_rel,
             "triples_checked": int(len(i1)),
-            "search_radius": int(search_radius),
         }
     nonzero = K_pts[np.any(K_pts != 0, axis=1)]
-    checked = 0
-    skipped = 0
+    base.update(triples_checked=0, triples_skipped_degenerate=0)
     triples = itertools.product(nonzero, repeat=3)
-    for a, b, h in itertools.islice(triples, max_checks):
-        checked += 1
+    for a, b, h in itertools.islice(triples, MAX_CHECKS):
+        base["triples_checked"] += 1
         G, H = np.stack([a, b, a + b]), np.stack([h] * 3)
         factors, zero, _, (t1, t2, t12), _ = _translations(ctx, emb, G, H, kind,
                                                            tail_eps)
         try:
             _check_factors(factors, zero, G, H)
         except DegenerateTranslation:
-            skipped += 1
+            base["triples_skipped_degenerate"] += 1
             continue
         dev = abs(t1 * t2 - t12)
         if dev > WITNESS_DEVIATION:
-            return {
-                "kind": kind,
-                "verdict": "witness_found",
-                "witness": {"g1": a.tolist(), "g2": b.tolist(), "h": h.tolist(),
-                            "deviation": float(dev)},
-                "triples_checked": checked,
-                "triples_skipped_degenerate": skipped,
-                "search_radius": int(search_radius),
-            }
-    return {"kind": kind, "verdict": "no_witness_found",
-            "triples_checked": checked,
-            "triples_skipped_degenerate": skipped,
-            "search_radius": int(search_radius),
+            return {**base, "verdict": "witness_found",
+                    "witness": {"g1": a.tolist(), "g2": b.tolist(),
+                                "h": h.tolist(), "deviation": float(dev)}}
+    return {**base, "verdict": "no_witness_found",
             "search_truncated": next(triples, None) is not None}

@@ -132,7 +132,7 @@ def test_criterion_3_holomorphy_classifier():
                 s = s + 1j * (1.0 - np.min(np.linalg.eigvalsh(s.imag))) * np.eye(p)
                 t = s @ np.diag(theta)
                 res = nc.classify_holomorphic(
-                    emb, nc.ComplexStructure.full(t, np.eye(p)))
+                    emb, nc.ComplexStructure("full", t, np.eye(p)))
                 assert res.variant == "unique"
                 assert res.witness["substitution_residual"] < 1e-9
                 np.testing.assert_allclose(
@@ -143,7 +143,7 @@ def test_criterion_3_holomorphy_classifier():
             t1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             t2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             res = nc.classify_holomorphic(emb_mixed,
-                                          nc.ComplexStructure.full(t1, t2))
+                                          nc.ComplexStructure("full", t1, t2))
             assert res.variant == "nonexistent"
             assert res.witness["left_rank"] <= 1 < 2 == res.witness["required_rank"]
         # (c) pure lattice embeddings: delta remnant only
@@ -152,7 +152,7 @@ def test_criterion_3_holomorphy_classifier():
             t1 = rng.normal(size=(1, 1)) + 1j * rng.normal(size=(1, 1))
             t2 = rng.normal(size=(1, 1)) + 1j * rng.normal(size=(1, 1))
             res = nc.classify_holomorphic(emb_latt,
-                                          nc.ComplexStructure.full(t1, t2))
+                                          nc.ComplexStructure("full", t1, t2))
             assert res.variant == "delta_only"
 
 

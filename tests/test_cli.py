@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nctheta import cli, holomorphy, theta
+from nctheta import cli, holomorphy, manin, theta
 from nctheta.errors import ConfigError
 from nctheta.heisenberg import GaussianVector
 from nctheta.lattice import ball, embedding_from_config
@@ -282,8 +282,23 @@ def test_boolean_numbers_rejected(tmp_path, overrides):
     {"embedding": {"p": 1, "q": 0, "theta": [0.5]},
      "complex_structure": {"kind": "full", "t1": [[[0, 0.5]]], "t2": [[10 ** 338]]}},
     {"embedding": {"p": 1, "q": 0, "theta": [1e400]}},
+    # these ended in a ValueError or TypeError traceback, or (p = 1.7) ran
+    # as p = 1
+    {"embedding": {"p": 1, "q": 0, "theta": [0.5]},
+     "complex_structure": {"kind": "full", "t1": [[1, 2], [3]], "t2": [[1.0]]}},
+    {"embedding": {"p": 1, "q": 0, "theta": [0.5]}, "outputs": [["verify"]]},
+    {"embedding": {"p": 1.7, "q": 0, "theta": [0.5]}},
+    {"embedding": {"p": "1", "q": 0, "theta": [0.5]}},
+    {"embedding": {"p": 1, "q": 0.0, "phi": [[0.5, 0.0], [0.0, 1.0]]}},
+    {"embedding": {"p": 1, "q": 0, "theta": [0.5]}, "complex_structure": "full"},
+    {"embedding": {"p": 1, "q": 0, "theta": [0.5]},
+     "complex_structure": {"kind": "full", "t1": [0.5], "t2": [[1.0]]}},
+    {"embedding": {"p": 1, "q": 0, "theta": [0.5]},
+     "complex_structure": {"t1": [[0.5]], "t2": [[1.0]]}},
 ], ids=["t1_pair_t2", "t1_object", "theta_Q", "Delta", "p", "phi",
-        "t1_inf", "t2_339_digits", "theta_inf"])
+        "t1_inf", "t2_339_digits", "theta_inf", "ragged_t1",
+        "unhashable_output", "float_p", "string_p", "float_q_phi",
+        "structure_string", "flat_t1", "no_kind"])
 def test_boolean_matrix_entries_rejected(tmp_path, capsys, config):
     cfg = write_config(tmp_path, config)
     out = tmp_path / "out"
@@ -510,3 +525,64 @@ def test_all_does_not_import_numpy_random(tmp_path, workload):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["all", "--config", str(VERIFY_MIXED), "--seed", "abc"],
+    ["all", "--config", str(VERIFY_MIXED), "--bogus"],
+    [],
+    ["all"],
+], ids=["seed_abc", "unknown_flag", "no_subcommand", "no_config"])
+def test_usage_errors_exit_one(tmp_path, capsys, argv):
+    # argparse exits 2 on a usage error, the code of a failed verification
+    out = tmp_path / "out"
+    if argv:
+        argv = argv + ["--out", str(out)]
+    assert cli.main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["all", "-h"]])
+def test_help_exits_zero(capsys, argv):
+    assert cli.main(argv) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_no_partial_structure_route(tmp_path):
+    # a singular partial structure: the classify report records the failed
+    # condition, the theta report the error, and no verify report is made
+    cfg = write_config(tmp_path, {
+        "embedding": MIXED_EMBEDDING,
+        "complex_structure": {"kind": "partial", "t1": [[0]], "t2": [[0]]},
+        "truncation_R": 2})
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", cfg, "--out", str(out)]) == 2
+    classification = json.loads((out / "classify.json").read_text())["classification"]
+    assert classification == {"variant": "no_partial_structure",
+                              "witness": {"condition": "invertibility"}}
+    assert set(json.loads((out / "theta.json").read_text())) == \
+        {"error", "schema_version"}
+    assert not (out / "verify.json").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["reports_written"] == ["classify", "theta"]
+
+
+@pytest.mark.parametrize("embedding, name, edit, message", [
+    (MIXED_EMBEDDING, "verify_cocycle_consistency", {"pass": False},
+     "cocycle consistency residual out of tolerance"),
+    ({"p": 1, "q": 0, "theta": [0.5]}, "additivity_probe",
+     {"verdict": "deviation_found"}, "translations unexpectedly non-additive"),
+    (MIXED_EMBEDDING, "additivity_probe", {"verdict": "no_witness_found"},
+     "no non-additivity witness found"),
+], ids=["cocycle", "manin_additivity", "modified_witness"])
+def test_verify_stage_failures(tmp_path, monkeypatch, embedding, name, edit,
+                               message):
+    check = getattr(manin, name)
+    monkeypatch.setattr(manin, name,
+                        lambda *args, **kwargs: {**check(*args, **kwargs), **edit})
+    cfg = write_config(tmp_path, {"embedding": embedding, "truncation_R": 2})
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", cfg, "--out", str(out)]) == 2
+    assert json.loads((out / "summary.json").read_text())["failures"] == [message]
+    assert json.loads((out / "verify.json").read_text())["overall_pass"] is False

@@ -228,7 +228,7 @@ def test_non_integral_lattice_center_rejected():
 def test_sample_budget():
     f = GaussianVector.pure(np.array([[1j]]))
     with pytest.raises(GridTooLarge):
-        nc.sample_on_grid(f, 10.0, 1e-7, 1, budget=10 ** 6)
+        nc.sample_on_grid(f, 10.0, 1e-7, 1)
 
 
 def test_sample_parseval_against_closed_form():

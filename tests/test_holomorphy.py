@@ -7,7 +7,7 @@ from nctheta.holomorphy import ComplexStructure, solve_partial
 
 
 def full_structure(t1, t2):
-    return ComplexStructure.full(np.atleast_2d(t1), np.atleast_2d(t2))
+    return ComplexStructure("full", np.atleast_2d(t1), np.atleast_2d(t2))
 
 
 def test_unique_solution_scalar():
@@ -159,7 +159,7 @@ def test_build_theta_vector_q0_matches_classifier(inst_2_0):
     theta = np.array([0.5, 0.25])
     t = omega @ np.diag(theta)
     res = nc.classify_holomorphic(emb, full_structure(t, np.eye(2)))
-    vec = nc.build_theta_vector(emb, ComplexStructure.partial(t, np.eye(2)))
+    vec = nc.build_theta_vector(emb, ComplexStructure("partial", t, np.eye(2)))
     np.testing.assert_allclose(vec.omega, res.omega, atol=1e-12)
 
 
@@ -176,10 +176,10 @@ def test_build_theta_vector_general_embedding(inst_general):
 def test_partial_failure_conditions():
     emb = nc.canonical_embedding(1, 0, theta=[2.0])
     with pytest.raises(NoPartialStructure) as exc:
-        nc.build_theta_vector(emb, ComplexStructure.partial([[-1j]], [[1.0]]))
+        nc.build_theta_vector(emb, ComplexStructure("partial", [[-1j]], [[1.0]]))
     assert exc.value.condition == "positivity"
     with pytest.raises(NoPartialStructure) as exc:
-        nc.build_theta_vector(emb, ComplexStructure.partial([[1.0]], [[0.0]]))
+        nc.build_theta_vector(emb, ComplexStructure("partial", [[1.0]], [[0.0]]))
     assert exc.value.condition == "invertibility"
 
 
@@ -201,7 +201,7 @@ def test_partial_lattice_coupling_rejected():
 
 def test_substitution_identity_partial(inst_general):
     emb = inst_general
-    omega, gmat, witness = solve_partial(emb, ComplexStructure.default_partial(1))
+    witness = solve_partial(emb, ComplexStructure.default_partial(1)).witness
     assert witness["substitution_residual"] < 1e-9
     assert witness["g_max_abs"] < 1e-9
 

@@ -303,7 +303,7 @@ def test_induced_theta_against_cocycle():
 
 def test_quantum_element_identity_and_basis_product(inst_1_0):
     emb, _ = inst_1_0
-    e0 = QuantumElement.identity(emb)
+    e0 = QuantumElement.basis(emb, [0, 0])
     b = QuantumElement.from_coeffs(emb, {(1, 0): 0.5 + 0.25j, (0, -1): -2.0}, 1)
     prod = e0.multiply(b)
     assert prod.coeffs == b.coeffs
@@ -354,6 +354,23 @@ def test_quantum_element_product_associative(inst_1_2):
         keys = set(left.coeffs) | set(right.coeffs)
         for k in keys:
             assert left.coeff(k) == pytest.approx(right.coeff(k), abs=1e-12)
+
+
+def test_multiply_across_embeddings(inst_1_0, inst_0_2):
+    # Phi's shape fixes p and q, so one comparison of Phi rejects another
+    # Phi of the same (p, q) and p1q0 against p0q2 (both d = 2)
+    emb, _ = inst_1_0
+    same = nc.EmbeddingMap(p=1, q=0, phi=emb.phi)
+    other = nc.canonical_embedding(1, 0, theta=[0.25])
+    a = QuantumElement.basis(emb, [1, 0])
+    assert a.multiply(QuantumElement.basis(same, [0, 1])).coeff((1, 1)) == \
+        pytest.approx(nc.cocycle(emb.point([1, 0]), emb.point([0, 1])), abs=1e-12)
+    for emb2 in (other, inst_0_2[0]):
+        b = QuantumElement.basis(emb2, [0, 1])
+        with pytest.raises(DimensionMismatch):
+            a.multiply(b)
+        with pytest.raises(DimensionMismatch):
+            b.multiply(a)
 
 
 def test_quantum_element_radius_and_drop():

@@ -412,13 +412,28 @@ def test_additivity_search_order(inst_1_0, monkeypatch):
         return _translations(ctx_, emb_, G, H, *args)
 
     monkeypatch.setattr(nc.manin, "_translations", recording)
-    rep = nc.additivity_probe(ctx, emb, "modified", search_radius=2,
-                              max_checks=24)
+    monkeypatch.setattr(nc.manin, "MAX_CHECKS", 24)
+    rep = nc.additivity_probe(ctx, emb, "modified", search_radius=2)
     assert rep["verdict"] == "no_witness_found" and rep["search_truncated"]
     expected = sorted(itertools.product(range(-2, 3), repeat=2),
                       key=lambda k: (max(abs(x) for x in k), k))
     # one kernel call per triple
     assert seen == [k for k in expected if any(k)]
+
+
+def test_modified_probe_skips_degenerate_triples():
+    # Delta_11 = 0.5 zeroes the factors of every index with odd k_3, so the
+    # search skips the triples through those before its witness
+    emb = nc.canonical_embedding(1, 2, theta=[0.5], Q=np.eye(2),
+                                 Delta=np.diag([0.5, 0.3]))
+    rep = nc.additivity_probe(HermitianFormContext(np.array([[2j]])), emb,
+                              "modified", search_radius=1)
+    assert rep["verdict"] == "witness_found"
+    assert (rep["triples_checked"], rep["triples_skipped_degenerate"]) == \
+        (19_444, 19_443)
+    w = rep["witness"]
+    assert w["g1"] == w["g2"] == w["h"] == [-1, -1, 0, -1]
+    assert w["deviation"] > nc.manin.WITNESS_DEVIATION
 
 
 def test_additivity_witness_equals_frozen_multipliers(inst_1_2, inst_0_2):
@@ -830,8 +845,9 @@ def test_additivity_probe_subnormal_multiplier_is_no_deviation():
     # product normal again; such a triple is measured on the exponent
     # scale, as any multiplier outside the normal double range
     emb = nc.canonical_embedding(1, 0, theta=[0.8082604624727913])
-    structure = nc.ComplexStructure.full(
-        np.array([[6.163571480202582 + 0.5018596633410932j]]), np.array([[1]]))
+    structure = nc.ComplexStructure(
+        "full", np.array([[6.163571480202582 + 0.5018596633410932j]]),
+        np.array([[1]]))
     result = nc.classify_holomorphic(emb, structure)
     assert result.variant == "unique"
     ctx = HermitianFormContext(result.omega)
