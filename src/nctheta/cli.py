@@ -61,18 +61,29 @@ def _seed(v) -> int:
     return v
 
 
+def _known_fields(block, name: str, fields: set):
+    """ConfigError naming the keys of a JSON object `block` outside
+    `fields`; a block that is not an object is left to its parser."""
+    unknown = set(block) - fields if isinstance(block, dict) else ()
+    if unknown:
+        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
+
+
 class RunConfig:
     """Validated run configuration."""
 
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - {"embedding", "complex_structure", "truncation_R",
-                              "tolerances", "seed", "outputs"}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        _known_fields(raw, "config", {"embedding", "complex_structure",
+                                      "truncation_R", "tolerances", "seed",
+                                      "outputs"})
         if "embedding" not in raw:
             raise ConfigError("config requires an 'embedding' object")
+        _known_fields(raw["embedding"], "embedding",
+                      {"p", "q", "theta", "Q", "Delta", "phi"})
+        _known_fields(raw.get("complex_structure"), "complex_structure",
+                      {"kind", "t1", "t2"})
         self.embedding: EmbeddingMap = embedding_from_config(raw["embedding"])
         self.structure = self._parse_structure(raw.get("complex_structure"))
         self.truncation_R = raw.get("truncation_R", 4)

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateTranslation, DimensionMismatch, NCThetaError
 from .lattice import (EmbeddingMap, LatticePoint, QuantumElement, _cmul,
@@ -40,6 +41,11 @@ ADDITIVITY_TOL = 1e-10
 WITNESS_DEVIATION = 1e-6
 # triples the modified additivity probe checks at most
 MAX_CHECKS = 20_000
+# window entries of the g whose cocycle one batch of the functional-equation
+# engine computes; their -g come along, and a batch holds one g (and its
+# -g) where one window has more.  Bounds the batch's temporaries to a few
+# (2 FE_CHUNK,) complex arrays
+FE_CHUNK = 8192
 
 
 def _check_kind(kind: str):
@@ -198,6 +204,12 @@ def degeneracy_scan(ctx: HermitianFormContext, emb: EmbeddingMap, radius: int,
     return BallTable.build(ctx, emb, radius, tail_eps).zeros()
 
 
+def _with_mirrors(cubes: np.ndarray, flipped: list) -> np.ndarray:
+    """The cubes of a batch of g (on the first axis), then those of -g for
+    the g at the positions `flipped`: their cubes flipped on every axis."""
+    return np.concatenate([cubes, np.flip(cubes[flipped], tuple(range(1, cubes.ndim)))])
+
+
 def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
                                 theta: QuantumElement, indices: np.ndarray,
                                 kind: str, tail_eps: float = TAIL_EPS,
@@ -205,30 +217,38 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
                                 table: BallTable | None = None) -> list:
     """verify_functional_equation for each row g of an (n, d) index array.
 
-    On the interior ball h = k - g runs over a shifted slice of a cube of
-    side 2R + 1.  The ball's blocks (and complex coordinates, manin) are
-    component-major cubes viewed with the components last, so each g
-    passes basic slices of them to the formulas of _translations, with
-    the bits of gathering those rows by index.  C_g, c_h and c_{g+h} are
-    entries and slices of the closed-formula `table` (modified; built
-    unless given; see BallTable), which also serves the degeneracy scan;
-    the manin C_g of all g is one _gaussian_factor call.  As T_g(h) =
-    c_{g+h} / (C_g c_h alpha), the modified residual checks that the
-    inner-product coefficient over the closed formula agrees at h and g + h.
+    On the interior ball h = k - g runs over a window of a cube of side
+    2R + 1.  The engine takes each shell |g|_inf = r in batches of g rows
+    whose windows hold at most FE_CHUNK entries (one g where one window
+    has more), with their -g.  It gathers the windows of a batch by their
+    offsets from component-major cubes of the ball's blocks (and, manin,
+    of its conjugated complex coordinates) and passes them with the rows
+    of g to the formulas of _translations, with the bits of one g at a
+    time.  alpha(g, h) (and the manin T) is computed for one g of each
+    pair {g, -g}: blocks(-k) is -blocks(k) bit for bit, so the cube of -g
+    is that of g flipped on every axis; a g without its -g, and g = 0,
+    get their own, and a repeated row is computed once.  C_g, c_h and
+    c_{g+h} are entries and windows of the closed-formula `table`
+    (modified; built unless given; see BallTable), which also serves the
+    degeneracy scan; the manin C_g of all g is one _gaussian_factor call.
+    As T_g(h) = c_{g+h} / (C_g c_h alpha), the modified residual checks
+    that the inner-product coefficient over the closed formula agrees at
+    h and g + h.
 
     Errors come in the order of the single-g calls: bad rows (as blocks),
     |g|_inf > R/2 (ValueError), the degeneracy scan (DegenerateTranslation),
-    then per g an underflow of C_g or c_h (NCThetaError, lexicographic
-    offenders) or a residual that is not a finite double (NCThetaError).
+    then per g, in the order of the rows, an underflow of C_g or c_h
+    (NCThetaError, lexicographic offenders) or a residual that is not a
+    finite double (NCThetaError).
     """
     _check_kind(kind)
-    R = theta.radius
+    R, d = theta.radius, emb.d
     rows = list(emb.blocks(indices))
     G = np.round(indices).astype(int)  # integral: blocks checked it
     radii = np.max(np.abs(G), axis=1).tolist()
     if any(2 * gr > R for gr in radii):
         raise ValueError("translation index must satisfy |g|_inf <= R/2")
-    cubes = [block.astype(float) for block in emb.blocks(ball(emb.d, R))]
+    cubes = [block.astype(float) for block in emb.blocks(ball(d, R))]
     if kind == KIND_MODIFIED:
         if table is None:
             table = BallTable.build(ctx, emb, R, tail_eps)
@@ -237,48 +257,86 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
         zeros = table.zeros()
         if zeros:
             raise DegenerateTranslation(zeros, "theta support hits theta zeros")
-        factors = [complex(table.values[tuple(g + R)]) for g in G]
-        has_zero = np.any(table.values == 0)
+        factors = table.values[tuple((G + R).T)]
     else:
         # H(g, h) = (x_g Im(Omega)^-1) . conj(x_h): the first factor per g
         # and the conjugated cube of x_h are each formed once
         x_g = complex_coordinates(ctx, rows[0], rows[1])
-        factors = _gaussian_factor(ctx, x_g)[0].tolist()
+        factors = _gaussian_factor(ctx, x_g)[0]
         rows.append(_vecmat(x_g, ctx.im_inv))
         cubes.append(np.conj(complex_coordinates(ctx, cubes[0], cubes[1])))
-    cubes = [np.moveaxis(np.ascontiguousarray(block.T).reshape(
-        (block.shape[1],) + theta.values.shape), 0, -1) for block in cubes]
-    entries = []
+    cubes = [np.ascontiguousarray(block.T).reshape(
+        (block.shape[1],) + theta.values.shape) for block in cubes]
+    # the first row of each distinct g; a g whose -g came first is its mirror
+    keys = list(map(tuple, G.tolist()))
+    first, mirror, shells = {}, {}, {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    for key, i in first.items():
+        j = first.get(tuple(-v for v in key), i)
+        if j < i:
+            mirror[j] = i
+        else:
+            shells.setdefault(radii[i], []).append(i)
+    residuals = np.zeros(len(G))
+    underflow = np.zeros(len(G), dtype=bool)
+    axes = tuple(range(1, d + 1))
+    last = axes + (d + 1, 0)  # a batch of windows with the components last
     # overflow and division by an underflowed product end in a residual
     # that is not finite, which raises below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for g, gr, C_g, row in zip(G.tolist(), radii, factors, zip(*rows)):
-            at_k = (slice(gr, 2 * R + 1 - gr),) * len(g)
+        for gr, shell in shells.items():
+            side = 2 * (R - gr) + 1
+            at_k = (slice(gr, 2 * R + 1 - gr),) * d
+            windows = [sliding_window_view(cube, (side,) * d, axis=axes)
+                       for cube in cubes]
+            theta_h = sliding_window_view(theta.values, (side,) * d)
+            if kind == KIND_MODIFIED:
+                c_h = sliding_window_view(table.values, (side,) * d)
+            batch = max(1, FE_CHUNK // side ** d)
+            for start in range(0, len(shell), batch):
+                own = shell[start:start + batch]
+                flipped = [j for j, i in enumerate(own) if i in mirror]
+                at = own + [mirror[own[j]] for j in flipped]
+                g_rows = [row[own].reshape((len(own),) + (1,) * d + row.shape[1:])
+                          for row in rows]
+                offset = tuple((gr - G[own]).T)  # window of h = k - g
+                h = [w[(slice(None),) + offset].transpose(last) for w in windows]
+                alpha = _with_mirrors(cocycle_arrays(g_rows[:4], h[:4]), flipped)
+                C_g = factors[at].reshape((len(at),) + (1,) * d)
+                offset = tuple((gr - G[at]).T)
+                if kind == KIND_MANIN:
+                    T = _with_mirrors(_manin_multiplier(
+                        _component_dot(g_rows[4], h[4]))[0], flipped)
+                else:
+                    c = c_h[offset]
+                    underflow[at] = (factors[at] == 0) | np.any(
+                        (c == 0).reshape(len(at), -1), axis=1)
+                    T = _modified_multiplier(C_g, c, table.values[at_k], alpha)
+                lhs = C_g * alpha * T * theta_h[offset]
+                residuals[at] = np.abs(lhs - theta.values[at_k]).reshape(
+                    len(at), -1).max(axis=1)
+    residuals, factors = residuals.tolist(), factors.tolist()
+    entries = []
+    for g, gr, key in zip(G.tolist(), radii, keys):
+        i = first[key]
+        if underflow[i]:
             at_h = tuple(slice(gr - v, 2 * R + 1 - gr - v) for v in g)
-            h = [cube[at_h] for cube in cubes]
-            alpha = cocycle_arrays(row[:4], h[:4])
-            if kind == KIND_MANIN:
-                T, _ = _manin_multiplier(_component_dot(row[4], h[4]))
-            else:
-                c_h = table.values[at_h]
-                if has_zero and (C_g == 0 or np.any(c_h == 0)):
-                    raise _underflow([g] if C_g == 0 else
-                                     np.argwhere(c_h == 0) + (gr - R) - g)
-                T = _modified_multiplier(C_g, c_h, table.values[at_k], alpha)
-            lhs = C_g * alpha * T * theta.values[at_h]
-            residual = float(np.abs(lhs - theta.values[at_k]).max())
-            if not math.isfinite(residual):
-                raise NCThetaError("functional equation residual is not a finite "
-                                   f"double at g={tuple(g)}")
-            entries.append({
-                "g": g,
-                "kind": kind,
-                "interior_radius": R - gr,
-                "max_residual": residual,
-                "degenerate": False,
-                "witnesses": [],
-                "pass": bool(residual < residual_tol),
-            })
+            raise _underflow([g] if factors[i] == 0 else
+                             np.argwhere(table.values[at_h] == 0) + (gr - R) - g)
+        residual = residuals[i]
+        if not math.isfinite(residual):
+            raise NCThetaError("functional equation residual is not a finite "
+                               f"double at g={tuple(g)}")
+        entries.append({
+            "g": g,
+            "kind": kind,
+            "interior_radius": R - gr,
+            "max_residual": residual,
+            "degenerate": False,
+            "witnesses": [],
+            "pass": bool(residual < residual_tol),
+        })
     return entries
 
 
@@ -419,7 +477,8 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
     reported as such, never as a universal additivity claim.  It checks
     at most MAX_CHECKS triples, each one _translations call; a triple is
     skipped when a factor of g1, g2, g1 + g2 or h vanishes structurally,
-    checked before any underflow.
+    checked before any underflow, without a call when an earlier call
+    flagged one of these points.
     """
     _check_kind(kind)
     base = {"kind": kind, "search_radius": int(search_radius)}
@@ -463,11 +522,17 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
     nonzero = K_pts[np.any(K_pts != 0, axis=1)]
     base.update(triples_checked=0, triples_skipped_degenerate=0)
     triples = itertools.product(nonzero, repeat=3)
+    degenerate = set()  # points whose factor a kernel call flagged zero
     for a, b, h in itertools.islice(triples, MAX_CHECKS):
         base["triples_checked"] += 1
         G, H = np.stack([a, b, a + b]), np.stack([h] * 3)
+        points = list(map(tuple, G.tolist())) + [tuple(h.tolist())]
+        if degenerate.intersection(points):
+            base["triples_skipped_degenerate"] += 1
+            continue
         factors, zero, _, (t1, t2, t12), _ = _translations(ctx, emb, G, H, kind,
                                                            tail_eps)
+        degenerate.update(k for k, z in zip(points, [*zero[0], zero[1][0]]) if z)
         try:
             _check_factors(factors, zero, G, H)
         except DegenerateTranslation:

@@ -16,7 +16,8 @@ Identical inputs always serialize to identical bytes.  The byte contract:
 * One chunked row writer writes, with the bytes of these rules, a
   ``QuantumElement`` (exact type, as its ``to_dict()``) and each list or
   tuple of dicts with the same string keys whose values per key are all
-  exact floats, all exact ints, or all lists of one nonzero length of either.
+  exact floats, all exact ints, all exact bools, all exact strs, or all
+  lists of one length (all empty, too) of one of these four.
 * Strings with backslash, double quote, newline and tab escaped.
 * Any other object raises TypeError.
 """
@@ -32,6 +33,7 @@ from .lattice import QuantumElement
 
 # rows per %-formatting call of the row writer
 ELEMENT_CHUNK = 4096
+_BOOLS = ("false", "true")
 
 
 def _format_float(x: float) -> str:
@@ -112,7 +114,8 @@ def _render_element(element: QuantumElement, indent: int, pad: str) -> str:
 def _render_dict_rows(rows, indent: int, pad: str):
     """rows, a list of dicts, through _render_rows when the dicts have the
     same string keys and each key's values are all exact floats, all exact
-    ints, or all lists of one nonzero length of either; else None."""
+    ints, all bools, all strs, or all lists of one length of one of these;
+    else None."""
     first = rows[0]
     if set(map(type, first)) != {str} or set(map(type, rows)) != {dict} \
             or set(map(len, rows)) != {len(first)}:
@@ -122,9 +125,14 @@ def _render_dict_rows(rows, indent: int, pad: str):
         col = list(map(dict.get, rows, repeat(k)))  # None where k is missing
         types, shape = set(map(type, col)), (len(rows),)
         if types == {list} and len(set(map(len, col))) == 1:
-            col = list(chain.from_iterable(col))  # empty lists leave no type
-            types, shape = set(map(type, col)), (len(rows), -1)
-        if types not in ({float}, {int}):
+            col = list(chain.from_iterable(col))
+            # empty lists leave no type: written as a width-0 int column
+            types, shape = set(map(type, col)) or {int}, (len(rows), -1)
+        if types == {bool}:
+            col = [_BOOLS[v] for v in col]
+        elif types == {str}:
+            col = list(map(_quote, col))
+        elif types != {int} and types != {float}:
             return None
         columns.append(np.array(col, float if types == {float} else object).reshape(shape))
     return _render_rows(keys, columns, indent, pad)
@@ -132,14 +140,16 @@ def _render_dict_rows(rows, indent: int, pad: str):
 
 def _render_rows(keys, columns, indent: int, pad: str) -> str:
     """A list of n dicts with the sorted keys `keys` as _render writes it,
-    from one float or int array per key: (n,) for numbers, (n, m) for
-    lists of m numbers (int arrays of dtype object keep big ints).  Each
-    distinct float (bit pattern) of a column is formatted once; the rows
-    are filled into one row template, by one % call per ELEMENT_CHUNK rows."""
+    from one array per key: (n,) for scalars, (n, m) for lists of m
+    scalars (m = 0 writes []).  A float array is formatted here; any
+    other array is written by %s (ints, kept as ints by dtype object, and
+    the text of bools and strings).  Each distinct float (bit pattern) of
+    a column is formatted once; the rows are filled into one row template,
+    by one % call per ELEMENT_CHUNK rows."""
     p1, p2, p3 = (pad + " " * (indent * j) for j in (1, 2, 3))
     n, members, parts = len(columns[0]), [], []
     for k, col in zip(keys, columns):
-        value, at, listed, width = "%d", None, col.ndim == 2, col.size // n
+        at, listed, width = None, col.ndim == 2, col.size // n
         if col.dtype.kind == "f":
             if not np.isfinite(col).all():
                 _format_float(float(col[~np.isfinite(col)][0]))  # raises ValueError
@@ -148,9 +158,11 @@ def _render_rows(keys, columns, indent: int, pad: str) -> str:
             formats = np.where((np.trunc(u) == u) & (np.abs(u) < 1e16), "%.1f", "%.17g")
             col = np.array((",".join(formats.tolist()) % tuple(u.tolist())).split(","),
                            dtype=object)
-            value, at = "%s", at.reshape(n, width)
+            at = at.reshape(n, width)
+        value = "%s"
         if listed:
-            value = f"[\n{p3}" + f",\n{p3}".join([value] * width) + f"\n{p2}]"
+            value = f"[\n{p3}" + f",\n{p3}".join([value] * width) + f"\n{p2}]" \
+                if width else "[]"
         members.append('"' + k.replace("%", "%%") + '": ' + value)
         parts.append((col.reshape(n, width) if at is None else col, at))
     row, sep, chunks = f"{{\n{p2}" + f",\n{p2}".join(members) + f"\n{p1}}}", f",\n{p1}", []

@@ -308,6 +308,28 @@ def test_boolean_matrix_entries_rejected(tmp_path, capsys, config):
     assert not out.exists()
 
 
+# q = 0 ignores Delta, a known key; "T2" is no key of a structure block
+_NESTED = {"embedding": {"p": 1, "q": 0, "theta": [0.5], "Delta": [[0.3]]},
+           "complex_structure": {"kind": "full", "t1": [[[0, 0.5]]],
+                                 "t2": [[1.0]]}}
+
+
+@pytest.mark.parametrize("block, key", [("complex_structure", "T2"),
+                                        ("embedding", "thetta")])
+def test_unknown_nested_keys_rejected(tmp_path, capsys, block, key):
+    out = tmp_path / "out"
+    assert cli.main(["classify", "--config", write_config(tmp_path, _NESTED),
+                     "--out", str(out)]) == 0
+    config = {**_NESTED, block: {**_NESTED[block], key: [[5.0]]}}
+    cfg = write_config(tmp_path, config)
+    for command in ("classify", "all"):
+        assert cli.main([command, "--config", cfg, "--out", str(out / command)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "config",
+                       "reason": f"unknown {block} fields: ['{key}']"}
+        assert not (out / command).exists()
+
+
 @pytest.mark.parametrize("solver, workload", [
     ("classify_holomorphic", VERIFY_CONT),  # full structure on q = 0
     ("solve_partial", VERIFY_MIXED),  # default partial structure

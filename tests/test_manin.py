@@ -7,7 +7,7 @@ import nctheta as nc
 from nctheta.errors import (DegenerateTranslation, DimensionMismatch,
                              NCThetaError)
 from nctheta.heisenberg import GaussianVector
-from nctheta.lattice import ball, cocycle_exponent_arrays
+from nctheta.lattice import ball, cocycle_arrays, cocycle_exponent_arrays
 from nctheta.manin import (ADDITIVITY_TOL, BallTable, TranslationFactor,
                            _multipliers, _translations,
                            functional_equation_residual_ops)
@@ -683,6 +683,49 @@ def test_engine_equals_frozen_index_engine(name, inst_1_2, inst_1_0, inst_2_0,
     K = ball(emb.d, th.radius // 2)
     assert nc.verify_functional_equations(ctx, emb, th, K, kind) == \
         _frozen_engine(ctx, emb, th, [emb.point(k) for k in K], kind)
+
+
+@pytest.mark.parametrize("name", ENGINE_GUARDS)
+def test_engine_batches_and_index_sets_equal_frozen(name, inst_1_2, inst_1_0,
+                                                    inst_2_0, inst_general,
+                                                    monkeypatch):
+    # batches of one pair, batches that split the shells between pairs and
+    # one batch per shell; index sets that are not +-symmetric, repeat a
+    # row or come in reverse order
+    emb, omega, kind = _guard_instances(inst_1_2, inst_1_0, inst_2_0,
+                                        inst_general)[name]
+    ctx, th = build(emb, omega, R=2 if name == "p2q2" else 4)
+    K = ball(emb.d, th.radius // 2)
+    expected = _frozen_engine(ctx, emb, th, [emb.point(k) for k in K], kind)
+    window = (2 * th.radius - 1) ** emb.d  # entries of one g with |g|_inf = 1
+    for chunk in (1, 3 * window, (2 * th.radius + 1) ** emb.d * len(K)):
+        monkeypatch.setattr(nc.manin, "FE_CHUNK", chunk)
+        assert nc.verify_functional_equations(ctx, emb, th, K, kind) == \
+            expected, chunk
+    monkeypatch.undo()
+    rng = np.random.default_rng(7)
+    index_sets = {
+        "first_half": K[:len(K) // 2],  # no g with its -g
+        "random_half": K[np.sort(rng.permutation(len(K))[:len(K) // 2])],
+        "one_unpaired": K[1:],  # K[-1] = -K[0] without K[0]
+        "duplicates": np.concatenate([K[[3, 0]], K, K[[len(K) // 2, 3]]]),
+        "reversed": K[::-1],
+    }
+    for label, Ks in index_sets.items():
+        assert nc.verify_functional_equations(ctx, emb, th, Ks, kind) == \
+            _frozen_engine(ctx, emb, th, [emb.point(k) for k in Ks], kind), label
+
+
+def test_cocycle_of_negated_points_is_bitwise_equal(inst_general):
+    # the engine computes the cocycle cube of one g of each pair {g, -g}
+    # and flips it for the other: S(-g, -h) == S(g, h) to the last bit
+    for emb in (nc.EmbeddingMap(p=1, q=2, phi=RAW_PHI_1_2), inst_general):
+        K = ball(emb.d, 2)
+        alpha, mirrored = (cocycle_arrays([b[:, None] for b in blocks],
+                                          [b[None] for b in blocks])
+                           for blocks in (emb.blocks(K), emb.blocks(-K)))
+        assert alpha.shape == (len(K), len(K))
+        assert np.array_equal(alpha.view(np.uint64), mirrored.view(np.uint64))
 
 
 @pytest.mark.parametrize("name", ENGINE_GUARDS)

@@ -358,21 +358,31 @@ def test_element_non_finite_raises(bad, at, part):
 _ROW_KEYS = st.text(alphabet='ab%"\n\\{d', max_size=4)
 _ROW_INTS = st.integers(-9, 9) | st.integers() | st.sampled_from(
     [2**63, -2**63 - 1, 2**64 + 1, -(3**90)])
-_ROW_KINDS = ["float", "int", "floats", "ints"]
+_ROW_KINDS = ["float", "int", "floats", "ints", "bool", "str", "empty"]
+# strings with what a template or a quoted string must escape
+_ROW_STRS = ['"', "\n", "%", "%s%%d", 'a"b\n%', "\\\t", ""]
 # changes after which a list of rows is no longer uniform, or not finite
 _ROW_BREAKS = [None, "bool", "np.float64", "str", "none", "ragged", "empty",
-               "missing", "renamed", "int_key", "nan", "inf", "huge_int"]
+               "missing", "renamed", "int_key", "nan", "inf", "huge_int",
+               "bool_int", "empty_beside", "np.bool_"]
 
 
 def _uniform_rows(keys, kinds, width, size, floats, ints, seed):
     """`size` dicts with the keys `keys`; the values of key j are of kind
-    kinds[j] (lists have `width` entries), drawn from the pools `floats`
-    and `ints` and, for floats, a normal law over many decades."""
+    kinds[j] (lists have `width` entries, "empty" ones none), drawn from
+    the pools `floats`, `ints` and _ROW_STRS and, for floats, a normal law
+    over many decades."""
     rng = np.random.default_rng(seed)
 
     def values(kind, count):
         if kind in ("int", "ints"):
             return [ints[i] for i in rng.integers(0, len(ints), count)]
+        if kind == "bool":
+            return (rng.random(count) < 0.5).tolist()
+        if kind == "str":
+            return [_ROW_STRS[i] for i in rng.integers(0, len(_ROW_STRS), count)]
+        if kind == "empty":
+            return [[] for _ in range(count)]
         normal = rng.normal(size=count) * 10.0 ** rng.integers(-320, 300, count)
         pooled = np.array(floats)[rng.integers(0, len(floats), count)]
         return np.where(rng.random(count) < 0.7, pooled, normal).tolist()
@@ -385,6 +395,9 @@ def _uniform_rows(keys, kinds, width, size, floats, ints, seed):
         else:
             columns.append(values(kind, size))
     return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
+_NUMERIC_KINDS = ("float", "int", "floats", "ints")
 
 
 def _break_rows(rows, kinds, how, at, column):
@@ -403,7 +416,7 @@ def _break_rows(rows, kinds, how, at, column):
     if how == "bool":
         put(True)
     elif how == "np.float64":
-        put(np.float64(value))
+        put(np.float64(value) if kinds[column] in _NUMERIC_KINDS else 0.5)
     elif how == "str":
         put("x")
     elif how == "none":
@@ -423,6 +436,12 @@ def _break_rows(rows, kinds, how, at, column):
         put(float(how))
     elif how == "huge_int":
         put(10**4400)  # beyond the digits int to str writes
+    elif how == "bool_int":
+        put(1 if kinds[column] == "bool" else True)
+    elif how == "empty_beside":
+        row[k] = [1] if kinds[column] == "empty" else []
+    elif how == "np.bool_":
+        put(np.bool_(True))
     return rows
 
 
@@ -461,3 +480,19 @@ def test_row_chunk_boundaries(size):
     rows = _uniform_rows(["a%d", 'k"\n', "re"], ["floats", "ints", "float"], 3, size,
                          _EDGE_FLOATS, [0, -1, 2**64, 7], seed=size)
     assert _mismatch(render_report(rows), _frozen_render_report(rows)) is None
+
+
+def test_row_writer_takes_bool_str_and_empty_columns():
+    # rows shaped like the functional-equation entries of verify.json take
+    # the row writer; a bool beside an int, [] beside [1] and np.bool_ do not
+    rows = [{"g": [i, -i], "kind": 'm"od\n%s', "interior_radius": i,
+             "max_residual": 0.1 * i, "degenerate": i == 2, "witnesses": [],
+             "pass": True} for i in range(5)]
+    text = reports._render_dict_rows(rows, 2, "")
+    assert text is not None
+    assert text + "\n" == _frozen_render_report(rows) == render_report(rows)
+    for key, value in (("pass", 1), ("witnesses", [1]), ("degenerate", np.bool_(True))):
+        broken = [dict(r) for r in rows]
+        broken[3][key] = value
+        assert reports._render_dict_rows(broken, 2, "") is None, key
+        assert render_report(broken) == _frozen_render_report(broken), key
