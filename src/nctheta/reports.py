@@ -33,6 +33,7 @@ from .lattice import QuantumElement
 
 # rows per %-formatting call of the row writer
 ELEMENT_CHUNK = 4096
+INDENT = "  "
 _BOOLS = ("false", "true")
 
 
@@ -50,74 +51,54 @@ def _quote(s: str) -> str:
     return f'"{out}"'
 
 
-def _render(obj, indent: int, pad: str) -> str:
-    """Dispatch on the exact type; float and int members of a dict or list
-    are formatted in the loop, without a recursive call."""
-    t = type(obj)
-    if t is float:
-        return _format_float(obj)
-    if t is int:
-        return str(obj)
-    if t is str:
-        return _quote(obj)
-    if t is bool:
+def _render(obj, pad: str) -> str:
+    """obj as JSON text, its inner lines indented by pad + INDENT; uniform
+    lists of dicts and an exact QuantumElement go through the row writer."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
-    if t is dict:
-        for k in obj:
-            if not isinstance(k, str):
-                raise TypeError("report keys must be strings")
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _render({"re": float(obj.real), "im": float(obj.imag)}, pad)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, np.ndarray):
+        return _render(obj.tolist(), pad)
+    inner = pad + INDENT
+    if isinstance(obj, dict):
+        if any(not isinstance(k, str) for k in obj):
+            raise TypeError("report keys must be strings")
         if not obj:
             return "{}"
-        inner = pad + " " * indent
-        parts = []
-        for k in sorted(obj):
-            v = obj[k]
-            t = type(v)
-            if t is float:
-                parts.append(f'"{k}": {_format_float(v)}')
-            elif t is int:
-                parts.append(f'"{k}": {v}')
-            else:
-                parts.append(f'"{k}": {_render(v, indent, inner)}')
-        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
-    if t is list or t is tuple:
+        items = [f'"{k}": {_render(obj[k], inner)}' for k in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        text = type(obj[0]) is dict and _render_dict_rows(obj, indent, pad)
+        text = _render_dict_rows(obj, pad)
         if text:
             return text
-        inner = pad + " " * indent
-        parts = []
-        for v in obj:
-            t = type(v)
-            if t is float:
-                parts.append(_format_float(v))
-            elif t is int:
-                parts.append(str(v))
-            else:
-                parts.append(_render(v, indent, inner))
-        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
-    if t is QuantumElement:
-        return _render_element(obj, indent, pad)
-    return _render_other(obj, indent, pad)
+        items = [_render(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if type(obj) is QuantumElement:  # as its to_dict(), from its arrays
+        K, c = obj.as_arrays()
+        coeffs = _render_rows(["im", "k", "re"], [c.imag, K, c.real], inner) \
+            if len(K) else "[]"
+        return f'{{\n{inner}"coeffs": {coeffs},\n{inner}"radius": {obj.radius}\n{pad}}}'
+    raise TypeError(f"cannot serialize {type(obj)} into a report")
 
 
-def _render_element(element: QuantumElement, indent: int, pad: str) -> str:
-    """element.to_dict() as _render writes it, from element.as_arrays()."""
-    p1 = pad + " " * indent
-    K, c = element.as_arrays()
-    coeffs = _render_rows(["im", "k", "re"], [c.imag, K, c.real], indent, p1) \
-        if len(K) else "[]"
-    return f'{{\n{p1}"coeffs": {coeffs},\n{p1}"radius": {element.radius}\n{pad}}}'
-
-
-def _render_dict_rows(rows, indent: int, pad: str):
-    """rows, a list of dicts, through _render_rows when the dicts have the
-    same string keys and each key's values are all exact floats, all exact
-    ints, all bools, all strs, or all lists of one length of one of these;
-    else None."""
+def _render_dict_rows(rows, pad: str):
+    """rows, a non-empty list or tuple, through _render_rows when it holds
+    exact dicts with the same string keys and each key's values are all
+    exact floats, all exact ints, all bools, all strs, or all lists of one
+    length of one of these; else None."""
     first = rows[0]
-    if set(map(type, first)) != {str} or set(map(type, rows)) != {dict} \
+    if set(map(type, rows)) != {dict} or set(map(type, first)) != {str} \
             or set(map(len, rows)) != {len(first)}:
         return None
     keys, columns = sorted(first), []
@@ -135,10 +116,10 @@ def _render_dict_rows(rows, indent: int, pad: str):
         elif types != {int} and types != {float}:
             return None
         columns.append(np.array(col, float if types == {float} else object).reshape(shape))
-    return _render_rows(keys, columns, indent, pad)
+    return _render_rows(keys, columns, pad)
 
 
-def _render_rows(keys, columns, indent: int, pad: str) -> str:
+def _render_rows(keys, columns, pad: str) -> str:
     """A list of n dicts with the sorted keys `keys` as _render writes it,
     from one array per key: (n,) for scalars, (n, m) for lists of m
     scalars (m = 0 writes []).  A float array is formatted here; any
@@ -146,11 +127,12 @@ def _render_rows(keys, columns, indent: int, pad: str) -> str:
     the text of bools and strings).  Each distinct float (bit pattern) of
     a column is formatted once; the rows are filled into one row template,
     by one % call per ELEMENT_CHUNK rows."""
-    p1, p2, p3 = (pad + " " * (indent * j) for j in (1, 2, 3))
+    p1, p2, p3 = (pad + INDENT * j for j in (1, 2, 3))
     n, members, parts = len(columns[0]), [], []
     for k, col in zip(keys, columns):
         at, listed, width = None, col.ndim == 2, col.size // n
         if col.dtype.kind == "f":
+            # _format_float's rule for a whole column by one % call: the speed path
             if not np.isfinite(col).all():
                 _format_float(float(col[~np.isfinite(col)][0]))  # raises ValueError
             u, at = np.unique(col.view(np.int64), return_inverse=True)
@@ -175,33 +157,9 @@ def _render_rows(keys, columns, indent: int, pad: str) -> str:
     return "".join(chunks + [f"\n{pad}]"])
 
 
-def _render_other(obj, indent: int, pad: str) -> str:
-    """None, numpy scalars and arrays, complex numbers and subclasses of the
-    builtin types: checked in this order, converted, and rendered again."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return _render({"re": float(obj.real), "im": float(obj.imag)}, indent, pad)
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, np.ndarray):
-        return _render(obj.tolist(), indent, pad)
-    if isinstance(obj, dict):
-        return _render({k: obj[k] for k in obj}, indent, pad)
-    if isinstance(obj, (list, tuple)):
-        return _render(list(obj), indent, pad)
-    raise TypeError(f"cannot serialize {type(obj)} into a report")
-
-
 def render_report(obj) -> str:
     """Serialize a report object to deterministic JSON text."""
-    return _render(obj, indent=2, pad="") + "\n"
+    return _render(obj, "") + "\n"
 
 
 def write_report(path, obj):

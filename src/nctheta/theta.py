@@ -162,7 +162,7 @@ class HermitianFormContext:
         p = omega.shape[0]
         im_inv = np.linalg.inv(omega.imag) if p else np.zeros((0, 0))
         if p and np.max(np.abs(im_inv @ omega.imag - np.eye(p))) > 1e-10:
-            raise ValueError("Im Omega is too ill-conditioned to invert")
+            raise NCThetaError("Im Omega is too ill-conditioned to invert")
         object.__setattr__(self, "omega", _readonly(omega))
         object.__setattr__(self, "im_inv", _readonly(im_inv))
 

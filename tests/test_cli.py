@@ -295,10 +295,22 @@ def test_boolean_numbers_rejected(tmp_path, overrides):
      "complex_structure": {"kind": "full", "t1": [0.5], "t2": [[1.0]]}},
     {"embedding": {"p": 1, "q": 0, "theta": [0.5]},
      "complex_structure": {"t1": [[0.5]], "t2": [[1.0]]}},
+    [{"embedding": {"p": 1, "q": 0, "theta": [0.5]}}],
+    {"truncation_R": 2},
+    {"embedding": {"p": 1, "q": 0, "theta": [0.5]}, "tolerances": {"inner": 1e-6}},
+    {"embedding": {"p": 1, "q": 0, "theta": [0.5]}, "outputs": ["classify", "plot"]},
+    {"embedding": {"p": 1, "q": 0, "theta": [0.5]},
+     "complex_structure": {"kind": "full", "t1": [[[0, 1], 0], [0, [0, 1]]],
+                           "t2": [[1, 0], [0, 1]]}},
+    {"embedding": {"p": 1, "q": 1, "theta": [0.5], "Q": [[1]], "Delta": [[0.3]]},
+     "complex_structure": {"kind": "partial", "t1": [[[0, 1], 0], [0, [0, 1]]],
+                           "t2": [[1, 0], [0, 1]]}},
 ], ids=["t1_pair_t2", "t1_object", "theta_Q", "Delta", "p", "phi",
         "t1_inf", "t2_339_digits", "theta_inf", "ragged_t1",
         "unhashable_output", "float_p", "string_p", "float_q_phi",
-        "structure_string", "flat_t1", "no_kind"])
+        "structure_string", "flat_t1", "no_kind", "not_an_object",
+        "no_embedding", "unknown_tolerance", "unknown_output",
+        "full_block_size", "partial_block_size"])
 def test_boolean_matrix_entries_rejected(tmp_path, capsys, config):
     cfg = write_config(tmp_path, config)
     out = tmp_path / "out"
@@ -504,6 +516,53 @@ def test_truncation_radius_over_the_grid_budget(tmp_path, capsys, R):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "GridTooLarge"
     assert not out.exists()
+
+
+# the classifier accepts this Omega (its Im part is positive definite),
+# but Im Omega is too ill-conditioned for the theta stage to invert
+ILL_CONDITIONED = {"embedding": {"p": 2, "q": 0, "theta": [1, 1]},
+                   "complex_structure": {"kind": "full",
+                                         "t1": [[[0, 1e6], [0, 1e6]],
+                                                [[0, 1e6], [0, 1000000.00001]]],
+                                         "t2": [[1, 0], [0, 1]]},
+                   "truncation_R": 2}
+
+
+@pytest.mark.parametrize("command", ["theta", "all"])
+def test_ill_conditioned_omega_exits_two(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, ILL_CONDITIONED)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "NCThetaError", "reason": "Im Omega is too ill-conditioned to invert"}
+    assert not out.exists()
+    assert cli.main(["classify", "--config", cfg, "--out", str(out)]) == 0
+    classify = json.loads((out / "classify.json").read_text())
+    assert classify["classification"]["variant"] == "unique"
+
+
+# one structure, i I and I, written with each form of a complex entry
+_ENTRY_FORMS = {
+    "numbers_and_pairs": {"t1": [[[0, 1], 0], [0.0, [0.0, 1.0]]],
+                          "t2": [[1, 0], [[0, 0], 1.0]]},
+    "pairs": {"t1": [[[0, 1], [0, 0]], [[0, 0], [0, 1]]],
+              "t2": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+    "objects": {"t1": [[{"im": 1}, {"re": 0}], [{"re": 0, "im": 0}, {"re": 0.0, "im": 1.0}]],
+                "t2": [[{"re": 1}, {"im": 0}], [{"re": 0.0}, {"re": 1, "im": 0}]]},
+}
+
+
+def test_complex_entry_forms_write_the_same_reports(tmp_path):
+    texts = set()
+    for name, blocks in _ENTRY_FORMS.items():
+        cfg = write_config(tmp_path, {
+            "embedding": {"p": 2, "q": 0, "theta": [0.5, 0.25]},
+            "complex_structure": {"kind": "full", **blocks}, "truncation_R": 2},
+            name=f"{name}.json")
+        out = tmp_path / name
+        assert cli.main(["theta", "--config", cfg, "--out", str(out)]) == 0
+        texts.add(((out / "classify.json").read_bytes(), (out / "theta.json").read_bytes()))
+    assert len(texts) == 1
 
 
 @pytest.mark.parametrize("seed", ["-1", str(-2**70)])

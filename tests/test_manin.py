@@ -380,6 +380,19 @@ def test_additivity_manin(inst_1_0, inst_2_0):
         assert rep["max_relative_deviation"] < 1e-10
 
 
+def test_additivity_manin_deviation_found(inst_1_0, monkeypatch):
+    # a pairing that is not linear in its first slot breaks the composition
+    # law: the probe itself, not a patched report, says deviation_found
+    def skewed(ctx, x, y):
+        return hermitian_pairing_arrays(ctx, x, y) + 1e-3 * np.sum(np.abs(x) ** 2, axis=-1)
+
+    monkeypatch.setattr(nc.manin, "hermitian_pairing_arrays", skewed)
+    emb, omega = inst_1_0
+    rep = nc.additivity_probe(HermitianFormContext(omega), emb, "manin", search_radius=3)
+    assert rep["verdict"] == "deviation_found"
+    assert rep["max_exponent_residual"] > ADDITIVITY_TOL
+
+
 def test_additivity_witness_modified(inst_1_2, inst_0_2):
     for emb, omega in [inst_1_2, inst_0_2]:
         ctx = HermitianFormContext(omega)

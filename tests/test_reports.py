@@ -488,11 +488,11 @@ def test_row_writer_takes_bool_str_and_empty_columns():
     rows = [{"g": [i, -i], "kind": 'm"od\n%s', "interior_radius": i,
              "max_residual": 0.1 * i, "degenerate": i == 2, "witnesses": [],
              "pass": True} for i in range(5)]
-    text = reports._render_dict_rows(rows, 2, "")
+    text = reports._render_dict_rows(rows, "")
     assert text is not None
     assert text + "\n" == _frozen_render_report(rows) == render_report(rows)
     for key, value in (("pass", 1), ("witnesses", [1]), ("degenerate", np.bool_(True))):
         broken = [dict(r) for r in rows]
         broken[3][key] = value
-        assert reports._render_dict_rows(broken, 2, "") is None, key
+        assert reports._render_dict_rows(broken, "") is None, key
         assert render_report(broken) == _frozen_render_report(broken), key
