@@ -118,15 +118,7 @@ class RunConfig:
                                                np.eye(half))
         cs = holomorphy.ComplexStructure(raw["kind"], _complex_matrix(raw["t1"]),
                                          _complex_matrix(raw["t2"]))
-        if cs.kind == "full":
-            if emb.d % 2 != 0:
-                raise ConfigError(
-                    f"full structure needs even total dimension, got d={emb.d}")
-            if cs.t1.shape != (emb.d // 2, emb.d // 2):
-                raise ConfigError(
-                    f"full structure blocks must be {emb.d // 2}x{emb.d // 2}")
-        elif cs.t1.shape != (emb.p, emb.p):
-            raise ConfigError(f"partial structure blocks must be {emb.p}x{emb.p}")
+        holomorphy._check_structure(emb, cs)
         return cs
 
 

@@ -17,36 +17,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridTooLarge, SingularEmbedding
+from .errors import DimensionMismatch, GridTooLarge, NCThetaError
 from .lattice import (GRID_BUDGET, EmbeddingMap, LatticePoint, _integral,
                       _readonly)
 
 SYM_TOL = 1e-12
+POSITIVITY_TOL = 1e-12
 
 
-def _check_omega(omega) -> np.ndarray:
-    """Omega as a complex (p, p) array, p read off its shape (a matrix
-    keeps it, one entry is 1 x 1, no entry 0 x 0); ValueError unless it
-    is symmetric to SYM_TOL with positive definite imaginary part."""
-    omega = np.asarray(omega, dtype=complex)
-    p = omega.shape[0] if omega.ndim == 2 else min(omega.size, 1)
-    omega = omega.reshape(p, p)
-    if omega.size:
-        if np.max(np.abs(omega - omega.T)) > SYM_TOL:
-            raise ValueError("Omega must be symmetric")
-        if np.min(np.linalg.eigvalsh(omega.imag)) <= 0.0:
-            raise ValueError("Im Omega must be positive definite")
-    return omega
+def _check_omega(omega):
+    """The package's one rule for a usable Omega: (Omega, inv(Im Omega)),
+    Omega as a complex (p, p) array, p the last axis of np.atleast_2d.
+    ValueError unless Omega is symmetric to SYM_TOL and the smallest
+    eigenvalue of Im Omega exceeds POSITIVITY_TOL; NCThetaError when Im
+    Omega is too ill-conditioned to invert (residual above 1e-10)."""
+    p = np.atleast_2d(omega).shape[-1]
+    omega = np.asarray(omega, dtype=complex).reshape(p, p)
+    if not p:
+        return omega, np.zeros((0, 0))
+    if not np.max(np.abs(omega - omega.T)) <= SYM_TOL:
+        raise ValueError("Omega must be symmetric")
+    if not np.min(np.linalg.eigvalsh(omega.imag)) > POSITIVITY_TOL:
+        raise ValueError("Im Omega must be positive definite")
+    im_inv = np.linalg.inv(omega.imag)
+    if not np.max(np.abs(im_inv @ omega.imag - np.eye(p))) <= 1e-10:
+        raise NCThetaError("Im Omega is too ill-conditioned to invert")
+    return omega, im_inv
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianVector:
     """Member of the closed Gaussian family on R^p x Z^q.
 
-    Omega is complex symmetric with positive definite imaginary part;
-    ell is a linear phase over the continuous variables, n0 an integer
-    lattice center and mu a (complex) linear phase over the lattice
-    variables.  c0 collects all constant factors.
+    Omega passes _check_omega; ell is a linear phase over the continuous
+    variables, n0 an integer lattice center and mu a (complex) linear
+    phase over the lattice variables.  c0 collects all constant factors.
     """
 
     p: int
@@ -58,11 +63,10 @@ class GaussianVector:
     mu: np.ndarray
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=complex).reshape(self.p, self.p)
+        omega, _ = _check_omega(np.reshape(self.omega, (self.p, self.p)))
         ell = np.asarray(self.ell, dtype=complex).reshape(self.p)
         n0 = _integral(np.asarray(self.n0).reshape(self.q)).astype(int)
         mu = np.asarray(self.mu, dtype=complex).reshape(self.q)
-        _check_omega(omega)
         object.__setattr__(self, "omega", _readonly(omega))
         object.__setattr__(self, "ell", _readonly(ell))
         object.__setattr__(self, "c0", complex(self.c0))
@@ -72,8 +76,7 @@ class GaussianVector:
     @classmethod
     def pure(cls, omega, q: int = 0) -> "GaussianVector":
         """The centered member exp(i pi s^T Omega s - (pi/2)|n|^2)."""
-        omega = _check_omega(omega)
-        p = omega.shape[0]
+        p = np.atleast_2d(omega).shape[-1]
         return cls(p=p, q=q, omega=omega, ell=np.zeros(p), c0=1.0 + 0j,
                    n0=np.zeros(q, dtype=int), mu=np.zeros(q))
 
@@ -127,12 +130,9 @@ def apply_generator(emb: EmbeddingMap, j: int, f: GaussianVector) -> GaussianVec
 
 
 def connection_matrix(emb: EmbeddingMap) -> np.ndarray:
-    """Inverse of the upper square block of Phi; the rows drive the connections."""
-    xt = emb.x_tilde
-    B = np.linalg.inv(xt)
-    if np.max(np.abs(B @ xt - np.eye(emb.d))) > 1e-10:
-        raise SingularEmbedding("connection matrix residual exceeds 1e-10")
-    return B
+    """Inverse of the upper square block of Phi, which EmbeddingMap checked
+    and kept; the rows drive the connections."""
+    return emb.x_inv
 
 
 @dataclass(frozen=True, eq=False)

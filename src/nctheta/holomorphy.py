@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoPartialStructure, OddDimension
-from .heisenberg import GaussianVector, connection_combination, connection_matrix
+from .errors import (DimensionMismatch, NCThetaError, NoPartialStructure,
+                     OddDimension)
+from .heisenberg import (GaussianVector, _check_omega, connection_combination,
+                         connection_matrix)
 from .lattice import EmbeddingMap, _readonly
 
 RANK_REL_TOL = 1e-8
 SYMMETRY_TOL = 1e-10
-POSITIVITY_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +73,17 @@ class HolomorphyResult:
         return out
 
 
+def _check_structure(emb: EmbeddingMap, cs: ComplexStructure):
+    """The one rule for a structure on an embedding: full blocks are
+    (d/2) x (d/2) on even d (else OddDimension), partial blocks p x p
+    (else DimensionMismatch)."""
+    if cs.kind == "full" and emb.d % 2:
+        raise OddDimension(f"full complex structure needs even d, got {emb.d}")
+    n = emb.d // 2 if cs.kind == "full" else emb.p
+    if cs.t1.shape != (n, n):
+        raise DimensionMismatch(f"{cs.kind} structure blocks must be {n}x{n}")
+
+
 def _svd_rank(mat: np.ndarray) -> int:
     if mat.size == 0:
         return 0
@@ -93,31 +105,27 @@ def _acf_split(emb: EmbeddingMap, t1: np.ndarray, t2: np.ndarray, rows: slice):
 
 
 def _solve_quadratic_form(A: np.ndarray, C: np.ndarray):
-    """Solve C Omega = A for symmetric Omega; report the three conditions.
+    """Solve C Omega = A for symmetric Omega; report the four conditions.
 
     C is p x p with p >= 1.  Returns (omega or None, witness); omega is
-    the symmetrized solution when invertibility, symmetry and positivity
-    all hold.
+    the symmetrized solution when C is invertible, the solution symmetric
+    and _check_omega's rule holds ("positivity" and "conditioning").
     """
-    p = A.shape[1]
-    witness: dict = {}
-    rank_c = _svd_rank(C)
-    witness["c_rank"] = rank_c
-    if rank_c < p:
-        witness["failed_condition"] = "invertibility"
-        return None, witness
+    witness: dict = {"c_rank": _svd_rank(C)}
+    if witness["c_rank"] < A.shape[1]:
+        return None, {**witness, "failed_condition": "invertibility"}
     omega_raw = np.linalg.solve(C, A)
-    sym_res = float(np.max(np.abs(omega_raw - omega_raw.T)))
-    witness["symmetry_residual"] = sym_res
-    if sym_res > SYMMETRY_TOL:
-        witness["failed_condition"] = "symmetry"
-        return None, witness
+    witness["symmetry_residual"] = float(np.max(np.abs(omega_raw - omega_raw.T)))
+    if witness["symmetry_residual"] > SYMMETRY_TOL:
+        return None, {**witness, "failed_condition": "symmetry"}
     omega = (omega_raw + omega_raw.T) / 2
-    min_eig = float(np.min(np.linalg.eigvalsh(omega.imag)))
-    witness["min_im_eig"] = min_eig
-    if not min_eig > POSITIVITY_TOL:
-        witness["failed_condition"] = "positivity"
-        return None, witness
+    witness["min_im_eig"] = float(np.min(np.linalg.eigvalsh(omega.imag)))
+    try:
+        _check_omega(omega)
+    except ValueError:
+        return None, {**witness, "failed_condition": "positivity"}
+    except NCThetaError:
+        return None, {**witness, "failed_condition": "conditioning"}
     witness["substitution_residual"] = float(np.max(np.abs(C @ omega - A)))
     return omega, witness
 
@@ -127,7 +135,8 @@ def classify_holomorphic(emb: EmbeddingMap, cs: ComplexStructure) -> HolomorphyR
 
     q = 0: the consistency equations have the unique candidate
     Omega = (T1 B12 + T2 B22)^{-1} (T1 B11 + T2 B21), accepted iff that
-    matrix exists, is symmetric and has positive definite imaginary part.
+    matrix exists, is symmetric and passes heisenberg's Omega rule
+    (_check_omega: Im Omega positive definite and well-conditioned).
     p, q both nonzero: never solvable; the coefficient map factors
     through a rank <= p matrix while the right side has rank p + q/2.
     p = 0: the constraints force all weight onto the lattice origin, so
@@ -135,13 +144,9 @@ def classify_holomorphic(emb: EmbeddingMap, cs: ComplexStructure) -> HolomorphyR
     """
     if cs.kind != "full":
         raise ValueError("classification requires a full complex structure")
-    d = emb.d
-    if d % 2 != 0:
-        raise OddDimension(f"full complex structure needs even d, got {d}")
-    if cs.t1.shape != (d // 2, d // 2):
-        raise DimensionMismatch(f"T blocks must be {(d // 2, d // 2)}")
+    _check_structure(emb, cs)
     p, q = emb.p, emb.q
-    A, C, F = _acf_split(emb, cs.t1, cs.t2, slice(0, d))
+    A, C, F = _acf_split(emb, cs.t1, cs.t2, slice(0, emb.d))
     if q == 0:
         omega, witness = _solve_quadratic_form(A, C)
         if omega is None:
@@ -184,9 +189,8 @@ def verify_nonexistence_by_search(emb: EmbeddingMap, cs: ComplexStructure,
     (rank C <= p, strictly below p + q/2 when q > 0) is asserted; the
     residual is reported only, since its size depends on conditioning.
     """
+    _check_structure(emb, cs)
     d = emb.d
-    if d % 2 != 0:
-        raise OddDimension(f"full complex structure needs even d, got {d}")
     p, q = emb.p, emb.q
     rng = np.random.default_rng(seed)
     structures = [cs]
@@ -230,15 +234,14 @@ def solve_partial(emb: EmbeddingMap, cs: ComplexStructure):
 
     Returns a "partial" HolomorphyResult (omega, g_matrix, witness);
     raises NoPartialStructure when any reduced condition
-    (invertibility, symmetry, positivity) fails.
+    (invertibility, symmetry, positivity, conditioning) fails.
     """
     p, q = emb.p, emb.q
     if p < 1:
         raise NoPartialStructure("continuous part", "needs p >= 1")
     if cs.kind != "partial":
         raise ValueError("solve_partial requires a partial complex structure")
-    if cs.t1.shape != (p, p):
-        raise DimensionMismatch(f"partial T blocks must be {(p, p)}")
+    _check_structure(emb, cs)
     A, C, F = _acf_split(emb, cs.t1, cs.t2, slice(0, 2 * p))
     omega, witness = _solve_quadratic_form(A, C)
     if omega is None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,16 +51,18 @@ def _integral(k: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingMap:
-    """Embedding matrix Phi of shape (2p+2q, 2p+q).
-
-    Invariants checked at construction: the entries are finite, the q
-    integer rows are integral to 1e-12, and the upper square block (first
-    2p+q rows) is invertible, with |det| > 1e-10 after row-norm scaling.
+    """Embedding matrix Phi of shape (2p+2q, 2p+q), under the package's
+    one rule for a usable Phi, checked at construction: the entries are
+    finite, the q integer rows are integral to 1e-12, and the upper square
+    block X (first 2p+q rows) is invertible, with |det X| > DET_TOL after
+    row-norm scaling and x_inv = inv(X), kept for connection_matrix,
+    within 1e-10 of the identity in x_inv @ X (SingularEmbedding if not).
     """
 
     p: int
     q: int
     phi: np.ndarray
+    x_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p, q = self.p, self.q
@@ -80,6 +82,10 @@ class EmbeddingMap:
         norms = np.linalg.norm(xt, axis=1)
         if np.any(norms == 0.0) or abs(np.linalg.det(xt / norms[:, None])) <= DET_TOL:
             raise SingularEmbedding("upper square block of phi is numerically singular")
+        x_inv = np.linalg.inv(xt)
+        if not np.max(np.abs(x_inv @ xt - np.eye(self.d))) <= 1e-10:
+            raise SingularEmbedding("upper square block of phi is ill-conditioned")
+        object.__setattr__(self, "x_inv", _readonly(x_inv))
 
     @property
     def d(self) -> int:

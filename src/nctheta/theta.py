@@ -152,17 +152,14 @@ def b_product_arrays(r: np.ndarray, m: np.ndarray, tail_eps: float = TAIL_EPS):
 
 @dataclass(frozen=True, eq=False)
 class HermitianFormContext:
-    """Quadratic form Omega with cached inverse of its imaginary part."""
+    """Quadratic form Omega with the inverse of its imaginary part, both as
+    _check_omega returns them (ValueError or NCThetaError from there)."""
 
     omega: np.ndarray
     im_inv: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        omega = _check_omega(self.omega)
-        p = omega.shape[0]
-        im_inv = np.linalg.inv(omega.imag) if p else np.zeros((0, 0))
-        if p and np.max(np.abs(im_inv @ omega.imag - np.eye(p))) > 1e-10:
-            raise NCThetaError("Im Omega is too ill-conditioned to invert")
+        omega, im_inv = _check_omega(self.omega)
         object.__setattr__(self, "omega", _readonly(omega))
         object.__setattr__(self, "im_inv", _readonly(im_inv))
 
@@ -222,24 +219,24 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def gaussian_integral(M: np.ndarray, v: np.ndarray) -> complex:
     """Closed form of the p-dimensional integral of exp(-s^T M s + v.s).
 
-    M is complex symmetric with Re M positive definite; the value is
-    pi^{p/2} det(M)^{-1/2} exp(v^T M^{-1} v / 4).  The inverse square
-    root of the determinant is accumulated eigenvalue by eigenvalue with
-    principal half-arguments, which tracks the branch continuously from
-    the real positive definite case.
+    M is complex symmetric with Re M positive definite (DivergentIntegral
+    if not); the value is pi^{p/2} det(M)^{-1/2} exp(v^T M^{-1} v / 4).
+    The inverse square root of the determinant is accumulated eigenvalue
+    by eigenvalue with principal half-arguments, which tracks the branch
+    continuously from the real positive definite case.
     """
     M = np.asarray(M, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if M.ndim != 2 or M.shape[0] == 0:
         return 1.0 + 0j
+    if np.min(np.linalg.eigvalsh(M.real)) <= 0.0:
+        raise DivergentIntegral("Re M must be positive definite")
     return complex(_gaussian_values(M, v[None])[0])
 
 
 def _gaussian_values(M: np.ndarray, V: np.ndarray, log_scale=None) -> np.ndarray:
-    """gaussian_integral of one (p, p) M, p >= 1, at each row of an (n, p) V,
-    times exp(log_scale) when given, inside the one exponential."""
-    if np.min(np.linalg.eigvalsh(M.real)) <= 0.0:
-        raise DivergentIntegral("Re M must be positive definite")
+    """gaussian_integral, unchecked, of one (p, p) M, p >= 1, at each row of
+    an (n, p) V, times exp(log_scale) when given, inside the one exp."""
     lam = np.linalg.eigvals(M)
     prefactor = np.pi ** (M.shape[0] / 2) * np.exp(-0.5 * np.sum(np.log(lam)))
     S = np.linalg.solve(M, V[..., None])[..., 0]
@@ -278,6 +275,7 @@ def _closed_inner_products(f: GaussianVector, g: GaussianVector, blocks,
     cont = latt = np.ones(len(W1), dtype=complex)
     # Continuous sector.
     if f.p:
+        # Re M = pi (Im Omega_f + Im Omega_g), positive definite by _check_omega
         M = -1j * np.pi * (f.omega - og_bar)
         OW1 = np.matmul(og_bar, W1[:, :, None])[:, :, 0]
         V = 2j * np.pi * (f.ell - lg_bar - OW1 - W2)

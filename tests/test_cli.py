@@ -9,7 +9,7 @@ import pytest
 
 from nctheta import cli, holomorphy, manin, theta
 from nctheta.errors import ConfigError
-from nctheta.heisenberg import GaussianVector
+from nctheta.heisenberg import POSITIVITY_TOL, GaussianVector
 from nctheta.lattice import ball, embedding_from_config
 
 
@@ -518,8 +518,9 @@ def test_truncation_radius_over_the_grid_budget(tmp_path, capsys, R):
     assert not out.exists()
 
 
-# the classifier accepts this Omega (its Im part is positive definite),
-# but Im Omega is too ill-conditioned for the theta stage to invert
+# Im Omega is positive definite (eigenvalues about 2e6 and 5e-6) but too
+# ill-conditioned to invert in double precision: the classifier applies
+# heisenberg's one Omega rule, so it and the theta stage agree
 ILL_CONDITIONED = {"embedding": {"p": 2, "q": 0, "theta": [1, 1]},
                    "complex_structure": {"kind": "full",
                                          "t1": [[[0, 1e6], [0, 1e6]],
@@ -527,18 +528,41 @@ ILL_CONDITIONED = {"embedding": {"p": 2, "q": 0, "theta": [1, 1]},
                                          "t2": [[1, 0], [0, 1]]},
                    "truncation_R": 2}
 
+# det test passes (row-normalized det above DET_TOL), but the inverse of
+# the square block misses the identity by more than 1e-10
+ILL_CONDITIONED_PHI = {"embedding": {"p": 2, "q": 0, "phi": [
+    [-0.0112, 0.8122, -0.508, 0.2155], [-0.8172, -0.076, 0.0857, -0.048],
+    [0.4035, 0.3413, 0.6396, -0.2112], [0.411, -0.4655, -0.4581, 0.1546]]},
+    "truncation_R": 2}
+
 
 @pytest.mark.parametrize("command", ["theta", "all"])
-def test_ill_conditioned_omega_exits_two(tmp_path, capsys, command):
+def test_ill_conditioned_omega_exits_two(tmp_path, command):
     cfg = write_config(tmp_path, ILL_CONDITIONED)
     out = tmp_path / "out"
-    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
-    assert json.loads(capsys.readouterr().err) == {
-        "error": "NCThetaError", "reason": "Im Omega is too ill-conditioned to invert"}
-    assert not out.exists()
     assert cli.main(["classify", "--config", cfg, "--out", str(out)]) == 0
-    classify = json.loads((out / "classify.json").read_text())
-    assert classify["classification"]["variant"] == "unique"
+    classification = json.loads((out / "classify.json").read_text())["classification"]
+    assert classification["variant"] == "nonexistent"
+    assert classification["witness"]["failed_condition"] == "conditioning"
+    assert classification["witness"]["min_im_eig"] > POSITIVITY_TOL
+    out = tmp_path / command
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert json.loads((out / "classify.json").read_text())["classification"] \
+        == classification
+    assert "conditioning" in json.loads((out / "theta.json").read_text())["error"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["reports_written"] == ["classify", "theta"]
+    assert summary["exit_code"] == 2 and len(summary["failures"]) == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "theta", "verify", "all"])
+def test_ill_conditioned_phi_exits_one(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, ILL_CONDITIONED_PHI)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "SingularEmbedding" in err["reason"]
+    assert not out.exists()
 
 
 # one structure, i I and I, written with each form of a complex entry

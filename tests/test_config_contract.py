@@ -1,0 +1,103 @@
+"""The config-space contract of the CLI pipeline.
+
+Random configs go through `load_config` and `run_config` in-process:
+- a run returns 0 or 2, or raises ConfigError or NCThetaError, and
+  nothing else;
+- a config that `load_config` accepts never raises SingularEmbedding:
+  `EmbeddingMap` is the one rule for a usable Phi;
+- a `unique` or `partial` classification never ends in the
+  ill-conditioned Im Omega error: `heisenberg._check_omega` is the one
+  rule for a usable Omega, and the classifier applies it.
+
+The configs have p, q <= 2 and d = 2p + q <= 4, R in {1, 2}, canonical
+embeddings or raw Phi whose square block is U diag(s) V with s down to
+1e-9, and the default, a full or a partial structure with |T1| from 1e-4
+to 1e4.  The ill-conditioned Omega and Phi configs of test_cli always
+run.
+"""
+
+import json
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from nctheta import cli
+from nctheta.errors import ConfigError, NCThetaError, SingularEmbedding
+from test_cli import ILL_CONDITIONED, ILL_CONDITIONED_PHI
+
+ILL_CONDITIONED_ERROR = "Im Omega is too ill-conditioned to invert"
+
+
+def _complex_rows(z):
+    return [[[v.real, v.imag] for v in row] for row in z]
+
+
+def _embedding(rng, p, q, raw, s_min):
+    if raw:
+        d = 2 * p + q
+        u, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        v, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        s = np.geomspace(1.0, s_min, d)
+        phi = np.vstack([u @ np.diag(s) @ v, rng.uniform(-1, 1, (q, d))])
+        phi[2 * p:2 * p + q] = np.round(3 * phi[2 * p:2 * p + q])
+        return {"p": p, "q": q, "phi": phi.tolist()}
+    block = {"p": p, "q": q}
+    if p:
+        block["theta"] = rng.choice([0.5, np.sqrt(2) - 1, -0.3, 1.7], p).tolist()
+    if q:
+        block["Q"] = rng.integers(-2, 3, (q, q)).tolist()
+        block["Delta"] = (10.0 ** rng.uniform(-6, 0.7)
+                          * rng.normal(size=(q, q))).tolist()
+    return block
+
+
+@st.composite
+def configs(draw):
+    p, q = draw(st.sampled_from([(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = draw(st.booleans())
+    embedding = _embedding(rng, p, q, raw, 10.0 ** draw(st.floats(-9, 0)))
+    config = {"embedding": embedding, "truncation_R": draw(st.integers(1, 2))}
+    kinds = [None] + ["full"] * ((2 * p + q) % 2 == 0) + ["partial"] * (p > 0)
+    kind = draw(st.sampled_from(kinds))
+    if kind is None:
+        return config
+    n = (2 * p + q) // 2 if kind == "full" else p
+    scale = 10.0 ** draw(st.floats(-4, 4))
+    if not raw and q == 0 and draw(st.booleans()):
+        # T1 = i S diag(theta), T2 = I solve to Omega = i S: a symmetric
+        # Omega whose Im part has eigenvalues 10^-8 to 10^4 times |T1|
+        w, _ = np.linalg.qr(rng.normal(size=(p, p)))
+        s = w @ np.diag(10.0 ** rng.uniform(-8, 4, p)) @ w.T
+        t1, t2 = 1j * scale * s @ np.diag(embedding["theta"]), np.eye(p)
+    else:
+        t1 = scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        t2 = np.eye(n) if draw(st.booleans()) else \
+            rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    config["complex_structure"] = {"kind": kind, "t1": _complex_rows(t1),
+                                   "t2": _complex_rows(t2)}
+    return config
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=configs())
+@example(config=ILL_CONDITIONED)
+@example(config=ILL_CONDITIONED_PHI)
+def test_run_outcomes_are_typed_and_rules_agree(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    try:
+        cfg = cli.load_config(str(path))
+    except ConfigError:
+        return
+    cfg.outputs = ["classify", "theta", "verify"]
+    try:
+        assert cli.run_config(cfg, str(tmp_path / "out")) in (0, 2)
+    except SingularEmbedding as exc:
+        raise AssertionError(f"load_config accepted a Phi that a stage rejects: {exc}")
+    except NCThetaError as exc:
+        if str(exc) == ILL_CONDITIONED_ERROR:
+            variant = getattr(cli._classification(cfg), "variant", None)
+            assert variant not in ("unique", "partial"), \
+                f"classified {variant}, then Im Omega was too ill-conditioned"
