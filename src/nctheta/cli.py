@@ -20,7 +20,7 @@ import numpy as np
 
 from . import holomorphy, manin, theta
 from .errors import (ConfigError, DegenerateTranslation, NCThetaError,
-                     NoPartialStructure)
+                     NoFullStructure, NoPartialStructure)
 from .heisenberg import GaussianVector
 from .lattice import (EmbeddingMap, ball, embedding_from_config,
                       seeded_integers)
@@ -203,9 +203,9 @@ def _theta_vector(cfg: RunConfig, classification) -> GaussianVector:
     if cs.kind == "partial":
         return holomorphy.partial_theta_vector(emb, classification)
     if classification.variant != "unique":
-        raise NoPartialStructure(
-            classification.witness.get("failed_condition", "nonexistent"),
-            "supplied structure admits no holomorphic vector")
+        raise NoFullStructure(
+            f"full structure failed: {classification.witness['failed_condition']}"
+            " (supplied structure admits no holomorphic vector)")
     return GaussianVector.pure(classification.omega)
 
 
@@ -309,7 +309,7 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
     if _runs_theta(cfg):
         try:
             vec = _theta_vector(cfg, classification)
-        except NoPartialStructure as exc:
+        except (NoFullStructure, NoPartialStructure) as exc:
             failures.append(f"theta vector: {exc}")
             reports["theta"] = {"schema_version": SCHEMA_VERSION, "error": str(exc)}
         else:

@@ -42,6 +42,10 @@ class NoPartialStructure(NCThetaError):
                          + (f" ({detail})" if detail else ""))
 
 
+class NoFullStructure(NCThetaError):
+    """A full structure on q = 0 fails a condition of its only candidate Omega."""
+
+
 class BadTau(NCThetaError):
     """The theta series parameter tau is not in the upper half plane."""
 

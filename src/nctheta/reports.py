@@ -51,56 +51,55 @@ def _quote(s: str) -> str:
     return f'"{out}"'
 
 
-def _render(obj, pad: str) -> str:
-    """obj as JSON text, its inner lines indented by pad + INDENT; uniform
-    lists of dicts and an exact QuantumElement go through the row writer."""
+def _render(obj, pad: str, out: list) -> None:
+    """Append obj's JSON text to out, inner lines indented by pad + INDENT;
+    uniform lists of dicts and an exact QuantumElement take the row writer."""
+    inner, sep = pad + INDENT, ",\n" + pad + INDENT
     if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return _render({"re": float(obj.real), "im": float(obj.imag)}, pad)
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, np.ndarray):
-        return _render(obj.tolist(), pad)
-    inner = pad + INDENT
-    if isinstance(obj, dict):
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_format_float(float(obj)))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _render({"re": float(obj.real), "im": float(obj.imag)}, pad, out)
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, np.ndarray):
+        _render(obj.tolist(), pad, out)
+    elif isinstance(obj, dict):
         if any(not isinstance(k, str) for k in obj):
             raise TypeError("report keys must be strings")
-        if not obj:
-            return "{}"
-        items = [f'"{k}": {_render(obj[k], inner)}' for k in sorted(obj)]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        text = _render_dict_rows(obj, pad)
-        if text:
-            return text
-        items = [_render(v, inner) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    if type(obj) is QuantumElement:  # as its to_dict(), from its arrays
+        for i, k in enumerate(sorted(obj)):
+            out.append((sep if i else "{\n" + inner) + f'"{k}": ')
+            _render(obj[k], inner, out)
+        out.append("\n" + pad + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        if not _render_dict_rows(obj, pad, out):
+            for i, v in enumerate(obj):
+                out.append(sep if i else "[\n" + inner)
+                _render(v, inner, out)
+            out.append("\n" + pad + "]" if obj else "[]")
+    elif type(obj) is QuantumElement:  # as its to_dict(), from its arrays
         K, c = obj.as_arrays()
-        coeffs = _render_rows(["im", "k", "re"], [c.imag, K, c.real], inner) \
-            if len(K) else "[]"
-        return f'{{\n{inner}"coeffs": {coeffs},\n{inner}"radius": {obj.radius}\n{pad}}}'
-    raise TypeError(f"cannot serialize {type(obj)} into a report")
+        out.append(f'{{\n{inner}"coeffs": ')
+        _render_rows(["im", "k", "re"], [c.imag, K, c.real], inner, out)
+        out.append(f',\n{inner}"radius": {obj.radius}\n{pad}}}')
+    else:
+        raise TypeError(f"cannot serialize {type(obj)} into a report")
 
 
-def _render_dict_rows(rows, pad: str):
-    """rows, a non-empty list or tuple, through _render_rows when it holds
-    exact dicts with the same string keys and each key's values are all
-    exact floats, all exact ints, all bools, all strs, or all lists of one
-    length of one of these; else None."""
-    first = rows[0]
+def _render_dict_rows(rows, pad: str, out: list) -> bool:
+    """Append rows, a list or tuple, through _render_rows and return True
+    if it is not empty and holds exact dicts with the same string keys
+    whose values per key are all exact floats, all exact ints, all bools,
+    all strs, or all lists of one length of one of these; else False."""
+    first = rows[0] if rows else None
     if set(map(type, rows)) != {dict} or set(map(type, first)) != {str} \
             or set(map(len, rows)) != {len(first)}:
-        return None
+        return False
     keys, columns = sorted(first), []
     for k in keys:
         col = list(map(dict.get, rows, repeat(k)))  # None where k is missing
@@ -114,23 +113,24 @@ def _render_dict_rows(rows, pad: str):
         elif types == {str}:
             col = list(map(_quote, col))
         elif types != {int} and types != {float}:
-            return None
+            return False
         columns.append(np.array(col, float if types == {float} else object).reshape(shape))
-    return _render_rows(keys, columns, pad)
+    _render_rows(keys, columns, pad, out)
+    return True
 
 
-def _render_rows(keys, columns, pad: str) -> str:
-    """A list of n dicts with the sorted keys `keys` as _render writes it,
-    from one array per key: (n,) for scalars, (n, m) for lists of m
-    scalars (m = 0 writes []).  A float array is formatted here; any
-    other array is written by %s (ints, kept as ints by dtype object, and
-    the text of bools and strings).  Each distinct float (bit pattern) of
-    a column is formatted once; the rows are filled into one row template,
-    by one % call per ELEMENT_CHUNK rows."""
+def _render_rows(keys, columns, pad: str, out: list) -> None:
+    """Append a list of n dicts with the sorted keys `keys`, as _render
+    writes it, from one array per key: (n,) for scalars, (n, m) for lists
+    of m scalars (m = 0 or n = 0 writes []).  A float array is formatted
+    here; any other array is written by %s (ints, kept as ints by dtype
+    object, and the text of bools and strings).  Each distinct float (bit
+    pattern) of a column is formatted once; the rows are filled into one
+    row template by one % call per ELEMENT_CHUNK rows, a piece each."""
     p1, p2, p3 = (pad + INDENT * j for j in (1, 2, 3))
     n, members, parts = len(columns[0]), [], []
     for k, col in zip(keys, columns):
-        at, listed, width = None, col.ndim == 2, col.size // n
+        at, listed, width = None, col.ndim == 2, col.size // max(n, 1)
         if col.dtype.kind == "f":
             # _format_float's rule for a whole column by one % call: the speed path
             if not np.isfinite(col).all():
@@ -147,24 +147,35 @@ def _render_rows(keys, columns, pad: str) -> str:
                 if width else "[]"
         members.append('"' + k.replace("%", "%%") + '": ' + value)
         parts.append((col.reshape(n, width) if at is None else col, at))
-    row, sep, chunks = f"{{\n{p2}" + f",\n{p2}".join(members) + f"\n{p1}}}", f",\n{p1}", []
+    row, sep = f"{{\n{p2}" + f",\n{p2}".join(members) + f"\n{p1}}}", f",\n{p1}"
     for start in range(0, n, ELEMENT_CHUNK):
         rows = slice(start, start + ELEMENT_CHUNK)
         args = np.concatenate([col[rows].astype(object) if at is None else col[at[rows]]
                                for col, at in parts], axis=1)
-        head = sep if start else f"[\n{p1}"  # brackets too: one join, no copy of the text
-        chunks.append((head + sep.join([row] * len(args))) % tuple(args.ravel().tolist()))
-    return "".join(chunks + [f"\n{pad}]"])
+        head = sep if start else f"[\n{p1}"
+        out.append((head + sep.join([row] * len(args))) % tuple(args.ravel().tolist()))
+    out.append(f"\n{pad}]" if n else "[]")
+
+
+def _pieces(obj) -> list:
+    """The report's text as the list of pieces that is joined once."""
+    out = []
+    _render(obj, "", out)
+    out.append("\n")
+    return out
 
 
 def render_report(obj) -> str:
     """Serialize a report object to deterministic JSON text."""
-    return _render(obj, "") + "\n"
+    return "".join(_pieces(obj))
 
 
 def write_report(path, obj):
-    """Write the report to path and return its text."""
-    text = render_report(obj)
+    """Write the report to path and return its text.  It renders in full
+    before the file opens, so a failed render leaves no file.  The text is
+    joined from the written pieces only because perfbench's tracer counts
+    `reports.render.bytes` from it; the join doubles the peak memory."""
+    pieces = _pieces(obj)
     with open(path, "w") as fh:
-        fh.write(text)
-    return text
+        fh.writelines(pieces)
+    return "".join(pieces)

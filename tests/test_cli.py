@@ -549,10 +549,41 @@ def test_ill_conditioned_omega_exits_two(tmp_path, command):
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
     assert json.loads((out / "classify.json").read_text())["classification"] \
         == classification
-    assert "conditioning" in json.loads((out / "theta.json").read_text())["error"]
+    error = json.loads((out / "theta.json").read_text())["error"]
+    assert error == "full structure failed: conditioning" \
+        " (supplied structure admits no holomorphic vector)"
     summary = json.loads((out / "summary.json").read_text())
     assert summary["reports_written"] == ["classify", "theta"]
-    assert summary["exit_code"] == 2 and len(summary["failures"]) == 1
+    assert summary["exit_code"] == 2
+    assert summary["failures"] == [f"theta vector: {error}"]
+
+
+# full structures on p = 2, q = 0 whose only candidate Omega fails one condition
+_I2 = [[1, 0], [0, 1]]
+_FAILED_FULL = {
+    "invertibility": {"t1": [[0, 0], [0, 0]], "t2": [[0, 0], [0, 0]]},
+    "symmetry": {"t1": [[[0, 1], [0, 1]], [0, [0, 1]]], "t2": _I2},
+    "positivity": {"t1": [[[0, -1], 0], [0, [0, -1]]], "t2": _I2},
+}
+
+
+@pytest.mark.parametrize("condition", sorted(_FAILED_FULL))
+def test_failed_full_structure_names_the_full_structure(tmp_path, condition):
+    cfg = write_config(tmp_path, {
+        "embedding": {"p": 2, "q": 0, "theta": [1, 1]},
+        "complex_structure": {"kind": "full", **_FAILED_FULL[condition]},
+        "truncation_R": 2})
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", cfg, "--out", str(out)]) == 2
+    classification = json.loads((out / "classify.json").read_text())["classification"]
+    assert classification["variant"] == "nonexistent"
+    assert classification["witness"]["failed_condition"] == condition
+    error = f"full structure failed: {condition}" \
+        " (supplied structure admits no holomorphic vector)"
+    assert json.loads((out / "theta.json").read_text())["error"] == error
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failures"] == [f"theta vector: {error}"]
+    assert summary["reports_written"] == ["classify", "theta"]
 
 
 @pytest.mark.parametrize("command", ["classify", "theta", "verify", "all"])
@@ -666,8 +697,9 @@ def test_no_partial_structure_route(tmp_path):
     classification = json.loads((out / "classify.json").read_text())["classification"]
     assert classification == {"variant": "no_partial_structure",
                               "witness": {"condition": "invertibility"}}
-    assert set(json.loads((out / "theta.json").read_text())) == \
-        {"error", "schema_version"}
+    theta_report = json.loads((out / "theta.json").read_text())
+    assert set(theta_report) == {"error", "schema_version"}
+    assert theta_report["error"].startswith("partial structure failed: invertibility (")
     assert not (out / "verify.json").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["reports_written"] == ["classify", "theta"]

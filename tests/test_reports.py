@@ -1,5 +1,6 @@
 import enum
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,26 @@ def test_write_report_returns_the_text(tmp_path):
     path = tmp_path / "r.json"
     text = reports.write_report(str(path), obj)
     assert text == path.read_text() == _frozen_render_report(obj)
+
+
+def test_write_report_holds_twice_the_text(monkeypatch, tmp_path):
+    # the pieces and the returned join, not the copies of each nesting level
+    obj = next(obj for path, obj in _captured_reports(
+        monkeypatch, tmp_path, ACCEPTANCE).items() if path.endswith("theta.json"))
+    tracemalloc.start()
+    try:
+        text = reports.write_report(str(tmp_path / "theta.json"), obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * len(text), peak / len(text)
+
+
+def test_write_report_that_fails_to_render_leaves_no_file(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        reports.write_report(str(path), {"x": float("nan")})
+    assert not path.exists()
 
 
 class _Dict(dict):
@@ -488,11 +509,12 @@ def test_row_writer_takes_bool_str_and_empty_columns():
     rows = [{"g": [i, -i], "kind": 'm"od\n%s', "interior_radius": i,
              "max_residual": 0.1 * i, "degenerate": i == 2, "witnesses": [],
              "pass": True} for i in range(5)]
-    text = reports._render_dict_rows(rows, "")
-    assert text is not None
-    assert text + "\n" == _frozen_render_report(rows) == render_report(rows)
+    pieces = []
+    assert reports._render_dict_rows(rows, "", pieces)
+    assert "".join(pieces) + "\n" == _frozen_render_report(rows) == render_report(rows)
     for key, value in (("pass", 1), ("witnesses", [1]), ("degenerate", np.bool_(True))):
         broken = [dict(r) for r in rows]
         broken[3][key] = value
-        assert reports._render_dict_rows(broken, "") is None, key
+        assert not reports._render_dict_rows(broken, "", pieces), key
+        assert len(pieces) == 2, key  # refused rows append nothing
         assert render_report(broken) == _frozen_render_report(broken), key
