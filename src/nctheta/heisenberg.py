@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, GridTooLarge, NCThetaError
-from .lattice import (GRID_BUDGET, EmbeddingMap, LatticePoint, _integral,
+from .lattice import (GRID_BUDGET, EmbeddingMap, LatticePoint, _indices,
                       _readonly)
 
 SYM_TOL = 1e-12
@@ -65,7 +65,7 @@ class GaussianVector:
     def __post_init__(self):
         omega, _ = _check_omega(np.reshape(self.omega, (self.p, self.p)))
         ell = np.asarray(self.ell, dtype=complex).reshape(self.p)
-        n0 = _integral(np.asarray(self.n0).reshape(self.q)).astype(int)
+        n0 = _indices(self.n0, (self.q,))
         mu = np.asarray(self.mu, dtype=complex).reshape(self.q)
         object.__setattr__(self, "omega", _readonly(omega))
         object.__setattr__(self, "ell", _readonly(ell))
@@ -124,9 +124,7 @@ def apply_generator(emb: EmbeddingMap, j: int, f: GaussianVector) -> GaussianVec
     operator of the j-th embedding column."""
     if not 0 <= j < emb.d:
         raise DimensionMismatch(f"generator index {j} out of range for d={emb.d}")
-    e = np.zeros(emb.d, dtype=int)
-    e[j] = 1
-    return apply_heisenberg(emb.point(e), f)
+    return apply_heisenberg(emb.point(np.eye(emb.d, dtype=int)[j]), f)
 
 
 def connection_matrix(emb: EmbeddingMap) -> np.ndarray:

@@ -38,15 +38,34 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _integral(k: np.ndarray) -> np.ndarray:
-    """Integer-valued k, rounded; ValueError unless |k - round(k)| <= INT_TOL
-    everywhere.  Integer arrays are returned as they are."""
-    if np.issubdtype(k.dtype, np.integer):
-        return k
-    rounded = np.round(k)
-    if not np.all(np.abs(k - rounded) <= INT_TOL):
-        raise ValueError("lattice index must be integral")
-    return rounded
+def _indices(k, shape: tuple) -> np.ndarray:
+    """The one rule for a lattice index, which every index entering the
+    package passes: k as an int64 array of `shape` (-1: any length; an
+    empty sequence is empty), else DimensionMismatch, also for ragged rows.
+    ValueError unless every entry is a number, not a boolean, within INT_TOL
+    of an integer below 2**53 in magnitude, so that Phi k in float64 is
+    exact; integer arrays skip the rounding, bounded by one min/max pass."""
+    bad = ValueError("lattice indices must be integers below 2**53 in magnitude")
+    if _has_bool(k):
+        raise bad
+    try:
+        k = np.asarray(k)
+    except ValueError as exc:
+        raise DimensionMismatch(f"ragged lattice indices for shape {shape}") from exc
+    if k.shape == (0,) and len(shape) > 1:
+        k = k.reshape([max(n, 0) for n in shape])
+    if k.ndim != len(shape) or any(n not in (-1, m) for n, m in zip(shape, k.shape)):
+        raise DimensionMismatch(f"lattice indices of shape {k.shape}, want {shape}")
+    if k.dtype.kind == "O" and all(
+            isinstance(x, (int, float, np.integer, np.floating))
+            and not _has_bool(x) and abs(x) < 2**53 for x in k.flat):
+        k = k.astype(float)  # an object array left as it is fails below
+    if k.dtype.kind in "iu" and (not k.size or -2**53 < k.min() and k.max() < 2**53):
+        return k.astype(np.int64, copy=False)
+    if k.dtype.kind != "f" or not (np.all(np.abs(k) < 2**53) and
+                                   np.all(np.abs(k - np.round(k)) <= INT_TOL)):
+        raise bad
+    return np.round(k).astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,30 +117,23 @@ class EmbeddingMap:
 
     def point(self, index) -> "LatticePoint":
         """Map an integer vector to its lattice point with block decomposition."""
-        k = np.asarray(index)
-        if k.shape != (self.d,):
-            raise DimensionMismatch(f"index must have length {self.d}, got {k.shape}")
-        k = _integral(k).astype(int)
-        return LatticePoint(_readonly(k),
-                            *(_readonly(b[0]) for b in self.blocks(k[None])))
+        k = _readonly(_indices(index, (self.d,)))
+        return LatticePoint(k, *(_readonly(b[0]) for b in self.blocks(k[None])))
 
     def blocks(self, indices: np.ndarray):
         """Vectorized block decomposition for an (n, d) array of integer indices.
 
         Returns (w1, w2, m, r) with shapes (n, p), (n, p), (n, q), (n, q).
-        Non-integral indices raise ValueError, as in point().  Phi k is
-        formed by einsum, whose reduction for one row does not depend on
+        The indices pass the one index rule, _indices, as point's do.  Phi k
+        is formed by einsum, whose reduction for one row does not depend on
         the other rows (a BLAS matrix product picks its kernel by the
         batch size), over a C-ordered copy of the indices (an F-ordered
         operand, such as np.argwhere returns, takes another einsum loop
         with other last bits), so each row has the same bits in any batch
         and layout.
         """
-        K = np.asarray(indices)
-        if K.ndim != 2 or K.shape[1] != self.d:
-            raise DimensionMismatch(f"indices must be (n, {self.d})")
-        H = np.einsum("nd,md->nm", _integral(K).astype(float, order="C"),
-                      self.phi)
+        K = _indices(indices, (-1, self.d)).astype(float, order="C")
+        H = np.einsum("nd,md->nm", K, self.phi)
         p, q = self.p, self.q
         m = np.round(H[:, 2 * p:2 * p + q]).astype(int)
         return H[:, :p], H[:, p:2 * p], m, H[:, 2 * p + q:]
@@ -243,9 +255,9 @@ def induced_theta(emb: EmbeddingMap) -> np.ndarray:
 
 def ball(d: int, r: int) -> np.ndarray:
     """Integer vectors with |k|_inf <= r as an (n, d) int array, in
-    lexicographic order (the order of itertools.product); GridTooLarge
-    when there are more than GRID_BUDGET of them."""
-    if (2 * int(r) + 1) ** d > GRID_BUDGET:
+    lexicographic order (the order of itertools.product), empty for r < 0;
+    GridTooLarge when there are over GRID_BUDGET, TypeError for a non-int r."""
+    if max(2 * operator.index(r) + 1, 0) ** d > GRID_BUDGET:
         raise GridTooLarge(f"ball of radius {r} in dimension {d} has over "
                            f"{GRID_BUDGET} points")
     axes = [np.arange(-r, r + 1)] * d
@@ -371,25 +383,24 @@ class QuantumElement:
     def from_coeffs(cls, emb: EmbeddingMap, coeffs: dict,
                     radius: int) -> "QuantumElement":
         """Element with the {index: coefficient} map `coeffs` on the ball
-        of the given radius."""
+        of the given radius; the keys and the radius pass _indices."""
+        radius = _indices(radius, ()).item()
         if radius < 0:
             raise ValueError("radius must be >= 0")
+        K = _indices(list(coeffs), (-1, emb.d))
+        outside = K[np.max(np.abs(K), axis=1, initial=0) > radius].tolist()
+        if outside:
+            raise ValueError(f"key {tuple(outside[0])} outside radius {radius}")
         values = np.zeros((2 * radius + 1,) * emb.d, dtype=complex)
-        for k, c in coeffs.items():
-            key = tuple(int(x) for x in k)
-            if len(key) != emb.d:
-                raise DimensionMismatch(f"key {key} has wrong length (want {emb.d})")
-            if max(abs(x) for x in key) > radius:
-                raise ValueError(f"key {key} outside radius {radius}")
-            values[tuple(x + radius for x in key)] = complex(c)
+        values[tuple((K + radius).T)] = [complex(c) for c in coeffs.values()]
         return cls(embedding=emb, values=values)
 
     @classmethod
     def basis(cls, emb: EmbeddingMap, index) -> "QuantumElement":
         """The basis element e(k) with unit coefficient at the given index,
         on the smallest ball that holds it."""
-        key = tuple(int(x) for x in np.asarray(index))
-        return cls.from_coeffs(emb, {key: 1.0 + 0j}, max(map(abs, key), default=0))
+        k = _indices(index, (emb.d,))
+        return cls.from_coeffs(emb, {tuple(k.tolist()): 1.0 + 0j}, np.max(np.abs(k)))
 
     @property
     def radius(self) -> int:
@@ -399,15 +410,13 @@ class QuantumElement:
     def coeffs(self) -> dict:
         """The support as a new {index tuple: complex} dict, in
         lexicographic order."""
-        R = self.radius
-        return {tuple(x - R for x in k): complex(c)
-                for k, c in np.ndenumerate(self.values) if c != 0}
+        K, c = self.as_arrays()
+        return dict(zip(map(tuple, K.tolist()), c.tolist()))
 
     def coeff(self, key) -> complex:
-        key = tuple(int(x) for x in key)
-        if len(key) != self.embedding.d or max(abs(x) for x in key) > self.radius:
-            return 0j
-        return complex(self.values[tuple(x + self.radius for x in key)])
+        k = _indices(key, (self.embedding.d,))
+        inside = np.max(np.abs(k)) <= self.radius
+        return complex(self.values[tuple(k + self.radius)]) if inside else 0j
 
     def scaled(self, factor: complex) -> "QuantumElement":
         return QuantumElement(embedding=self.embedding,
@@ -470,15 +479,16 @@ class QuantumElement:
 
     @classmethod
     def from_dict(cls, emb: EmbeddingMap, data: dict) -> "QuantumElement":
-        coeffs = {tuple(row["k"]): complex(row["re"], row["im"])
-                  for row in data["coeffs"]}
-        return cls.from_coeffs(emb, coeffs, int(data["radius"]))
+        rows = data["coeffs"]
+        K = _indices([row["k"] for row in rows], (-1, emb.d)).tolist()
+        coeffs = {tuple(k): complex(row["re"], row["im"]) for k, row in zip(K, rows)}
+        return cls.from_coeffs(emb, coeffs, data["radius"])
 
 
 def _has_bool(v) -> bool:
-    if isinstance(v, list):
+    if isinstance(v, (list, tuple)):
         return any(map(_has_bool, v))
-    return isinstance(v, bool)
+    return isinstance(v, (bool, np.bool_))
 
 
 def embedding_from_config(cfg: dict) -> EmbeddingMap:

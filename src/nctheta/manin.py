@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateTranslation, DimensionMismatch, NCThetaError
 from .lattice import (EmbeddingMap, LatticePoint, QuantumElement, _cmul,
-                      _component_dot, _integral, ball, cocycle_arrays,
+                      _component_dot, _indices, ball, cocycle_arrays,
                       seeded_integers)
 from .theta import (STRUCTURAL_ZERO_TOL, TAIL_EPS, HermitianFormContext,
                     _gaussian_factor, _vecmat, complex_coordinates,
@@ -121,7 +121,7 @@ def _modified_multiplier(c_g, c_h, c_gh, alpha):
 def _underflow(indices) -> NCThetaError:
     """Factors nonzero in exact arithmetic but below double range."""
     return NCThetaError("translation factors underflow double precision at "
-                        f"indices {[tuple(int(v) for v in k) for k in indices[:8]]}")
+                        f"indices {list(map(tuple, np.asarray(indices)[:8].tolist()))}")
 
 
 def _check_factors(factors, zero, G: np.ndarray, H: np.ndarray):
@@ -195,7 +195,7 @@ class BallTable:
         """Indices whose lattice factor vanishes structurally, in
         lexicographic order."""
         K = np.argwhere(self.norms < STRUCTURAL_ZERO_TOL) - self.radius
-        return [tuple(int(v) for v in k) for k in K]
+        return list(map(tuple, K.tolist()))
 
 
 def degeneracy_scan(ctx: HermitianFormContext, emb: EmbeddingMap, radius: int,
@@ -235,16 +235,16 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
     that the inner-product coefficient over the closed formula agrees at
     h and g + h.
 
-    Errors come in the order of the single-g calls: bad rows (as blocks),
-    |g|_inf > R/2 (ValueError), the degeneracy scan (DegenerateTranslation),
-    then per g, in the order of the rows, an underflow of C_g or c_h
-    (NCThetaError, lexicographic offenders) or a residual that is not a
-    finite double (NCThetaError).
+    Errors come in the order of the single-g calls: rows outside the one
+    index rule, lattice._indices, |g|_inf > R/2 (ValueError), the degeneracy
+    scan (DegenerateTranslation), then per g, in the order of the rows, an
+    underflow of C_g or c_h (NCThetaError, lexicographic offenders) or a
+    residual that is not a finite double (NCThetaError).
     """
     _check_kind(kind)
     R, d = theta.radius, emb.d
-    rows = list(emb.blocks(indices))
-    G = np.round(indices).astype(int)  # integral: blocks checked it
+    G = _indices(indices, (-1, d))
+    rows = list(emb.blocks(G))
     radii = np.max(np.abs(G), axis=1).tolist()
     if any(2 * gr > R for gr in radii):
         raise ValueError("translation index must satisfy |g|_inf <= R/2")
@@ -372,7 +372,7 @@ def functional_equation_residual_ops(ctx: HermitianFormContext,
     factor_g = translation_factor(ctx, emb, g, kind, tail_eps)
     shifted = translate(ctx, emb, g, theta, kind, tail_eps)
     lhs = QuantumElement.basis(emb, g.index).multiply(shifted).scaled(factor_g.value)
-    interior = theta.radius - int(np.max(np.abs(g.index)))
+    interior = theta.radius - np.max(np.abs(g.index))
     if interior < 0:
         return 0.0
     lhs_at, theta_at = ((slice(x.radius - interior, x.radius + interior + 1),)
@@ -400,18 +400,10 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
     sides is 0 or not finite (C_{g+h} or T out of double range).
     """
     _check_kind(kind)
-    message = f"pairs must hold two indices of length {emb.d}"
-    try:
-        K = np.asarray(list(pairs))
-    except ValueError as exc:  # ragged pairs
-        raise DimensionMismatch(message) from exc
-    if K.size and K.shape[1:] != (2, emb.d):
-        raise DimensionMismatch(message)
-    K = _integral(K.reshape(-1, 2, emb.d)).astype(int)
-    n = len(K)
+    K = _indices(pairs, (-1, 2, emb.d))
     factors, zero, alpha, T, exponents = _translations(
         ctx, emb, K[:, 0], K[:, 1], kind, tail_eps)
-    far = np.zeros(n, dtype=bool)
+    far = np.zeros(len(K), dtype=bool)
     if kind == KIND_MANIN:
         # where C_g C_h, C_{g+h} or T leaves the normal double range, the
         # ratio of the two sides from the exponents alone
@@ -425,7 +417,7 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
     max_phase = 0.0
     max_rel = 0.0
     n_skipped = 0
-    for i in range(n):
+    for i in range(len(K)):
         if zero[0][i] or zero[1][i] or zero[2][i]:
             n_skipped += 1
             continue
@@ -451,7 +443,7 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
         ok = max_rel < 1e-12
     return {
         "kind": kind,
-        "pairs_checked": n - n_skipped,
+        "pairs_checked": len(K) - n_skipped,
         "pairs_skipped_degenerate": n_skipped,
         "max_modulus_residual": max_mod,
         "max_phase_residual": max_phase,

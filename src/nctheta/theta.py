@@ -24,7 +24,7 @@ from .errors import (BadTau, DimensionMismatch, DivergentIntegral,
                      GridMismatch, NCThetaError)
 from .heisenberg import GaussianVector, SampledVector, _check_omega
 from .lattice import (EmbeddingMap, LatticePoint, QuantumElement, _cmul,
-                      _component_dot, _readonly, ball)
+                      _component_dot, _indices, _readonly, ball)
 
 TAIL_EPS = 1e-15
 # Most terms a theta series may sum on each side of its peak.
@@ -125,7 +125,7 @@ def _shifted_lattice_sums(c1: np.ndarray, c0: np.ndarray,
 
 def b_factor(r: float, m: int, tail_eps: float = TAIL_EPS) -> complex:
     """Lattice-sector factor e^{-pi m^2/2 - i pi m r} theta(i, -r + i m/2)."""
-    products, _ = b_product_arrays([[float(r)]], [[int(m)]], tail_eps)
+    products, _ = b_product_arrays([[float(r)]], _indices([[m]], (1, 1)), tail_eps)
     return complex(products[0])
 
 
