@@ -3,8 +3,9 @@ noncommutative tori built from general lattice embeddings."""
 
 from .errors import (BadTau, ConfigError, DegenerateTranslation,
                      DimensionMismatch, DivergentIntegral, GridMismatch,
-                     GridTooLarge, NCThetaError, NoPartialStructure,
-                     OddDimension, SingularEmbedding, SingularQ, ZeroTheta)
+                     GridTooLarge, LatticeOverflow, NCThetaError,
+                     NoPartialStructure, OddDimension, SingularEmbedding,
+                     SingularQ, ZeroTheta)
 from .heisenberg import (GaussianVector, LinearGaussian, SampledVector,
                          apply_connection, apply_generator, apply_heisenberg,
                          connection_combination, connection_matrix,
@@ -31,7 +32,8 @@ __all__ = [
     "BadTau", "ComplexStructure", "ConfigError", "DegenerateTranslation",
     "DimensionMismatch", "DivergentIntegral", "EmbeddingMap", "GaussianVector",
     "GridMismatch", "GridTooLarge", "HermitianFormContext", "HolomorphyResult",
-    "KIND_MANIN", "KIND_MODIFIED", "LatticePoint", "LinearGaussian",
+    "KIND_MANIN", "KIND_MODIFIED", "LatticeOverflow", "LatticePoint",
+    "LinearGaussian",
     "NCThetaError", "NoPartialStructure", "OddDimension", "QuantumElement",
     "SampledVector", "SingularEmbedding", "SingularQ", "TranslationFactor",
     "ZeroTheta", "additivity_probe", "antiholomorphic_residual",

@@ -21,6 +21,12 @@ class DimensionMismatch(NCThetaError):
     """Operands belong to incompatible dimensions or embeddings."""
 
 
+class LatticeOverflow(NCThetaError):
+    """A quantity of the embedding leaves the range it is computed in: a
+    row norm of Phi beyond double range, or an integer block Q k of a
+    lattice point beyond int64."""
+
+
 class GridTooLarge(NCThetaError):
     """A requested sampling grid exceeds the point budget."""
 

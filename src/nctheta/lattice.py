@@ -19,17 +19,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionMismatch, GridTooLarge, NCThetaError,
-                     SingularEmbedding, SingularQ, ZeroTheta)
+from .errors import (DimensionMismatch, GridTooLarge, LatticeOverflow,
+                     NCThetaError, SingularEmbedding, SingularQ, ZeroTheta)
 
 INT_TOL = 1e-12
 DET_TOL = 1e-10
 # coefficients of smaller magnitude are not stored in a QuantumElement
 DROP_TOL = 1e-300
 GRID_BUDGET = 10_000_000
-# support rows of the left factor per cocycle batch of the twisted product:
-# bounds its temporaries to a few (64, |cube|) complex arrays
-PRODUCT_CHUNK = 64
+# entries per batch array of the twisted product, the functional-equation
+# engine and the report row writer; each reads it at call time (batch_rows)
+BATCH_ENTRIES = 4096
+
+
+def batch_rows(entries_per_row: int) -> int:
+    """Rows per batch of a loop whose rows put entries_per_row entries each
+    into its batch arrays: max(1, BATCH_ENTRIES // entries_per_row), so a
+    batch holds at most BATCH_ENTRIES entries unless one row has more."""
+    return max(1, BATCH_ENTRIES // max(entries_per_row, 1))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -98,7 +105,12 @@ class EmbeddingMap:
             raise ValueError("integer-block rows of phi are not integral")
         object.__setattr__(self, "phi", _readonly(phi))
         xt = self.x_tilde
-        norms = np.linalg.norm(xt, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(xt, axis=1)
+        if not np.all(np.isfinite(norms)):
+            raise LatticeOverflow(
+                f"row {np.argmin(np.isfinite(norms))} of the upper square block "
+                "of phi has a squared norm beyond double range")
         if np.any(norms == 0.0) or abs(np.linalg.det(xt / norms[:, None])) <= DET_TOL:
             raise SingularEmbedding("upper square block of phi is numerically singular")
         x_inv = np.linalg.inv(xt)
@@ -135,8 +147,13 @@ class EmbeddingMap:
         K = _indices(indices, (-1, self.d)).astype(float, order="C")
         H = np.einsum("nd,md->nm", K, self.phi)
         p, q = self.p, self.q
-        m = np.round(H[:, 2 * p:2 * p + q]).astype(int)
-        return H[:, :p], H[:, p:2 * p], m, H[:, 2 * p + q:]
+        m = np.round(H[:, 2 * p:2 * p + q])
+        wide = ~np.all(np.abs(m) < 2**63, axis=1)
+        if wide.any():
+            k = tuple(int(v) for v in K[np.argmax(wide)])
+            raise LatticeOverflow(f"integer block Q k of lattice index {k} is "
+                                  "beyond int64")
+        return H[:, :p], H[:, p:2 * p], m.astype(int), H[:, 2 * p + q:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,15 +449,16 @@ class QuantumElement:
         """Twisted product: e(k1) e(k2) = alpha(Phi k1, Phi k2) e(k1 + k2).
 
         Rows k1 of the support of `self` are taken in lexicographic order,
-        PRODUCT_CHUNK at a time for one broadcast cocycle call, and each
-        is paired with the whole cube of `other`: its terms c1 c2 alpha
-        form a cube of side 2 other.radius + 1 that is added into the
-        window of the result at k1.  Every coefficient thus sums at most
-        one term per k1, in the order of the scalar double loop.  The zero
-        entries of `other` add terms of +-0, which leave every sum's bits
-        as they are (a finite x + (+-0) is x, and the sums, started at +0,
-        are never -0); a non-finite coefficient, whose 0 * inf would spread
-        NaN, raises NCThetaError.  The two embeddings must have equal Phi,
+        batch_rows(|cube of other|) at a time for one broadcast cocycle
+        call, and each is paired with the whole cube of `other`: its terms
+        c1 c2 alpha, a cube of side 2 other.radius + 1, are added into the
+        window of the result at k1 by one unbuffered np.add.at per batch,
+        which adds in index order, row after row.  Every coefficient thus
+        sums at most one term per k1, in the order of the scalar double
+        loop.  The zero entries of `other` add terms of +-0, which leave
+        every sum's bits as they are (a finite x + (+-0) is x, and the
+        sums, started at +0, are never -0); a non-finite coefficient, whose
+        0 * inf would spread NaN, raises NCThetaError.  The two embeddings must have equal Phi,
         whose shape (2p+2q, 2p+q) fixes p and q.
         """
         if not np.array_equal(self.embedding.phi, other.embedding.phi):
@@ -453,19 +471,19 @@ class QuantumElement:
         K1, c1 = self.as_arrays()
         R1, R2 = self.radius, other.radius
         values = np.zeros((2 * (R1 + R2) + 1,) * emb.d, dtype=complex)
-        blocks1 = emb.blocks(K1)
-        blocks2 = emb.blocks(ball(emb.d, R2))
+        K2 = ball(emb.d, R2)
+        blocks1, blocks2 = emb.blocks(K1), emb.blocks(K2)
         c2 = other.values.reshape(-1)
-        # windows[k1 + R1] is the block of the result that e(k1) `other` fills
-        windows = np.lib.stride_tricks.sliding_window_view(
-            values, other.values.shape, writeable=True)
-        for start in range(0, len(K1), PRODUCT_CHUNK):
-            rows = slice(start, start + PRODUCT_CHUNK)
+        # e(k1) e(k2) lands at flat position corner[k1] + offset[k2]
+        corner, offset = (np.ravel_multi_index(tuple((K + R).T), values.shape)
+                          for K, R in ((K1, R1), (K2, R2)))
+        step = batch_rows(c2.size)
+        for start in range(0, len(K1), step):
+            rows = slice(start, start + step)
             alpha = cocycle_arrays([b[rows, None] for b in blocks1], blocks2)
             terms = _cmul(_cmul(c1[rows, None], c2), alpha)
-            for at, term in zip((K1[rows] + R1).tolist(),
-                                terms.reshape((-1,) + other.values.shape)):
-                windows[tuple(at)] += term
+            np.add.at(values.reshape(-1), (corner[rows, None] + offset).ravel(),
+                      terms.ravel())
         return QuantumElement(embedding=emb, values=values)
 
     def to_dict(self) -> dict:

@@ -28,8 +28,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateTranslation, DimensionMismatch, NCThetaError
 from .lattice import (EmbeddingMap, LatticePoint, QuantumElement, _cmul,
-                      _component_dot, _indices, ball, cocycle_arrays,
-                      seeded_integers)
+                      _component_dot, _indices, ball, batch_rows,
+                      cocycle_arrays, seeded_integers)
 from .theta import (STRUCTURAL_ZERO_TOL, TAIL_EPS, HermitianFormContext,
                     _gaussian_factor, _vecmat, complex_coordinates,
                     hermitian_pairing_arrays, theta_coefficients)
@@ -41,11 +41,6 @@ ADDITIVITY_TOL = 1e-10
 WITNESS_DEVIATION = 1e-6
 # triples the modified additivity probe checks at most
 MAX_CHECKS = 20_000
-# window entries of the g whose cocycle one batch of the functional-equation
-# engine computes; their -g come along, and a batch holds one g (and its
-# -g) where one window has more.  Bounds the batch's temporaries to a few
-# (2 FE_CHUNK,) complex arrays
-FE_CHUNK = 8192
 
 
 def _check_kind(kind: str):
@@ -219,12 +214,12 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
 
     On the interior ball h = k - g runs over a window of a cube of side
     2R + 1.  The engine takes each shell |g|_inf = r in batches of g rows
-    whose windows hold at most FE_CHUNK entries (one g where one window
-    has more), with their -g.  It gathers the windows of a batch by their
-    offsets from component-major cubes of the ball's blocks (and, manin,
-    of its conjugated complex coordinates) and passes them with the rows
-    of g to the formulas of _translations, with the bits of one g at a
-    time.  alpha(g, h) (and the manin T) is computed for one g of each
+    whose windows hold at most lattice.BATCH_ENTRIES entries (one g where
+    one window has more; lattice.batch_rows), with their -g.  It gathers
+    the windows of a batch by their offsets from component-major cubes of
+    the ball's blocks (and, manin, of its conjugated complex coordinates)
+    and passes them with the rows of g to the formulas of _translations,
+    with the bits of one g at a time.  alpha(g, h) (and the manin T) is computed for one g of each
     pair {g, -g}: blocks(-k) is -blocks(k) bit for bit, so the cube of -g
     is that of g flipped on every axis; a g without its -g, and g = 0,
     get their own, and a repeated row is computed once.  C_g, c_h and
@@ -293,7 +288,7 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
             theta_h = sliding_window_view(theta.values, (side,) * d)
             if kind == KIND_MODIFIED:
                 c_h = sliding_window_view(table.values, (side,) * d)
-            batch = max(1, FE_CHUNK // side ** d)
+            batch = batch_rows(side ** d)
             for start in range(0, len(shell), batch):
                 own = shell[start:start + batch]
                 flipped = [j for j, i in enumerate(own) if i in mirror]

@@ -518,6 +518,30 @@ def test_truncation_radius_over_the_grid_budget(tmp_path, capsys, R):
     assert not out.exists()
 
 
+# embeddings whose Phi k leaves int64 (Q k = 1e20 at k = -2, the first
+# ball point) or whose row norm squares leave double range
+_OVERFLOWS = {
+    "int64_block": ({"p": 0, "q": 1, "Q": [[1e20]], "Delta": [[0.5]]}, 2, 2,
+                    {"error": "LatticeOverflow", "reason": "integer block Q k of "
+                     "lattice index (-2,) is beyond int64"}),
+    "row_norm": ({"p": 0, "q": 1, "Q": [[1e300]], "Delta": [[0.5]]}, 1, 1,
+                 {"error": "config", "reason": "bad config: LatticeOverflow: row 0 of "
+                  "the upper square block of phi has a squared norm beyond double range"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOWS))
+def test_lattice_overflow_exits_with_a_typed_error(tmp_path, capsys, name):
+    # no cast or overflow RuntimeWarning (an error under tier-1's settings),
+    # no false underflow or singularity, and no reports
+    embedding, R, code, error = _OVERFLOWS[name]
+    cfg = write_config(tmp_path, {"embedding": embedding, "truncation_R": R})
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", cfg, "--out", str(out)]) == code
+    assert json.loads(capsys.readouterr().err) == error
+    assert not out.exists()
+
+
 # Im Omega is positive definite (eigenvalues about 2e6 and 5e-6) but too
 # ill-conditioned to invert in double precision: the classifier applies
 # heisenberg's one Omega rule, so it and the theta stage agree

@@ -6,11 +6,11 @@ import pytest
 
 import nctheta as nc
 from nctheta import lattice
-from nctheta.errors import (DimensionMismatch, GridTooLarge, NCThetaError,
-                            SingularEmbedding, SingularQ,
+from nctheta.errors import (DimensionMismatch, GridTooLarge, LatticeOverflow,
+                            NCThetaError, SingularEmbedding, SingularQ,
                             ZeroTheta)
 from nctheta.heisenberg import GaussianVector
-from nctheta.lattice import (PRODUCT_CHUNK, QuantumElement, _cmul, ball,
+from nctheta.lattice import (QuantumElement, _cmul, ball,
                              cocycle_exponent_arrays)
 
 
@@ -47,6 +47,30 @@ def test_embedding_errors():
     with pytest.raises(ValueError):
         # non-integer entry in the integer block
         nc.EmbeddingMap(p=0, q=1, phi=np.array([[1.5], [0.3]]))
+
+
+@pytest.mark.parametrize("Q", [1e300, 1e160, -2e154])
+def test_row_norm_beyond_double_range_is_a_typed_error(Q):
+    # the squares of the row norm overflow: a typed error naming the row
+    # (under tier-1's error::RuntimeWarning), not "numerically singular"
+    with pytest.raises(LatticeOverflow, match="row 0 .* squared norm beyond"):
+        nc.canonical_embedding(0, 1, Q=[[Q]], Delta=[[0.5]])
+    with pytest.raises(LatticeOverflow, match="row 2 "):
+        nc.canonical_embedding(1, 1, theta=[0.5], Q=[[Q]], Delta=[[0.5]])
+
+
+def test_integer_block_beyond_int64_is_a_typed_error():
+    emb = nc.canonical_embedding(0, 1, Q=[[1e20]], Delta=[[0.5]])
+    with pytest.raises(LatticeOverflow, match=r"index \(1099511627776,\) is beyond int64"):
+        emb.point([2**40])
+    with pytest.raises(LatticeOverflow, match=r"index \(-1,\)"):
+        emb.blocks(ball(1, 1))
+    assert emb.point([0]).m.tolist() == [0]
+    # the largest integer blocks that fit keep their values
+    big = nc.canonical_embedding(0, 1, Q=[[2.0**62]], Delta=[[0.5]])
+    assert big.blocks([[-1], [1]])[2].tolist() == [[-2**62], [2**62]]
+    with pytest.raises(LatticeOverflow):
+        big.point([2])
 
 
 def test_lattice_point_columns():
@@ -457,7 +481,8 @@ def _wide_range_element(emb, rng, n, radius):
 
 
 @pytest.mark.parametrize("name", ["p1q2", "raw_phi"])
-def test_product_equals_frozen_add_at_loop(name, inst_1_2, inst_general):
+def test_product_equals_frozen_add_at_loop(name, inst_1_2, inst_general,
+                                           monkeypatch):
     emb = inst_1_2[0] if name == "p1q2" else inst_general
     rng = np.random.default_rng(21)
     zero = QuantumElement.from_coeffs(emb, {}, 1)
@@ -468,16 +493,22 @@ def test_product_equals_frozen_add_at_loop(name, inst_1_2, inst_general):
             got, want = x.multiply(y), _frozen_multiply(x, y)
             assert got.radius == want.radius
             assert got.values.tobytes() == want.values.tobytes()
-    # a left support longer than one chunk, against a dense right factor
-    dense = _wide_range_element(emb, rng, 4 * PRODUCT_CHUNK, 2)
-    assert len(dense.coeffs) > PRODUCT_CHUNK
+    # a left support longer than one batch, against a dense right factor:
+    # one row per batch, the default budget and 64 rows per batch
+    dense = _wide_range_element(emb, rng, 256, 2)
+    assert len(dense.coeffs) > lattice.BATCH_ENTRIES // dense.values.size
     for x, y in [(dense, dense), (dense, a), (a, dense)]:
-        assert x.multiply(y).values.tobytes() == _frozen_multiply(x, y).values.tobytes()
+        want = _frozen_multiply(x, y).values.tobytes()
+        for budget in (1, lattice.BATCH_ENTRIES, 64 * y.values.size):
+            monkeypatch.setattr(lattice, "BATCH_ENTRIES", budget)
+            assert x.multiply(y).values.tobytes() == want, budget
+            monkeypatch.undo()
 
 
 def test_theta_product_peak_memory(inst_1_2):
-    # the left support is paired with the right cube PRODUCT_CHUNK rows at
-    # a time; one 625 x 625 batch would need about 25 MB
+    # the left support is paired with the right cube in batches of at most
+    # BATCH_ENTRIES terms (6 rows of 625); one 625 x 625 batch would need
+    # about 25 MB
     emb, omega = inst_1_2
     th = nc.quantum_theta(emb, GaussianVector.pure(omega, emb.q), 2)
     assert len(th.coeffs) == 625
@@ -487,7 +518,7 @@ def test_theta_product_peak_memory(inst_1_2):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6, peak
+    assert peak < 1e6, peak
 
 
 def test_product_rejects_non_finite_coefficients(inst_1_2):

@@ -712,7 +712,7 @@ def test_engine_batches_and_index_sets_equal_frozen(name, inst_1_2, inst_1_0,
     expected = _frozen_engine(ctx, emb, th, [emb.point(k) for k in K], kind)
     window = (2 * th.radius - 1) ** emb.d  # entries of one g with |g|_inf = 1
     for chunk in (1, 3 * window, (2 * th.radius + 1) ** emb.d * len(K)):
-        monkeypatch.setattr(nc.manin, "FE_CHUNK", chunk)
+        monkeypatch.setattr(nc.lattice, "BATCH_ENTRIES", chunk)
         assert nc.verify_functional_equations(ctx, emb, th, K, kind) == \
             expected, chunk
     monkeypatch.undo()

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 import nctheta as nc
 from nctheta import cli, reports
 from nctheta.heisenberg import GaussianVector
-from nctheta.lattice import QuantumElement
+from nctheta.lattice import BATCH_ENTRIES, QuantumElement
 from nctheta.manin import functional_equation_residual_ops
-from nctheta.reports import ELEMENT_CHUNK, render_report
+from nctheta.reports import render_report
 from nctheta.theta import HermitianFormContext
 
 
@@ -209,6 +209,27 @@ def test_write_report_holds_twice_the_text(monkeypatch, tmp_path):
     assert peak <= 2.25 * len(text), peak / len(text)
 
 
+@pytest.mark.parametrize("what, bound", [("product_rows", 0.6e6), ("element", 0.8e6)],
+                         ids=["product_rows", "element"])
+def test_row_writer_working_memory_is_one_piece(inst_1_2, what, bound):
+    # the tracemalloc peak of rendering, beyond the text it renders: the
+    # row writer holds the columns and arguments of one piece of at most
+    # BATCH_ENTRIES values; the bounds sit below the 1.46 MB and 1.15 MB
+    # that the columns of all 6561 rows at once take
+    emb, omega = inst_1_2
+    theta = nc.quantum_theta(emb, GaussianVector.pure(omega, emb.q), 2)
+    obj = (theta.multiply(theta).to_dict()["coeffs"] if what == "product_rows" else
+           nc.quantum_theta(emb, GaussianVector.pure(omega, emb.q), 4))
+    tracemalloc.start()
+    try:
+        pieces = reports._pieces(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pieces) > 10
+    assert peak - sum(map(len, pieces)) < bound, peak - sum(map(len, pieces))
+
+
 def test_write_report_that_fails_to_render_leaves_no_file(tmp_path):
     path = tmp_path / "r.json"
     with pytest.raises(ValueError):
@@ -307,8 +328,20 @@ _EMBEDDINGS = {1: nc.canonical_embedding(0, 1, Q=[[1]], Delta=[[0.5]]),
                4: nc.canonical_embedding(2, 0, theta=[0.5, 0.25])}
 
 
-# side of a square cube with room for two chunks and one row
-_BULK_SIDE = 2 * (int(np.sqrt(2 * ELEMENT_CHUNK + 1)) // 2) + 3
+# rows per piece of the row writer: for a d = 2 element (im, k and re: 4
+# values a row) at the default budget, and in the boundary tests, which
+# set the budget to _PIECE rows; the side of a square cube with room for
+# two pieces and one row
+_ELEMENT_PIECE = BATCH_ENTRIES // 4
+_PIECE = 4096
+_BULK_SIDE = 2 * (int(np.sqrt(2 * _PIECE + 1)) // 2) + 3
+
+
+@pytest.fixture
+def piece_of(monkeypatch):
+    """Set the batch budget to _PIECE rows of `values` values each."""
+    return lambda values: monkeypatch.setattr(nc.lattice, "BATCH_ENTRIES",
+                                              values * _PIECE)
 
 
 def _bulk_element(size, seed):
@@ -329,8 +362,8 @@ def _bulk_element(size, seed):
 @st.composite
 def _elements(draw):
     if draw(st.integers(0, 9)) == 0:
-        return _bulk_element(draw(st.sampled_from([ELEMENT_CHUNK - 1, ELEMENT_CHUNK,
-                                                   ELEMENT_CHUNK + 1])),
+        return _bulk_element(draw(st.sampled_from([_ELEMENT_PIECE - 1, _ELEMENT_PIECE,
+                                                   _ELEMENT_PIECE + 1])),
                              draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 4))
     side = 2 * draw(st.integers(0, 2 if d < 4 else 1)) + 1
@@ -356,17 +389,18 @@ def test_element_renders_as_its_dict(el):
     assert _element_mismatch(el) is None
 
 
-@pytest.mark.parametrize("size", [0, 1, ELEMENT_CHUNK - 1, ELEMENT_CHUNK,
-                                  ELEMENT_CHUNK + 1, 2 * ELEMENT_CHUNK + 1])
-def test_element_chunk_boundaries(size):
+@pytest.mark.parametrize("size", [0, 1, _PIECE - 1, _PIECE, _PIECE + 1, 2 * _PIECE + 1])
+def test_element_chunk_boundaries(size, piece_of):
+    piece_of(4)
     assert _element_mismatch(_bulk_element(size, seed=size)) is None
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-@pytest.mark.parametrize("at", [0, ELEMENT_CHUNK + 2])
+@pytest.mark.parametrize("at", [0, _PIECE + 2])
 @pytest.mark.parametrize("part", ["re", "im"])
-def test_element_non_finite_raises(bad, at, part):
-    values = _bulk_element(2 * ELEMENT_CHUNK, seed=at).values.copy()
+def test_element_non_finite_raises(bad, at, part, piece_of):
+    piece_of(4)
+    values = _bulk_element(2 * _PIECE, seed=at).values.copy()
     values.ravel()[at] = complex(bad, 0.5) if part == "re" else complex(1.0, bad)
     el = QuantumElement(_EMBEDDINGS[2], values)
     for obj in ({"e": el}, {"e": el.to_dict()}):
@@ -471,11 +505,16 @@ def _row_lists(draw):
     keys = draw(st.lists(_ROW_KEYS, min_size=1, max_size=4, unique=True))
     kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=len(keys),
                           max_size=len(keys)))
+    width = draw(st.integers(1, 3))
     size = draw(st.integers(1, 5))
     if draw(st.integers(0, 19)) == 0:
-        size = draw(st.sampled_from([ELEMENT_CHUNK - 1, ELEMENT_CHUNK, ELEMENT_CHUNK + 1]))
+        # around the rows per piece of the row writer
+        values = sum({"floats": width, "ints": width, "empty": 0}.get(kind, 1)
+                     for kind in kinds)
+        piece = max(1, BATCH_ENTRIES // max(values, 1))
+        size = draw(st.sampled_from([piece - 1, piece, piece + 1]))
     rows = _uniform_rows(
-        keys, kinds, draw(st.integers(1, 3)), size,
+        keys, kinds, width, size,
         draw(st.lists(_floats, min_size=1, max_size=6)),
         draw(st.lists(_ROW_INTS, min_size=1, max_size=6)), draw(st.integers(0, 2**32 - 1)))
     how = draw(st.sampled_from(_ROW_BREAKS))
@@ -495,9 +534,9 @@ def test_row_lists_equal_frozen_renderer(drawn):
         assert got is ValueError
 
 
-@pytest.mark.parametrize("size", [1, ELEMENT_CHUNK - 1, ELEMENT_CHUNK,
-                                  ELEMENT_CHUNK + 1, 2 * ELEMENT_CHUNK + 1])
-def test_row_chunk_boundaries(size):
+@pytest.mark.parametrize("size", [1, _PIECE - 1, _PIECE, _PIECE + 1, 2 * _PIECE + 1])
+def test_row_chunk_boundaries(size, piece_of):
+    piece_of(3 + 3 + 1)
     rows = _uniform_rows(["a%d", 'k"\n', "re"], ["floats", "ints", "float"], 3, size,
                          _EDGE_FLOATS, [0, -1, 2**64, 7], seed=size)
     assert _mismatch(render_report(rows), _frozen_render_report(rows)) is None
@@ -518,3 +557,18 @@ def test_row_writer_takes_bool_str_and_empty_columns():
         assert not reports._render_dict_rows(broken, "", pieces), key
         assert len(pieces) == 2, key  # refused rows append nothing
         assert render_report(broken) == _frozen_render_report(broken), key
+
+
+def test_row_writer_withdraws_a_list_whose_later_piece_is_not_uniform(monkeypatch):
+    # pieces of two rows: the writer has appended the first pieces when it
+    # meets the bool beside ints in the third, removes them and refuses
+    rows = [{"a": i, "b": [0.5 * i, -1.5 * i]} for i in range(7)]
+    monkeypatch.setattr(nc.lattice, "BATCH_ENTRIES", 2 * 3)
+    pieces = ["x"]
+    assert reports._render_dict_rows(rows, "", pieces)
+    assert len(pieces) == 6  # "x", four pieces and the closing bracket
+    rows[5]["a"] = True
+    pieces = ["x"]
+    assert not reports._render_dict_rows(rows, "", pieces)
+    assert pieces == ["x"]
+    assert render_report(rows) == _frozen_render_report(rows)
