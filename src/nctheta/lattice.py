@@ -80,9 +80,12 @@ class EmbeddingMap:
     """Embedding matrix Phi of shape (2p+2q, 2p+q), under the package's
     one rule for a usable Phi, checked at construction: the entries are
     finite, the q integer rows are integral to 1e-12, and the upper square
-    block X (first 2p+q rows) is invertible, with |det X| > DET_TOL after
-    row-norm scaling and x_inv = inv(X), kept for connection_matrix,
-    within 1e-10 of the identity in x_inv @ X (SingularEmbedding if not).
+    block X (first 2p+q rows) is invertible, with |det X| > DET_TOL once
+    each row is divided by its largest |entry| and then by its norm (so a
+    well-conditioned X of tiny scale, diag(1e-300, 1), is usable), and
+    x_inv = inv(X), kept for connection_matrix, below 2**1000 in magnitude
+    (LatticeOverflow if not) and within 1e-10 of the identity in x_inv @ X
+    (SingularEmbedding if not).
     """
 
     p: int
@@ -111,9 +114,13 @@ class EmbeddingMap:
             raise LatticeOverflow(
                 f"row {np.argmin(np.isfinite(norms))} of the upper square block "
                 "of phi has a squared norm beyond double range")
-        if np.any(norms == 0.0) or abs(np.linalg.det(xt / norms[:, None])) <= DET_TOL:
+        peak = np.max(np.abs(xt), axis=1, keepdims=True)
+        if np.any(peak == 0.0) or abs(np.linalg.det((rows := xt / peak) / np.linalg.norm(
+                rows, axis=1, keepdims=True))) <= DET_TOL:
             raise SingularEmbedding("upper square block of phi is numerically singular")
         x_inv = np.linalg.inv(xt)
+        if not np.max(np.abs(x_inv)) < 2.0**1000:  # headroom for the sums built on it
+            raise LatticeOverflow("inverse of the upper square block of phi is beyond 2**1000")
         if not np.max(np.abs(x_inv @ xt - np.eye(self.d))) <= 1e-10:
             raise SingularEmbedding("upper square block of phi is ill-conditioned")
         object.__setattr__(self, "x_inv", _readonly(x_inv))
@@ -363,6 +370,13 @@ def seeded_integers(seed: int, low: int, high: int, shape: tuple) -> np.ndarray:
     return (np.concatenate(drawn)[:count].astype(np.int64) + low).reshape(shape)
 
 
+def distinct_floats(a) -> tuple:
+    """The distinct float64 values of a by bit pattern (-0.0 and 0.0 are
+    two), ordered by bits as int64, and each entry's index, in a's shape."""
+    u, at = np.unique(np.asarray(a, float).view(np.int64), return_inverse=True)
+    return u.view(float), at.reshape(np.shape(a))
+
+
 def _cmul(a, b) -> np.ndarray:
     """Elementwise a * b with the rounding of Python's scalar complex
     product, which numpy's vectorized complex multiply does not keep."""
@@ -487,13 +501,14 @@ class QuantumElement:
         return QuantumElement(embedding=emb, values=values)
 
     def to_dict(self) -> dict:
-        """Serialization with keys sorted lexicographically.  The reports
-        renderer writes a QuantumElement itself with the bytes it writes
-        for this dict (see nctheta.reports)."""
+        """Serialization with keys sorted lexicographically, one float object
+        per distinct part (distinct_floats).  nctheta.reports writes a
+        QuantumElement itself with the bytes it writes for this dict."""
         K, c = self.as_arrays()
+        re, im = (u.astype(object)[at] for u, at in map(distinct_floats, (c.real, c.imag)))
         return {"radius": self.radius,
-                "coeffs": [{"k": k, "re": z.real, "im": z.imag}
-                           for k, z in zip(K.tolist(), c.tolist())]}
+                "coeffs": [{"k": k, "re": x, "im": y}
+                           for k, x, y in zip(K.tolist(), re, im)]}
 
     @classmethod
     def from_dict(cls, emb: EmbeddingMap, data: dict) -> "QuantumElement":

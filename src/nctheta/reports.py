@@ -35,7 +35,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .lattice import QuantumElement, batch_rows
+from .lattice import QuantumElement, batch_rows, distinct_floats
 
 INDENT = "  "
 _BOOLS = ("false", "true")
@@ -182,16 +182,16 @@ def _render_rows(keys, pieces, pad: str, out: list) -> bool:
 
 
 def _float_table(col):
-    """The texts of the distinct floats (bit patterns) of col by
-    _format_float's rule, all formatted by one % call (the speed path),
-    and the position of each float's text, an int32 array of col's shape."""
+    """The texts of the distinct floats of col, by bit pattern as
+    lattice.distinct_floats finds them, by _format_float's rule, all
+    formatted by one % call (the speed path), and the position of each
+    float's text, an int32 array of col's shape."""
     if not np.isfinite(col).all():
         _format_float(float(col[~np.isfinite(col)][0]))  # raises ValueError
-    u, at = np.unique(col.view(np.int64), return_inverse=True)
-    u = u.view(float)
+    u, at = distinct_floats(col)
     formats = np.where((np.trunc(u) == u) & (np.abs(u) < 1e16), "%.1f", "%.17g")
     return (np.array((",".join(formats.tolist()) % tuple(u.tolist())).split(","), dtype=object),
-            at.reshape(col.shape).astype(np.int32))
+            at.astype(np.int32))
 
 
 def _pieces(obj) -> list:

@@ -542,6 +542,35 @@ def test_lattice_overflow_exits_with_a_typed_error(tmp_path, capsys, name):
     assert not out.exists()
 
 
+# X = diag(1e-300, 1, ...) is well conditioned although the squares of its
+# first row norm underflow: a usable Phi, run to the end
+_TINY_SCALE = {"p1q0": {"p": 1, "q": 0, "theta": [1e-300]},
+               "p1q1": {"p": 1, "q": 1, "theta": [1e-300], "Q": [[1]], "Delta": [[0.3]]}}
+
+
+@pytest.mark.parametrize("name", sorted(_TINY_SCALE))
+def test_tiny_scale_embedding_runs_all(tmp_path, name):
+    # no RuntimeWarning either: an error under tier-1's settings
+    cfg = write_config(tmp_path, {"embedding": _TINY_SCALE[name], "truncation_R": 2})
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["classify.json", "summary.json", "theta.json",
+                                       "verify.json"]
+
+
+def test_inverse_beyond_its_bound_is_a_config_error(tmp_path, capsys):
+    # at theta = 3e-308 inv(X) is finite but beyond 2**1000, and the theta
+    # stage overflowed: a typed config error, no reports
+    cfg = write_config(tmp_path, {"embedding": {"p": 1, "q": 0, "theta": [3e-308]},
+                                  "truncation_R": 2})
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", cfg, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config", "reason": "bad config: LatticeOverflow: inverse of the upper "
+        "square block of phi is beyond 2**1000"}
+    assert not out.exists()
+
+
 # Im Omega is positive definite (eigenvalues about 2e6 and 5e-6) but too
 # ill-conditioned to invert in double precision: the classifier applies
 # heisenberg's one Omega rule, so it and the theta stage agree

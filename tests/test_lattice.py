@@ -1,8 +1,10 @@
 import itertools
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nctheta as nc
 from nctheta import lattice
@@ -11,7 +13,8 @@ from nctheta.errors import (DimensionMismatch, GridTooLarge, LatticeOverflow,
                             ZeroTheta)
 from nctheta.heisenberg import GaussianVector
 from nctheta.lattice import (QuantumElement, _cmul, ball,
-                             cocycle_exponent_arrays)
+                             cocycle_exponent_arrays, distinct_floats)
+from test_reports import _EMBEDDINGS  # one embedding per dimension d = 2p + q
 
 
 def test_canonical_embedding_q0_blocks():
@@ -47,6 +50,26 @@ def test_embedding_errors():
     with pytest.raises(ValueError):
         # non-integer entry in the integer block
         nc.EmbeddingMap(p=0, q=1, phi=np.array([[1.5], [0.3]]))
+
+
+def test_tiny_scale_embedding_is_usable():
+    # X = diag(1e-300, 1) is well conditioned; the squares of its first
+    # row norm underflow, so the singularity test scales rows by their
+    # largest |entry| first
+    emb = nc.canonical_embedding(1, 0, theta=[1e-300])
+    np.testing.assert_allclose(emb.x_inv, [[1e300, 0.0], [0.0, 1.0]], rtol=1e-15)
+    mixed = nc.canonical_embedding(1, 1, theta=[1e-300], Q=[[1]], Delta=[[0.3]])
+    assert mixed.point([1, 0, 0]).w1.tolist() == [1e-300]
+    # an inverse beyond 2**1000, or beyond double range, is a typed error
+    # and no RuntimeWarning; the theta stage overflowed at theta = 3e-308
+    nc.canonical_embedding(1, 0, theta=[1e-301])
+    for theta in (9e-302, 3e-308, 1e-310, 5e-324):
+        with pytest.raises(LatticeOverflow, match=r"inverse .* beyond 2\*\*1000"):
+            nc.canonical_embedding(1, 0, theta=[theta])
+    # tiny rows that are parallel, or a zero row, stay singular
+    for phi in ([[1e-300, 2e-300], [1.0, 2.0]], [[0.0, 0.0], [1.0, 2.0]]):
+        with pytest.raises(SingularEmbedding):
+            nc.EmbeddingMap(p=1, q=0, phi=np.array(phi))
 
 
 @pytest.mark.parametrize("Q", [1e300, 1e160, -2e154])
@@ -530,6 +553,99 @@ def test_product_rejects_non_finite_coefficients(inst_1_2):
             finite.multiply(other)
         with pytest.raises(NCThetaError):
             other.multiply(finite)
+
+
+def _frozen_to_dict(el):
+    """to_dict as one complex object per coefficient and two new floats
+    per row, for reference."""
+    K, c = el.as_arrays()
+    return {"radius": el.radius,
+            "coeffs": [{"k": k, "re": z.real, "im": z.imag}
+                       for k, z in zip(K.tolist(), c.tolist())]}
+
+
+def _dict_bits(data):
+    """data's keys, types and float bit patterns, row by row."""
+    return list(data), data["radius"], [
+        (list(row), row["k"], [type(v) for v in row["k"]], type(row["re"]),
+         type(row["im"]), struct.pack("<dd", row["re"], row["im"]))
+        for row in data["coeffs"]]
+
+
+_PARTS = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-310, 5e-324, 1e-301, 1.5e300,
+          np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def _palette_elements(draw):
+    """An element of dimension 1 to 4 whose parts come from a palette of at
+    most six floats, so that values repeat, often with both signed zeros;
+    the support may be empty."""
+    d = draw(st.integers(1, 4))
+    side = 2 * draw(st.integers(0, 2 if d < 4 else 1)) + 1
+    palette = draw(st.lists(st.sampled_from(_PARTS) | st.floats(), min_size=1,
+                            max_size=4)) + draw(st.sampled_from([[], [0.0, -0.0]]))
+    pick = st.integers(0, len(palette) - 1)
+    values = np.zeros(side ** d, dtype=complex)
+    for at, i, j in draw(st.lists(st.tuples(st.integers(0, side ** d - 1), pick, pick),
+                                  max_size=side ** d)):
+        values[at] = complex(palette[i], palette[j])
+    return QuantumElement(_EMBEDDINGS[d], values.reshape((side,) * d))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_palette_elements())
+def test_to_dict_equals_frozen_comprehension(el):
+    data = el.to_dict()
+    assert _dict_bits(data) == _dict_bits(_frozen_to_dict(el))
+    back = QuantumElement.from_dict(el.embedding, data)
+    assert back.values.tobytes() == el.values.tobytes()
+
+
+def test_distinct_floats_by_bit_pattern():
+    u, at = distinct_floats(np.array([[0.0, -0.0], [1.0, 0.0]]))
+    # ordered by bits as int64: the sign bit puts -0.0 first
+    assert [struct.pack("<d", v) for v in u] == [struct.pack("<d", v)
+                                                 for v in (-0.0, 0.0, 1.0)]
+    assert at.tolist() == [[1, 0], [2, 1]]
+    u, at = distinct_floats(np.zeros(0))
+    assert u.shape == at.shape == (0,)
+
+
+def test_to_dict_rows_share_one_float_per_bit_pattern(inst_1_0):
+    emb, _ = inst_1_0
+    rows = QuantumElement.from_coeffs(emb, {
+        (-1, 0): complex(0.5, -0.0), (0, 0): complex(-0.0, 0.5),
+        (0, 1): complex(0.0, 0.5), (1, -1): complex(0.5, 0.0)}, 1).to_dict()["coeffs"]
+    re, im = [row["re"] for row in rows], [row["im"] for row in rows]
+    assert re[0] is re[3] and im[1] is im[2]
+    # -0.0 == 0.0, but their bits differ: two objects
+    assert re[1] == re[2] and re[1] is not re[2]
+    assert im[0] == im[3] and im[0] is not im[3]
+    assert [struct.pack("<d", v) for v in re] == [struct.pack("<d", v)
+                                                  for v in (0.5, -0.0, 0.0, 0.5)]
+
+
+def test_theta_product_to_dict_memory(inst_1_2):
+    # tracemalloc of Theta*Theta .to_dict(): 1.95 MB retained and a 2.42 MB
+    # peak; one complex per coefficient and two new floats per row took
+    # 2.13 and 2.76 MB.  The 6561 rows hold 1582 distinct real and 3784
+    # distinct imaginary parts, one float object each
+    emb, omega = inst_1_2
+    th = nc.quantum_theta(emb, GaussianVector.pure(omega, emb.q), 2)
+    product = th.multiply(th)
+    tracemalloc.start()
+    try:
+        rows = product.to_dict()["coeffs"]
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2.05e6, retained
+    assert peak < 2.6e6, peak
+    assert len(rows) == 6561
+    for part, distinct in (("re", 1582), ("im", 3784)):
+        assert len({id(row[part]) for row in rows}) == distinct
+        assert len({struct.pack("<d", row[part]) for row in rows}) == distinct
 
 
 def test_quantum_element_serialization_roundtrip(inst_1_0):
