@@ -5,7 +5,7 @@ structure, build the theta vector, assemble the quantum theta element
 and machine-check the functional equation, the cocycle consistency law
 and the additivity dichotomy.  Reports are deterministic JSON files;
 exit code 0 means every assertion held, 2 flags a verification failure
-(including degenerate translations), 1 a configuration or usage error.
+(including degenerate translations), 1 a usage, config or output error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -297,35 +299,49 @@ def _verify_report(cfg: RunConfig, ctx: theta.HermitianFormContext, element,
 
 def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
     """Run the report stages the outputs need (classify; theta; verify,
-    which needs theta and counts its formula check), write the reports
-    asked for and return the exit code."""
+    which needs theta and counts its formula check) and return the exit
+    code.  Each report asked for is written when its stage ends, into a
+    temporary staging directory, and none is kept: `theta.json` is
+    written before verification allocates anything.  After the last
+    stage the reports move into out_dir, made if missing, and then
+    summary.json is written; a stage that raises leaves out_dir as it
+    was.  The staging directory is removed in every case."""
     if seed is not None:
         cfg.seed = _seed(seed)
-    failures = []
-    reports = {}
-    classification = _classification(cfg)
-    if "classify" in cfg.outputs:
-        reports["classify"] = _classify_report(cfg, classification)
-    if _runs_theta(cfg):
-        try:
-            vec = _theta_vector(cfg, classification)
-        except (NoFullStructure, NoPartialStructure) as exc:
-            failures.append(f"theta vector: {exc}")
-            reports["theta"] = {"schema_version": SCHEMA_VERSION, "error": str(exc)}
-        else:
-            element, ctx, table, reports["theta"] = _theta_report(cfg, vec, failures)
-            if "verify" in cfg.outputs:
-                reports["verify"] = _verify_report(cfg, ctx, element, table,
-                                                   failures)
+    failures, written = [], []
+    with tempfile.TemporaryDirectory() as staging:
+        def stage(name, report):
+            if name in cfg.outputs:
+                write_report(os.path.join(staging, f"{name}.json"), report)
+                written.append(name)
 
-    os.makedirs(out_dir, exist_ok=True)
-    for name in cfg.outputs:
-        if name in reports:
-            write_report(os.path.join(out_dir, f"{name}.json"), reports[name])
+        classification = _classification(cfg)
+        if "classify" in cfg.outputs:
+            stage("classify", _classify_report(cfg, classification))
+        if _runs_theta(cfg):
+            try:
+                vec = _theta_vector(cfg, classification)
+            except (NoFullStructure, NoPartialStructure) as exc:
+                failures.append(f"theta vector: {exc}")
+                stage("theta", {"schema_version": SCHEMA_VERSION, "error": str(exc)})
+            else:
+                element, ctx, table, report = _theta_report(cfg, vec, failures)
+                stage("theta", report)
+                del report
+                if "verify" in cfg.outputs:
+                    stage("verify", _verify_report(cfg, ctx, element, table,
+                                                   failures))
+        os.makedirs(out_dir, exist_ok=True)
+        for name in written:
+            src, dst = (os.path.join(d, f"{name}.json") for d in (staging, out_dir))
+            try:
+                os.replace(src, dst)
+            except OSError:  # another filesystem; a directory at dst fails again
+                shutil.copyfile(src, dst)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "failures": failures,
-        "reports_written": sorted(set(cfg.outputs) & set(reports)),
+        "reports_written": sorted(written),
         "exit_code": 0 if not failures else 2,
     }
     write_report(os.path.join(out_dir, "summary.json"), summary)
@@ -370,6 +386,9 @@ def main(argv=None) -> int:
         sys.stderr.write(render_report({"error": type(exc).__name__,
                                         "reason": str(exc)}))
         return 2
+    except OSError as exc:  # staging or publishing the reports
+        sys.stderr.write(render_report({"error": "output", "reason": str(exc)}))
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,14 +1,16 @@
+import errno
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nctheta import cli, holomorphy, manin, theta
-from nctheta.errors import ConfigError
+from nctheta.errors import ConfigError, NCThetaError
 from nctheta.heisenberg import POSITIVITY_TOL, GaussianVector
 from nctheta.lattice import ball, embedding_from_config
 
@@ -776,3 +778,116 @@ def test_verify_stage_failures(tmp_path, monkeypatch, embedding, name, edit,
     assert cli.main(["all", "--config", cfg, "--out", str(out)]) == 2
     assert json.loads((out / "summary.json").read_text())["failures"] == [message]
     assert json.loads((out / "verify.json").read_text())["overall_pass"] is False
+
+
+@pytest.fixture
+def staging_root(tmp_path, monkeypatch):
+    """An empty directory that run_config stages its reports under."""
+    root = tmp_path / "staging"
+    root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+    return root
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+def test_a_run_that_raises_publishes_nothing(tmp_path, monkeypatch, capsys,
+                                             staging_root, existing):
+    def raise_after_theta(*args):
+        # the theta report is staged by the time verification starts
+        assert [sorted(os.listdir(d)) for d in staging_root.iterdir()] == \
+            [["classify.json", "theta.json"]]
+        raise NCThetaError("verification raised")
+
+    out = tmp_path / "out"
+    older = {"classify.json": b"older classify\n", "theta.json": b"older theta\n"}
+    if existing:
+        out.mkdir()
+        for name, data in older.items():
+            (out / name).write_bytes(data)
+    verify = cli._verify_report
+    monkeypatch.setattr(cli, "_verify_report", raise_after_theta)
+    assert cli.main(["all", "--config", str(VERIFY_MIXED), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "NCThetaError",
+                                                   "reason": "verification raised"}
+    if existing:
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == older
+    else:
+        assert not out.exists()
+    assert list(staging_root.iterdir()) == []
+    monkeypatch.setattr(cli, "_verify_report", verify)
+    assert cli.main(["all", "--config", str(VERIFY_MIXED), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["classify.json", "summary.json", "theta.json",
+                                       "verify.json"]
+    assert list(staging_root.iterdir()) == []
+
+
+def test_reports_are_written_as_their_stages_end(tmp_path, monkeypatch):
+    # theta.json is written before verification allocates anything, and
+    # classify.json before the theta stage: no finished report waits for
+    # the last stage
+    events = []
+
+    def record(name, function):
+        def wrapped(*args):
+            # a write is recorded by the name of the file it writes
+            events.append(os.path.basename(args[0]) if name == "write_report"
+                          else name)
+            return function(*args)
+        return wrapped
+
+    for name in ("write_report", "_theta_vector", "_verify_report"):
+        monkeypatch.setattr(cli, name, record(name, getattr(cli, name)))
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", str(VERIFY_MIXED), "--out", str(out)]) == 0
+    assert events == ["classify.json", "_theta_vector", "theta.json",
+                      "_verify_report", "verify.json", "summary.json"]
+
+
+def test_out_that_is_a_file_exits_one(tmp_path, capsys, staging_root):
+    # the whole pipeline runs before --out is made, so an existing file
+    # there used to end in a FileExistsError traceback
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    assert cli.main(["all", "--config", str(VERIFY_MIXED), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "output", "reason": f"[Errno 17] File exists: '{out}'"}
+    assert out.read_text() == "not a directory\n"
+    assert list(staging_root.iterdir()) == []
+
+
+def test_report_name_taken_by_a_directory_exits_one(tmp_path, capsys,
+                                                    staging_root):
+    # the report is not moved into that directory
+    out = tmp_path / "out"
+    (out / "theta.json").mkdir(parents=True)
+    assert cli.main(["all", "--config", str(VERIFY_MIXED), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "output", "reason": f"[Errno 21] Is a directory: '{out / 'theta.json'}'"}
+    assert list((out / "theta.json").iterdir()) == []
+    assert list(staging_root.iterdir()) == []
+
+
+def test_reports_are_copied_across_filesystems(tmp_path, monkeypatch,
+                                               staging_root):
+    # a rename from the staging directory fails across filesystems
+    # (EXDEV); the report is then copied, with the same bytes
+    renamed = tmp_path / "renamed"
+    assert cli.main(["all", "--config", str(VERIFY_MIXED), "--out", str(renamed)]) == 0
+
+    def cross_device(src, dst):
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, None, dst)
+
+    monkeypatch.setattr(os, "replace", cross_device)
+    copied = tmp_path / "copied"
+    assert cli.main(["all", "--config", str(VERIFY_MIXED), "--out", str(copied)]) == 0
+    assert {p.name: p.read_bytes() for p in copied.iterdir()} == \
+        {p.name: p.read_bytes() for p in renamed.iterdir()}
+    assert list(staging_root.iterdir()) == []
+
+
+def test_unusable_staging_directory_exits_one(tmp_path, capsys, staging_root):
+    staging_root.rmdir()
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", str(VERIFY_MIXED), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "output"
+    assert not out.exists() and not staging_root.exists()

@@ -1,6 +1,7 @@
 import enum
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,7 +131,10 @@ def _outcome(render, obj):
 
 
 def _captured_reports(monkeypatch, tmp_path, config):
-    """The report objects run_config writes for config."""
+    """The report objects run_config writes for config, by the path each
+    is written to; a stage report is written into a staging directory
+    that is gone when run_config returns, and its file is published
+    under the same name in tmp_path / "out"."""
     captured = {}
 
     def capture(path, obj):
@@ -167,8 +171,7 @@ def test_pipeline_reports_equal_frozen_renderer(monkeypatch, tmp_path, config):
             obj = dict(obj, element=obj["element"].to_dict())
             elements += 1
         assert text == _frozen_render_report(obj), path
-        with open(path) as fh:
-            assert fh.read() == text
+        assert (tmp_path / "out" / Path(path).name).read_text() == text
     assert elements == 1
 
 
