@@ -149,28 +149,10 @@ def _embedding_block(emb: EmbeddingMap) -> dict:
 
 
 def _classification(cfg: RunConfig):
-    """The classifier's result for the configured structure, computed once
-    for the stages that read it: the classify report, and the theta
-    vector unless a full structure meets a lattice sector.  A
-    HolomorphyResult (variant "partial" from solve_partial), the
-    NoPartialStructure that solve_partial raised, or None when no stage
-    needs it."""
-    emb, cs = cfg.embedding, cfg.structure
-    if cs is None or not ("classify" in cfg.outputs or (
-            _runs_theta(cfg) and (cs.kind == "partial" or emb.q == 0))):
-        return None
-    if cs.kind == "full":
-        return holomorphy.classify_holomorphic(emb, cs)
-    try:
-        return holomorphy.solve_partial(emb, cs)
-    except NoPartialStructure as exc:
-        return exc
-
-
-def _runs_theta(cfg: RunConfig) -> bool:
-    """Whether the theta stage runs: its report or the verify stage,
-    which reads its element, is asked for."""
-    return "theta" in cfg.outputs or "verify" in cfg.outputs
+    """holomorphy.classify of the configured structure, computed once for
+    the classify report and the theta vector; None when there is none."""
+    return None if cfg.structure is None else \
+        holomorphy.classify(cfg.embedding, cfg.structure)
 
 
 def _classify_report(cfg: RunConfig, classification) -> dict:
@@ -185,30 +167,6 @@ def _classify_report(cfg: RunConfig, classification) -> dict:
     return {"schema_version": SCHEMA_VERSION,
             "instance": _embedding_block(cfg.embedding),
             "classification": classification}
-
-
-def _theta_vector(cfg: RunConfig, classification) -> GaussianVector:
-    """Theta vector of the pipeline (the lattice Gaussian for p = 0).
-
-    A full structure on q = 0 and a partial one resolve through the
-    run's `classification`; a full structure on a mixed embedding goes
-    through the partial equations of the default diagonal structure.
-    """
-    emb, cs = cfg.embedding, cfg.structure
-    if emb.p == 0:
-        return GaussianVector.pure(np.zeros((0, 0)), emb.q)
-    if cs.kind == "full" and emb.q:
-        return holomorphy.build_theta_vector(
-            emb, holomorphy.ComplexStructure.default_partial(emb.p))
-    if isinstance(classification, NoPartialStructure):
-        raise classification
-    if cs.kind == "partial":
-        return holomorphy.partial_theta_vector(emb, classification)
-    if classification.variant != "unique":
-        raise NoFullStructure(
-            f"full structure failed: {classification.witness['failed_condition']}"
-            " (supplied structure admits no holomorphic vector)")
-    return GaussianVector.pure(classification.omega)
 
 
 def _theta_report(cfg: RunConfig, vec: GaussianVector, failures: list):
@@ -318,9 +276,10 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
         classification = _classification(cfg)
         if "classify" in cfg.outputs:
             stage("classify", _classify_report(cfg, classification))
-        if _runs_theta(cfg):
+        if "theta" in cfg.outputs or "verify" in cfg.outputs:
             try:
-                vec = _theta_vector(cfg, classification)
+                vec = holomorphy.build_theta_vector(cfg.embedding, cfg.structure,
+                                                    classification)
             except (NoFullStructure, NoPartialStructure) as exc:
                 failures.append(f"theta vector: {exc}")
                 stage("theta", {"schema_version": SCHEMA_VERSION, "error": str(exc)})

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NCThetaError, NoPartialStructure,
-                     OddDimension)
+from .errors import (DimensionMismatch, NCThetaError, NoFullStructure,
+                     NoPartialStructure, OddDimension)
 from .heisenberg import (GaussianVector, _check_omega, connection_combination,
                          connection_matrix)
 from .lattice import EmbeddingMap, _readonly
@@ -251,22 +251,46 @@ def solve_partial(emb: EmbeddingMap, cs: ComplexStructure):
     return HolomorphyResult("partial", omega, g_matrix, witness)
 
 
-def build_theta_vector(emb: EmbeddingMap, cs: ComplexStructure) -> GaussianVector:
-    """Gaussian annihilated by the p antiholomorphic connections of a
-    partial structure.
+def classify(emb: EmbeddingMap, cs: ComplexStructure):
+    """The solver of a structure's kind: classify_holomorphic's result for
+    a full structure, solve_partial's for a partial one, or the
+    NoPartialStructure that solve_partial raised."""
+    if cs.kind == "full":
+        return classify_holomorphic(emb, cs)
+    try:
+        return solve_partial(emb, cs)
+    except NoPartialStructure as exc:
+        return exc
 
-    The returned member has the solved quadratic form, no linear phases
-    and the centered discrete Gaussian over the lattice variables.  When
-    the equations demand a nonzero lattice/continuous cross coupling the
-    Gaussian family contains no solution and NoPartialStructure is
-    raised with the offending coupling size.
+
+def build_theta_vector(emb: EmbeddingMap, cs: ComplexStructure | None,
+                       solved=None) -> GaussianVector:
+    """Theta vector of a structure on an embedding; only the vector-space
+    part carries a holomorphic Gaussian.
+
+    p = 0: the lattice Gaussian exp(-(pi/2)|n|^2), whatever cs is (None
+    too).  A full structure on a mixed embedding admits none, so the
+    default partial structure's vector stands in.  Otherwise the centered
+    Gaussian of the solved Omega.  `solved` is classify(emb, cs) when the
+    caller holds it; a NoPartialStructure there is raised.  Raises
+    NoPartialStructure when a reduced condition fails or the equations
+    demand a lattice/continuous cross coupling, NoFullStructure when a
+    full structure on q = 0 is not classified unique.
     """
-    return partial_theta_vector(emb, solve_partial(emb, cs))
-
-
-def partial_theta_vector(emb: EmbeddingMap,
-                         solved: HolomorphyResult) -> GaussianVector:
-    """build_theta_vector from solve_partial's result."""
+    if emb.p == 0:
+        return GaussianVector.pure(np.zeros((0, 0)), emb.q)
+    if cs.kind == "full" and emb.q:
+        return build_theta_vector(emb, ComplexStructure.default_partial(emb.p))
+    if solved is None:
+        solved = classify(emb, cs)
+    if isinstance(solved, NoPartialStructure):
+        raise solved
+    if cs.kind == "full":
+        if solved.variant != "unique":
+            raise NoFullStructure(
+                f"full structure failed: {solved.witness['failed_condition']}"
+                " (supplied structure admits no holomorphic vector)")
+        return GaussianVector.pure(solved.omega)
     coupling = solved.witness["g_max_abs"]
     if coupling > SYMMETRY_TOL:
         raise NoPartialStructure(

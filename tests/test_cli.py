@@ -835,11 +835,11 @@ def test_reports_are_written_as_their_stages_end(tmp_path, monkeypatch):
             return function(*args)
         return wrapped
 
-    for name in ("write_report", "_theta_vector", "_verify_report"):
+    for name in ("write_report", "_theta_report", "_verify_report"):
         monkeypatch.setattr(cli, name, record(name, getattr(cli, name)))
     out = tmp_path / "out"
     assert cli.main(["all", "--config", str(VERIFY_MIXED), "--out", str(out)]) == 0
-    assert events == ["classify.json", "_theta_vector", "theta.json",
+    assert events == ["classify.json", "_theta_report", "theta.json",
                       "_verify_report", "verify.json", "summary.json"]
 
 

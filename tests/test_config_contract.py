@@ -7,7 +7,10 @@ Random configs go through `load_config` and `run_config` in-process:
   `EmbeddingMap` is the one rule for a usable Phi;
 - a `unique` or `partial` classification never ends in the
   ill-conditioned Im Omega error: `heisenberg._check_omega` is the one
-  rule for a usable Omega, and the classifier applies it.
+  rule for a usable Omega, and the classifier applies it;
+- the library's theta vector, `holomorphy.build_theta_vector(emb, cs)`,
+  is the CLI's: the same bits as with the classification that
+  `run_config` passes it, or the same error type and message.
 
 The configs have p, q <= 2 and d = 2p + q <= 4, R in {1, 2}, canonical
 embeddings or raw Phi whose square block is U diag(s) V with s down to
@@ -21,9 +24,10 @@ import json
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nctheta import cli
+from nctheta import cli, holomorphy
 from nctheta.errors import ConfigError, NCThetaError, SingularEmbedding
 from test_cli import ILL_CONDITIONED, ILL_CONDITIONED_PHI
+from test_holomorphy import vector_bits
 
 ILL_CONDITIONED_ERROR = "Im Omega is too ill-conditioned to invert"
 
@@ -101,3 +105,27 @@ def test_run_outcomes_are_typed_and_rules_agree(tmp_path, config):
             variant = getattr(cli._classification(cfg), "variant", None)
             assert variant not in ("unique", "partial"), \
                 f"classified {variant}, then Im Omega was too ill-conditioned"
+
+
+def _theta_vector_outcome(*args):
+    try:
+        vec = holomorphy.build_theta_vector(*args)
+    except NCThetaError as exc:
+        return type(exc), str(exc)
+    return vector_bits(vec)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=configs())
+@example(config=ILL_CONDITIONED)
+def test_library_theta_vector_is_the_clis(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    try:
+        cfg = cli.load_config(str(path))
+    except ConfigError:
+        return
+    emb, cs = cfg.embedding, cfg.structure
+    assert _theta_vector_outcome(emb, cs) == \
+        _theta_vector_outcome(emb, cs, cli._classification(cfg))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import nctheta as nc
-from nctheta.errors import NoPartialStructure, OddDimension
+from nctheta import holomorphy
+from nctheta.errors import NoFullStructure, NoPartialStructure, OddDimension
 from nctheta.holomorphy import ComplexStructure, solve_partial
 
 
@@ -213,3 +214,76 @@ def test_result_serialization(inst_1_2):
     data = res.to_dict()
     assert data["variant"] == "nonexistent"
     assert data["witness"]["left_rank"] < data["witness"]["required_rank"]
+
+
+def vector_bits(vec):
+    """Every field of a GaussianVector, arrays as bytes: equal means
+    bit-equal."""
+    return (vec.p, vec.q, vec.c0, *(a.tobytes() for a in
+                                    (vec.omega, vec.ell, vec.n0, vec.mu)))
+
+
+def _same_with_solved(emb, cs):
+    """build_theta_vector's vector, checked to have the same bits when
+    the caller passes the classification it holds."""
+    vec = nc.build_theta_vector(emb, cs)
+    solved = None if cs is None else holomorphy.classify(emb, cs)
+    assert vector_bits(nc.build_theta_vector(emb, cs, solved)) == vector_bits(vec)
+    return vec
+
+
+@pytest.mark.parametrize("cs", [None, full_structure(1j, 1.0)],
+                         ids=["none", "full"])
+def test_theta_vector_p0_is_the_lattice_gaussian(inst_0_2, cs):
+    emb, _ = inst_0_2
+    vec = _same_with_solved(emb, cs)
+    assert vector_bits(vec) == vector_bits(nc.GaussianVector.pure(np.zeros((0, 0)), 2))
+    assert vec.evaluate(np.zeros(0), [1, -1]) == pytest.approx(np.exp(-np.pi))
+
+
+def test_theta_vector_full_q0_is_the_classified_omega(inst_2_0):
+    emb, omega = inst_2_0
+    cs = full_structure(omega @ np.diag([0.5, 0.25]), np.eye(2))
+    res = nc.classify_holomorphic(emb, cs)
+    assert res.variant == "unique"
+    vec = _same_with_solved(emb, cs)
+    assert vector_bits(vec) == vector_bits(nc.GaussianVector.pure(res.omega))
+    assert vec.omega.tobytes() == res.omega.tobytes()
+
+
+def test_theta_vector_failing_full_q0_names_its_condition():
+    emb = nc.canonical_embedding(1, 0, theta=[2.0])
+    cs = full_structure(-1j, 1.0)
+    assert nc.classify_holomorphic(emb, cs).witness["failed_condition"] == \
+        "positivity"
+    message = ("full structure failed: positivity (supplied structure "
+               "admits no holomorphic vector)")
+    for solved in (None, holomorphy.classify(emb, cs)):
+        with pytest.raises(NoFullStructure) as exc:
+            nc.build_theta_vector(emb, cs, solved)
+        assert str(exc.value) == message
+
+
+def test_theta_vector_full_mixed_is_the_default_partial_one(inst_1_2):
+    emb, omega = inst_1_2
+    cs = full_structure(np.diag([1j, 1j]), np.eye(2))
+    assert holomorphy.classify(emb, cs).variant == "nonexistent"
+    vec = _same_with_solved(emb, cs)
+    default = nc.build_theta_vector(emb, ComplexStructure.default_partial(1))
+    assert vector_bits(vec) == vector_bits(default)
+    np.testing.assert_allclose(vec.omega, omega, atol=1e-12)
+
+
+def test_theta_vector_partial_with_solved_matches(inst_general):
+    _same_with_solved(inst_general, ComplexStructure.default_partial(1))
+
+
+def test_theta_vector_reraises_a_held_no_partial_structure():
+    emb = nc.canonical_embedding(1, 0, theta=[2.0])
+    cs = ComplexStructure("partial", [[-1j]], [[1.0]])
+    solved = holomorphy.classify(emb, cs)
+    assert isinstance(solved, NoPartialStructure)
+    assert solved.condition == "positivity"
+    with pytest.raises(NoPartialStructure) as exc:
+        nc.build_theta_vector(emb, cs, solved)
+    assert exc.value is solved
