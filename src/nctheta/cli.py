@@ -11,6 +11,7 @@ exit code 0 means every assertion held, 2 flags a verification failure
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -107,20 +108,12 @@ class RunConfig:
         self.outputs = outputs
 
     def _parse_structure(self, raw):
-        """The configured structure; by default the partial one when p and q
-        are both >= 1, else the diagonal full one (None for odd d)."""
-        emb = self.embedding
+        """The configured structure, or None when the config names none."""
         if raw is None:
-            if emb.p and emb.q:
-                return holomorphy.ComplexStructure.default_partial(emb.p)
-            if emb.d % 2:
-                return None
-            half = emb.d // 2
-            return holomorphy.ComplexStructure("full", 1j * np.eye(half),
-                                               np.eye(half))
+            return None
         cs = holomorphy.ComplexStructure(raw["kind"], _complex_matrix(raw["t1"]),
                                          _complex_matrix(raw["t2"]))
-        holomorphy._check_structure(emb, cs)
+        holomorphy._check_structure(self.embedding, cs)
         return cs
 
 
@@ -148,18 +141,8 @@ def _embedding_block(emb: EmbeddingMap) -> dict:
     return {"p": emb.p, "q": emb.q, "phi": emb.phi}
 
 
-def _classification(cfg: RunConfig):
-    """holomorphy.classify of the configured structure, computed once for
-    the classify report and the theta vector; None when there is none."""
-    return None if cfg.structure is None else \
-        holomorphy.classify(cfg.embedding, cfg.structure)
-
-
 def _classify_report(cfg: RunConfig, classification) -> dict:
-    if classification is None:
-        classification = {"variant": "skipped",
-                          "witness": {"note": "odd dimension admits no full structure"}}
-    elif isinstance(classification, NoPartialStructure):
+    if isinstance(classification, NoPartialStructure):
         classification = {"variant": "no_partial_structure",
                           "witness": {"condition": classification.condition}}
     else:
@@ -262,8 +245,9 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
     temporary staging directory, and none is kept: `theta.json` is
     written before verification allocates anything.  After the last
     stage the reports move into out_dir, made if missing, and then
-    summary.json is written; a stage that raises leaves out_dir as it
-    was.  The staging directory is removed in every case."""
+    summary.json is written; a stage that raises, or a report name in
+    out_dir taken by a directory, leaves out_dir as it was.  The staging
+    directory is removed in every case."""
     if seed is not None:
         cfg.seed = _seed(seed)
     failures, written = [], []
@@ -273,7 +257,7 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
                 write_report(os.path.join(staging, f"{name}.json"), report)
                 written.append(name)
 
-        classification = _classification(cfg)
+        classification = holomorphy.classify(cfg.embedding, cfg.structure)
         if "classify" in cfg.outputs:
             stage("classify", _classify_report(cfg, classification))
         if "theta" in cfg.outputs or "verify" in cfg.outputs:
@@ -291,11 +275,15 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
                     stage("verify", _verify_report(cfg, ctx, element, table,
                                                    failures))
         os.makedirs(out_dir, exist_ok=True)
+        for name in written + ["summary"]:  # checked before any report moves
+            dst = os.path.join(out_dir, f"{name}.json")
+            if os.path.isdir(dst) and not os.path.islink(dst):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), dst)
         for name in written:
             src, dst = (os.path.join(d, f"{name}.json") for d in (staging, out_dir))
             try:
                 os.replace(src, dst)
-            except OSError:  # another filesystem; a directory at dst fails again
+            except OSError:  # another filesystem
                 shutil.copyfile(src, dst)
     summary = {
         "schema_version": SCHEMA_VERSION,

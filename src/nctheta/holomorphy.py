@@ -60,7 +60,7 @@ class ComplexStructure:
 class HolomorphyResult:
     """Classifier output: variant plus the solved data and a diagnostic witness."""
 
-    variant: str  # "unique" | "nonexistent" | "delta_only" | "partial"
+    variant: str  # "unique" | "nonexistent" | "delta_only" | "partial" | "skipped"
     omega: np.ndarray | None
     g_matrix: np.ndarray | None
     witness: dict
@@ -251,10 +251,27 @@ def solve_partial(emb: EmbeddingMap, cs: ComplexStructure):
     return HolomorphyResult("partial", omega, g_matrix, witness)
 
 
-def classify(emb: EmbeddingMap, cs: ComplexStructure):
-    """The solver of a structure's kind: classify_holomorphic's result for
-    a full structure, solve_partial's for a partial one, or the
-    NoPartialStructure that solve_partial raised."""
+def default_structure(emb: EmbeddingMap) -> ComplexStructure | None:
+    """The structure of a run that names none: the default partial one
+    when p and q are both >= 1, else the diagonal full one (i I, I) of
+    size d/2, or None for odd d."""
+    if emb.p and emb.q:
+        return ComplexStructure.default_partial(emb.p)
+    if emb.d % 2:
+        return None
+    half = emb.d // 2
+    return ComplexStructure("full", 1j * np.eye(half), np.eye(half))
+
+
+def classify(emb: EmbeddingMap, cs: ComplexStructure | None = None):
+    """The solver of a structure's kind (default_structure's when cs is
+    None): classify_holomorphic's result for a full structure,
+    solve_partial's for a partial one, the NoPartialStructure that
+    solve_partial raised, or a "skipped" result when there is none."""
+    cs = default_structure(emb) if cs is None else cs
+    if cs is None:
+        return HolomorphyResult("skipped", None, None,
+                                {"note": "odd dimension admits no full structure"})
     if cs.kind == "full":
         return classify_holomorphic(emb, cs)
     try:
@@ -263,24 +280,25 @@ def classify(emb: EmbeddingMap, cs: ComplexStructure):
         return exc
 
 
-def build_theta_vector(emb: EmbeddingMap, cs: ComplexStructure | None,
+def build_theta_vector(emb: EmbeddingMap, cs: ComplexStructure | None = None,
                        solved=None) -> GaussianVector:
-    """Theta vector of a structure on an embedding; only the vector-space
-    part carries a holomorphic Gaussian.
+    """Theta vector of a structure on an embedding (default_structure's when
+    cs is None); only the vector-space part carries a holomorphic Gaussian.
 
-    p = 0: the lattice Gaussian exp(-(pi/2)|n|^2), whatever cs is (None
-    too).  A full structure on a mixed embedding admits none, so the
-    default partial structure's vector stands in.  Otherwise the centered
-    Gaussian of the solved Omega.  `solved` is classify(emb, cs) when the
-    caller holds it; a NoPartialStructure there is raised.  Raises
+    p = 0: the lattice Gaussian exp(-(pi/2)|n|^2), whatever cs is.  A
+    full structure on a mixed embedding admits none, so the default
+    structure's vector stands in.  Otherwise the centered Gaussian of
+    the solved Omega.  `solved` is classify(emb, cs) when the caller
+    holds it; a NoPartialStructure there is raised.  Raises
     NoPartialStructure when a reduced condition fails or the equations
     demand a lattice/continuous cross coupling, NoFullStructure when a
     full structure on q = 0 is not classified unique.
     """
     if emb.p == 0:
         return GaussianVector.pure(np.zeros((0, 0)), emb.q)
+    cs = default_structure(emb) if cs is None else cs
     if cs.kind == "full" and emb.q:
-        return build_theta_vector(emb, ComplexStructure.default_partial(emb.p))
+        return build_theta_vector(emb, default_structure(emb))
     if solved is None:
         solved = classify(emb, cs)
     if isinstance(solved, NoPartialStructure):

@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nctheta as nc
 from nctheta import cli, holomorphy, manin, theta
 from nctheta.errors import ConfigError, NCThetaError
 from nctheta.heisenberg import POSITIVITY_TOL, GaussianVector
 from nctheta.lattice import ball, embedding_from_config
+from test_holomorphy import vector_bits
 
 
 WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads"
@@ -246,6 +248,27 @@ def test_subcommands_write_the_bytes_of_all(tmp_path, branch):
         for name in written:
             assert (out / f"{name}.json").read_bytes() == \
                 (outs["all"] / f"{name}.json").read_bytes(), (command, name)
+
+
+@pytest.mark.parametrize("embedding", [
+    {"p": 1, "q": 0, "theta": [0.5]},
+    {"p": 1, "q": 1, "theta": [0.5], "Q": [[1]], "Delta": [[0.3]]}],
+    ids=["p1q0", "p1q1"])
+def test_library_default_theta_vector_is_the_one_nctheta_theta_builds(
+        tmp_path, monkeypatch, embedding):
+    built = []
+
+    def spy(*args):
+        built.append(nc.build_theta_vector(*args))
+        return built[-1]
+
+    monkeypatch.setattr(holomorphy, "build_theta_vector", spy)
+    cfg = write_config(tmp_path, {"embedding": embedding, "truncation_R": 2})
+    assert cli.main(["theta", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(built) == 1
+    emb = nc.canonical_embedding(**embedding)
+    for vec in (nc.build_theta_vector(emb), nc.build_theta_vector(emb, None)):
+        assert vector_bits(vec) == vector_bits(built[0])
 
 
 @pytest.mark.parametrize("overrides", [
@@ -682,7 +705,7 @@ def test_negative_seed_override_exits_one_before_any_stage(tmp_path, capsys,
     # pair sampler with a traceback and no out dir
     def stage(*args):
         raise AssertionError("a stage ran")
-    monkeypatch.setattr(cli, "_classification", stage)
+    monkeypatch.setattr(holomorphy, "classify", stage)
     out = tmp_path / "out"
     assert cli.main(["all", "--config", str(VERIFY_MIXED), "--out", str(out),
                      "--seed", seed]) == 1
@@ -857,14 +880,41 @@ def test_out_that_is_a_file_exits_one(tmp_path, capsys, staging_root):
 
 def test_report_name_taken_by_a_directory_exits_one(tmp_path, capsys,
                                                     staging_root):
-    # the report is not moved into that directory
+    # the report is not moved into that directory, and no other report
+    # moves in before the error
     out = tmp_path / "out"
     (out / "theta.json").mkdir(parents=True)
     assert cli.main(["all", "--config", str(VERIFY_MIXED), "--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err) == {
         "error": "output", "reason": f"[Errno 21] Is a directory: '{out / 'theta.json'}'"}
     assert list((out / "theta.json").iterdir()) == []
+    assert [p.name for p in out.iterdir()] == ["theta.json"]
     assert list(staging_root.iterdir()) == []
+
+
+def test_summary_name_taken_by_a_directory_moves_no_report(tmp_path, capsys,
+                                                           staging_root):
+    out = tmp_path / "out"
+    (out / "summary.json").mkdir(parents=True)
+    assert cli.main(["all", "--config", str(VERIFY_MIXED), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "output", "reason": f"[Errno 21] Is a directory: '{out / 'summary.json'}'"}
+    assert [p.name for p in out.iterdir()] == ["summary.json"]
+    assert list(staging_root.iterdir()) == []
+
+
+def test_report_name_taken_by_a_link_to_a_directory_is_replaced(tmp_path,
+                                                               staging_root):
+    # os.replace renames over the link itself; the directory is untouched
+    target = tmp_path / "target"
+    target.mkdir()
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "theta.json").symlink_to(target, target_is_directory=True)
+    assert cli.main(["all", "--config", str(VERIFY_MIXED), "--out", str(out)]) == 0
+    assert not (out / "theta.json").is_symlink()
+    assert "element" in json.loads((out / "theta.json").read_text())
+    assert list(target.iterdir()) == []
 
 
 def test_reports_are_copied_across_filesystems(tmp_path, monkeypatch,

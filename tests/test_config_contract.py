@@ -10,7 +10,8 @@ Random configs go through `load_config` and `run_config` in-process:
   rule for a usable Omega, and the classifier applies it;
 - the library's theta vector, `holomorphy.build_theta_vector(emb, cs)`,
   is the CLI's: the same bits as with the classification that
-  `run_config` passes it, or the same error type and message.
+  `run_config` passes it, or the same error type and message; for a
+  config without a structure, so is `build_theta_vector(emb)`.
 
 The configs have p, q <= 2 and d = 2p + q <= 4, R in {1, 2}, canonical
 embeddings or raw Phi whose square block is U diag(s) V with s down to
@@ -102,7 +103,8 @@ def test_run_outcomes_are_typed_and_rules_agree(tmp_path, config):
         raise AssertionError(f"load_config accepted a Phi that a stage rejects: {exc}")
     except NCThetaError as exc:
         if str(exc) == ILL_CONDITIONED_ERROR:
-            variant = getattr(cli._classification(cfg), "variant", None)
+            variant = getattr(holomorphy.classify(cfg.embedding, cfg.structure),
+                              "variant", None)
             assert variant not in ("unique", "partial"), \
                 f"classified {variant}, then Im Omega was too ill-conditioned"
 
@@ -127,5 +129,8 @@ def test_library_theta_vector_is_the_clis(tmp_path, config):
     except ConfigError:
         return
     emb, cs = cfg.embedding, cfg.structure
-    assert _theta_vector_outcome(emb, cs) == \
-        _theta_vector_outcome(emb, cs, cli._classification(cfg))
+    clis = _theta_vector_outcome(emb, cs, holomorphy.classify(emb, cs))
+    assert _theta_vector_outcome(emb, cs) == clis
+    if "complex_structure" not in config:
+        # no structure and no classification: the default structure's
+        assert _theta_vector_outcome(emb) == clis

@@ -227,7 +227,7 @@ def _same_with_solved(emb, cs):
     """build_theta_vector's vector, checked to have the same bits when
     the caller passes the classification it holds."""
     vec = nc.build_theta_vector(emb, cs)
-    solved = None if cs is None else holomorphy.classify(emb, cs)
+    solved = holomorphy.classify(emb, cs)
     assert vector_bits(nc.build_theta_vector(emb, cs, solved)) == vector_bits(vec)
     return vec
 
@@ -287,3 +287,40 @@ def test_theta_vector_reraises_a_held_no_partial_structure():
     with pytest.raises(NoPartialStructure) as exc:
         nc.build_theta_vector(emb, cs, solved)
     assert exc.value is solved
+
+
+def _embedding(p, q):
+    return nc.canonical_embedding(p, q, theta=[0.5, 0.25, 0.2][:p],
+                                  Q=np.eye(q), Delta=0.3 * np.eye(q))
+
+
+@pytest.mark.parametrize("p, q, kind, n", [
+    (1, 1, "partial", 1), (2, 1, "partial", 2), (1, 2, "partial", 1),
+    (1, 0, "full", 1), (2, 0, "full", 2), (0, 2, "full", 1), (0, 4, "full", 2),
+    (0, 1, None, 0), (0, 3, None, 0)])
+def test_default_structure(p, q, kind, n):
+    # partial when p and q are both >= 1, else the diagonal full (i I, I)
+    # of size d/2, and none for odd d
+    cs = holomorphy.default_structure(_embedding(p, q))
+    if kind is None:
+        assert cs is None
+        return
+    assert cs.kind == kind
+    assert cs.t1.tobytes() == (1j * np.eye(n)).astype(complex).tobytes()
+    assert cs.t2.tobytes() == np.eye(n).astype(complex).tobytes()
+
+
+def test_classify_without_a_structure_on_odd_d_is_skipped():
+    result = holomorphy.classify(_embedding(0, 1))
+    assert (result.variant, result.omega, result.g_matrix) == ("skipped", None, None)
+    assert result.to_dict() == {
+        "variant": "skipped",
+        "witness": {"note": "odd dimension admits no full structure"}}
+
+
+@pytest.mark.parametrize("p, q", [(1, 0), (1, 1), (2, 0), (1, 2), (0, 2)])
+def test_classify_without_a_structure_is_the_default_structures(p, q):
+    emb = _embedding(p, q)
+    default = holomorphy.classify(emb, holomorphy.default_structure(emb))
+    for result in (holomorphy.classify(emb), holomorphy.classify(emb, None)):
+        assert result.to_dict() == default.to_dict()
