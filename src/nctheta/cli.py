@@ -18,6 +18,7 @@ import os
 import shutil
 import sys
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +32,17 @@ from .reports import render_report, write_report
 
 SCHEMA_VERSION = 1
 DEFAULT_TOLERANCES = {"inner_rel": 1e-6, "residual_abs": 1e-9, "tail_eps": 1e-15}
+
+
+@dataclass(frozen=True, slots=True)
+class Check:
+    """One verdict of a run; a failed one's summary message is text.format(check)."""
+
+    text: str
+    passed: bool
+    value: float | None = None
+    bound: float | None = None
+    where: object = None
 
 
 def _real(v) -> bool:
@@ -152,11 +164,27 @@ def _classify_report(cfg: RunConfig, classification) -> dict:
             "classification": classification}
 
 
-def _theta_report(cfg: RunConfig, vec: GaussianVector, failures: list):
-    """Build the element of `vec` and its closed-formula table and check
-    that the two coefficient routes agree to inner_rel.  Returns (element,
-    form context, table, report); the report is None unless "theta" is
-    among the outputs."""
+def _holomorphy_check(cfg: RunConfig, vec: GaussianVector) -> Check:
+    """The check that `vec` is holomorphic: its antiholomorphic residual at
+    s = 0, +-e_i/2, +-e_i (n seeded in {-1, 0, 1}^q) over max |vec| there
+    times the operators' largest coefficient, 2 pi max |(T1, T2) X^-1|."""
+    emb, bound = cfg.embedding, cfg.tolerances["inner_rel"]
+    cs = holomorphy.solved_structure(emb, cfg.structure)
+    axes = np.kron(np.eye(emb.p), [[-1], [-0.5], [0.5], [1]])
+    s = np.vstack([np.zeros(emb.p), axes])[:32]
+    n = seeded_integers(cfg.seed, -1, 2, (len(s), emb.q))
+    scale = 2 * np.pi * np.max(np.abs(np.hstack([cs.t1, cs.t2]) @ emb.x_inv[:2 * emb.p]))
+    value = holomorphy.antiholomorphic_residual(emb, cs, vec, zip(s, n)) \
+        / scale / np.max(np.abs(vec.evaluate(s, n)))
+    return Check("theta vector not holomorphic: residual {0.value:.3e}",
+                 value <= bound, value, bound)
+
+
+def _theta_report(cfg: RunConfig, vec: GaussianVector, checks: list):
+    """Build the element of `vec` and its closed-formula table and add the
+    check that the two coefficient routes agree to inner_rel.  Returns
+    (element, form context, table, report); the report is None unless
+    "theta" is among the outputs."""
     emb, tol = cfg.embedding, cfg.tolerances
     R, tail_eps = cfg.truncation_R, tol["tail_eps"]
     ctx = theta.HermitianFormContext(vec.omega)
@@ -170,9 +198,9 @@ def _theta_report(cfg: RunConfig, vec: GaussianVector, failures: list):
     phase_residual = float(np.max(np.abs(np.angle(coeffs[keep] / closed[keep])))) \
         if np.any(keep) else 0.0
     formula_tol = tol["inner_rel"] * float(np.max(np.abs(closed), initial=0.0))
-    if formula_residual > formula_tol:
-        failures.append(f"coefficient formula residual {formula_residual:.3e}"
-                        f" exceeds inner_rel bound {formula_tol:.3e}")
+    checks.append(Check("coefficient formula residual {0.value:.3e} exceeds inner_rel"
+                        " bound {0.bound:.3e}", not formula_residual > formula_tol,
+                        formula_residual, formula_tol))
     report = None
     if "theta" in cfg.outputs:
         certificate = theta.decay_certificate(element)
@@ -192,10 +220,10 @@ def _theta_report(cfg: RunConfig, vec: GaussianVector, failures: list):
 
 
 def _verify_report(cfg: RunConfig, ctx: theta.HermitianFormContext, element,
-                   table: manin.BallTable, failures: list) -> dict:
+                   table: manin.BallTable, checks: list) -> dict:
     """Functional equation for every |g|_inf <= R // 2; unless a translation
     is degenerate, also the cocycle law on seeded pairs and the additivity
-    probe.  overall_pass covers the failures of every stage so far."""
+    probe, added to `checks`.  overall_pass covers every stage's checks."""
     emb, tol = cfg.embedding, cfg.tolerances
     tail_eps = tol["tail_eps"]
     kind = manin.KIND_MANIN if emb.q == 0 else manin.KIND_MODIFIED
@@ -212,29 +240,28 @@ def _verify_report(cfg: RunConfig, ctx: theta.HermitianFormContext, element,
         report["functional_equation"] = [{
             "g": None, "kind": kind, "degenerate": True,
             "witnesses": [list(i) for i in exc.indices[:16]], "pass": False}]
-        failures.append(
-            f"degenerate translation factors at {len(exc.indices)} ball indices")
+        checks.append(Check("degenerate translation factors at {0.value}"
+                            " ball indices", False, len(exc.indices)))
     else:
         report["functional_equation"] = results
-        failures += [f"functional equation residual {entry['max_residual']:.3e}"
-                     f" at g={tuple(entry['g'])}"
-                     for entry in results if not entry["pass"]]
+        checks += [Check("functional equation residual {0.value:.3e} at g={0.where}",
+                         entry["pass"], entry["max_residual"], tol["residual_abs"],
+                         tuple(entry["g"])) for entry in results]
         pair_ball = max(1, g_radius)
         pair_idx = seeded_integers(cfg.seed, -pair_ball, pair_ball + 1,
                                    (100, 2, emb.d))
         consistency = report["cocycle_consistency"] = \
             manin.verify_cocycle_consistency(ctx, emb, kind, pair_idx,
                                              tail_eps=tail_eps)
-        if not consistency["pass"]:
-            failures.append("cocycle consistency residual out of tolerance")
+        checks.append(Check("cocycle consistency residual out of tolerance",
+                            consistency["pass"]))
         additivity = report["additivity"] = manin.additivity_probe(
             ctx, emb, kind, search_radius=3, tail_eps=tail_eps, seed=cfg.seed)
-        if kind == manin.KIND_MANIN and additivity["verdict"] != "additive":
-            failures.append("translations unexpectedly non-additive")
-        if kind == manin.KIND_MODIFIED and \
-                additivity["verdict"] != "witness_found":
-            failures.append("no non-additivity witness found")
-    report["overall_pass"] = not failures
+        expected, text = ("additive", "translations unexpectedly non-additive") \
+            if kind == manin.KIND_MANIN else \
+            ("witness_found", "no non-additivity witness found")
+        checks.append(Check(text, additivity["verdict"] == expected))
+    report["overall_pass"] = all(check.passed for check in checks)
     return report
 
 
@@ -250,7 +277,7 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
     directory is removed in every case."""
     if seed is not None:
         cfg.seed = _seed(seed)
-    failures, written = [], []
+    checks, written = [], []
     with tempfile.TemporaryDirectory() as staging:
         def stage(name, report):
             if name in cfg.outputs:
@@ -265,15 +292,17 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
                 vec = holomorphy.build_theta_vector(cfg.embedding, cfg.structure,
                                                     classification)
             except (NoFullStructure, NoPartialStructure) as exc:
-                failures.append(f"theta vector: {exc}")
+                checks.append(Check("theta vector: {0.where}", False, where=exc))
                 stage("theta", {"schema_version": SCHEMA_VERSION, "error": str(exc)})
             else:
-                element, ctx, table, report = _theta_report(cfg, vec, failures)
+                if cfg.embedding.p:
+                    checks.append(_holomorphy_check(cfg, vec))
+                element, ctx, table, report = _theta_report(cfg, vec, checks)
                 stage("theta", report)
                 del report
                 if "verify" in cfg.outputs:
                     stage("verify", _verify_report(cfg, ctx, element, table,
-                                                   failures))
+                                                   checks))
         os.makedirs(out_dir, exist_ok=True)
         for name in written + ["summary"]:  # checked before any report moves
             dst = os.path.join(out_dir, f"{name}.json")
@@ -285,14 +314,11 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
                 os.replace(src, dst)
             except OSError:  # another filesystem
                 shutil.copyfile(src, dst)
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "failures": failures,
-        "reports_written": sorted(written),
-        "exit_code": 0 if not failures else 2,
-    }
+    failures = [check.text.format(check) for check in checks if not check.passed]
+    summary = {"schema_version": SCHEMA_VERSION, "failures": failures,
+               "reports_written": sorted(written), "exit_code": 2 if failures else 0}
     write_report(os.path.join(out_dir, "summary.json"), summary)
-    return 0 if not failures else 2
+    return summary["exit_code"]
 
 
 def main(argv=None) -> int:

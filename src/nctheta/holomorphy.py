@@ -280,30 +280,33 @@ def classify(emb: EmbeddingMap, cs: ComplexStructure | None = None):
         return exc
 
 
+def solved_structure(emb: EmbeddingMap, cs: ComplexStructure | None = None):
+    """The structure build_theta_vector solves for: default_structure's when
+    cs is None or a full structure on a mixed embedding (none exists), else cs."""
+    mixed = emb.p and emb.q
+    return default_structure(emb) if cs is None or cs.kind == "full" and mixed else cs
+
+
 def build_theta_vector(emb: EmbeddingMap, cs: ComplexStructure | None = None,
                        solved=None) -> GaussianVector:
-    """Theta vector of a structure on an embedding (default_structure's when
-    cs is None); only the vector-space part carries a holomorphic Gaussian.
+    """Theta vector of solved_structure(emb, cs); only the vector-space
+    part carries a holomorphic Gaussian.
 
-    p = 0: the lattice Gaussian exp(-(pi/2)|n|^2), whatever cs is.  A
-    full structure on a mixed embedding admits none, so the default
-    structure's vector stands in.  Otherwise the centered Gaussian of
-    the solved Omega.  `solved` is classify(emb, cs) when the caller
-    holds it; a NoPartialStructure there is raised.  Raises
-    NoPartialStructure when a reduced condition fails or the equations
-    demand a lattice/continuous cross coupling, NoFullStructure when a
-    full structure on q = 0 is not classified unique.
+    p = 0: the lattice Gaussian exp(-(pi/2)|n|^2), whatever cs is.
+    Otherwise the centered Gaussian of the solved Omega.  `solved` is
+    classify(emb, cs) when the caller holds it; a NoPartialStructure there
+    is raised.  Raises NoPartialStructure when a reduced condition fails
+    or the equations demand a lattice/continuous cross coupling,
+    NoFullStructure when a full structure on q = 0 is not classified unique.
     """
     if emb.p == 0:
         return GaussianVector.pure(np.zeros((0, 0)), emb.q)
-    cs = default_structure(emb) if cs is None else cs
-    if cs.kind == "full" and emb.q:
-        return build_theta_vector(emb, default_structure(emb))
-    if solved is None:
-        solved = classify(emb, cs)
+    target = solved_structure(emb, cs)
+    if solved is None or cs not in (None, target):  # the default stood in
+        solved = classify(emb, target)
     if isinstance(solved, NoPartialStructure):
         raise solved
-    if cs.kind == "full":
+    if target.kind == "full":
         if solved.variant != "unique":
             raise NoFullStructure(
                 f"full structure failed: {solved.witness['failed_condition']}"
@@ -319,18 +322,13 @@ def build_theta_vector(emb: EmbeddingMap, cs: ComplexStructure | None = None,
 
 def antiholomorphic_residual(emb: EmbeddingMap, cs: ComplexStructure,
                              f: GaussianVector, points) -> float:
-    """Max pointwise norm of the p antiholomorphic connections applied to f.
+    """Max pointwise norm of the p antiholomorphic connections applied to f,
+    NaN if one is NaN.
 
-    points is an iterable of (s, n) pairs; a certified theta vector keeps
-    this below 1e-9 on any sample.
+    points is an iterable of (s, n) pairs, read once; a certified theta
+    vector keeps this below 1e-9 on any sample.
     """
-    p = emb.p
-    worst = 0.0
-    for i in range(p):
-        weights = np.zeros(emb.d, dtype=complex)
-        weights[:p] = cs.t1[i]
-        weights[p:2 * p] = cs.t2[i]
-        lg = connection_combination(emb, weights, f)
-        for s, n in points:
-            worst = max(worst, abs(lg.evaluate(s, n)))
-    return worst
+    ops = [connection_combination(emb, np.concatenate([t1, t2, np.zeros(emb.q)]), f)
+           for t1, t2 in zip(cs.t1, cs.t2)]
+    return float(np.max([abs(lg.evaluate(s, n)) for s, n in points for lg in ops],
+                        initial=0.0))

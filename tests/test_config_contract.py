@@ -3,6 +3,10 @@
 Random configs go through `load_config` and `run_config` in-process:
 - a run returns 0 or 2, or raises ConfigError or NCThetaError, and
   nothing else;
+- its verdicts are its checks: it exits 0 exactly when every check
+  passed, the summary's failures are the failed checks' messages in
+  order, and a run that exits 0 with p >= 1 checked that its theta
+  vector is holomorphic within the check's bound;
 - a config that `load_config` accepts never raises SingularEmbedding:
   `EmbeddingMap` is the one rule for a usable Phi;
 - a `unique` or `partial` classification never ends in the
@@ -31,6 +35,7 @@ from test_cli import ILL_CONDITIONED, ILL_CONDITIONED_PHI
 from test_holomorphy import vector_bits
 
 ILL_CONDITIONED_ERROR = "Im Omega is too ill-conditioned to invert"
+CHECK = cli.Check
 
 
 def _complex_rows(z):
@@ -89,7 +94,7 @@ def configs(draw):
 @given(config=configs())
 @example(config=ILL_CONDITIONED)
 @example(config=ILL_CONDITIONED_PHI)
-def test_run_outcomes_are_typed_and_rules_agree(tmp_path, config):
+def test_run_outcomes_are_typed_and_rules_agree(tmp_path, monkeypatch, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     try:
@@ -97,8 +102,26 @@ def test_run_outcomes_are_typed_and_rules_agree(tmp_path, config):
     except ConfigError:
         return
     cfg.outputs = ["classify", "theta", "verify"]
+    checks = []
+
+    def record(*args, **kwargs):
+        checks.append(CHECK(*args, **kwargs))
+        return checks[-1]
+
+    monkeypatch.setattr(cli, "Check", record)
+    out = tmp_path / "out"
     try:
-        assert cli.run_config(cfg, str(tmp_path / "out")) in (0, 2)
+        code = cli.run_config(cfg, str(out))
+        assert code in (0, 2)
+        assert (code == 0) == all(check.passed for check in checks)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failures"] == [check.text.format(check)
+                                       for check in checks if not check.passed]
+        holomorphic = [check for check in checks
+                       if check.text.startswith("theta vector not holomorphic")]
+        if code == 0:
+            assert len(holomorphic) == (cfg.embedding.p > 0)
+            assert all(check.value <= check.bound for check in holomorphic)
     except SingularEmbedding as exc:
         raise AssertionError(f"load_config accepted a Phi that a stage rejects: {exc}")
     except NCThetaError as exc:

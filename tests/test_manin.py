@@ -1,11 +1,13 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 import nctheta as nc
+from nctheta import manin
 from nctheta.errors import (DegenerateTranslation, DimensionMismatch,
-                             NCThetaError)
+                             GridTooLarge, NCThetaError)
 from nctheta.heisenberg import GaussianVector
 from nctheta.lattice import ball, cocycle_arrays, cocycle_exponent_arrays
 from nctheta.manin import (ADDITIVITY_TOL, BallTable, TranslationFactor,
@@ -854,6 +856,34 @@ def test_engine_errors_in_frozen_order():
         (NCThetaError, underflow + "[(-1, 1, 1)]")]
     assert [(kind, message[:len(prefix)]) for (kind, message), (_, prefix)
             in zip(seen, expected)] == expected
+
+
+class _CubesBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("embedding, R, kind, refused", [
+    ({"p": 1, "q": 0, "theta": [0.5]}, 400, "manin", True),
+    ({"p": 2, "q": 2, "theta": [0.5, 0.25], "Q": np.eye(2),
+      "Delta": np.diag([0.2, 0.7])}, 4, "modified", False),
+], ids=["d2_R400", "d6_R4"])
+def test_engine_work_budget(monkeypatch, embedding, R, kind, refused):
+    # the window entries, sum over g of (2 (R - |g|_inf) + 1)^d: 4.7e10 at
+    # d = 2, R = 400 (about 35 minutes) are refused before any cube is
+    # built; 3.2e8 at d = 6, R = 4 (about 27 s) go on to the cubes
+    def cubes(*args):
+        raise _CubesBuilt
+    emb = nc.canonical_embedding(**embedding)
+    zero = nc.QuantumElement(embedding=emb, values=np.zeros((2 * R + 1,) * emb.d))
+    ctx = HermitianFormContext(1j * np.eye(emb.p))
+    monkeypatch.setattr(manin, "ball", cubes)
+    start = time.perf_counter()
+    with pytest.raises(GridTooLarge if refused else _CubesBuilt) as info:
+        nc.verify_functional_equations(ctx, emb, zero, ball(emb.d, R // 2), kind)
+    assert time.perf_counter() - start < 1
+    if refused:
+        assert str(info.value) == \
+            f"47232908001 FE window entries exceed FE_BUDGET {manin.FE_BUDGET}"
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

@@ -1,12 +1,13 @@
-"""Kernel mutants that a verifying run must catch.
+"""Kernel and solver mutants that a verifying run must catch.
 
-Each test replaces one kernel by a wrong version, in every module that
-imported it by name, and runs `run_config` at seed 1 on the mixed and the
-continuous workload.  A caught mutant exits 2 with a named failure.  The
-faults no run catches yet are strict xfails naming the ROADMAP item whose
-runtime check is to catch them: a kernel mutant, and ROADMAP E's false
-decay certificate under `nctheta theta`.  Once the check lands, the
-xfail passes, strict fails it, and the mark comes off.
+Each test replaces one kernel, or the quadratic-form solver, by a wrong
+version, in every module that imported it by name, and runs `run_config`
+at seed 1 on the mixed and the continuous workload.  A caught mutant exits
+2 with a named failure.  The faults no run catches yet are strict xfails
+naming the ROADMAP item whose runtime check is to catch them: a kernel
+mutant, and ROADMAP E's false decay certificate under `nctheta theta`.
+Once the check lands, the xfail passes, strict fails it, and the mark
+comes off.
 """
 
 import json
@@ -37,12 +38,22 @@ def _conjugated(original):
     return lambda xblocks, yblocks: np.conj(original(xblocks, yblocks))
 
 
+def _omega_plus_tenth_i(original):
+    # still symmetric with a positive definite Im part, so every other
+    # check takes it as given
+    def solve(A, C):
+        omega, witness = original(A, C)
+        return (None if omega is None else omega + 0.1 * np.eye(len(omega))), witness
+    return solve
+
+
 MUTANTS = {
     "gaussian_factor_exponent": ("_gaussian_factor", lambda _: _gaussian_factor),
     "pairing_without_conj": ("hermitian_pairing_arrays",
                              lambda _: _pairing_without_conj),
     "series_halfwidth_1": ("_series_halfwidth", lambda _: _series_halfwidth),
     "cocycle_conjugated": ("cocycle_arrays", _conjugated),
+    "omega_plus_tenth_i": ("_solve_quadratic_form", _omega_plus_tenth_i),
 }
 NOT_CAUGHT_C = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP C: no runtime witness of the lattice-series kernel or of the "
@@ -74,6 +85,17 @@ def test_kernel_mutant_fails_the_run(tmp_path, monkeypatch, mutant, workload):
     out = tmp_path / "out"
     assert cli.run_config(cfg, str(out), 1) == 2
     assert json.loads((out / "summary.json").read_text())["failures"]
+
+
+@pytest.mark.parametrize("workload", [VERIFY_MIXED, VERIFY_CONT],
+                         ids=lambda v: v.stem)
+def test_wrong_omega_is_not_holomorphic(tmp_path, monkeypatch, workload):
+    cfg = cli.load_config(str(workload))
+    _mutate(monkeypatch, "omega_plus_tenth_i")
+    out = tmp_path / "out"
+    assert cli.run_config(cfg, str(out), 1) == 2
+    failures = json.loads((out / "summary.json").read_text())["failures"]
+    assert [f for f in failures if f.startswith("theta vector not holomorphic: residual ")]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
