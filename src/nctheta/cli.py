@@ -166,12 +166,14 @@ def _classify_report(cfg: RunConfig, classification) -> dict:
 
 def _holomorphy_check(cfg: RunConfig, vec: GaussianVector) -> Check:
     """The check that `vec` is holomorphic: its antiholomorphic residual at
-    s = 0, +-e_i/2, +-e_i (n seeded in {-1, 0, 1}^q) over max |vec| there
-    times the operators' largest coefficient, 2 pi max |(T1, T2) X^-1|."""
+    s = 0, +-e_i/2, +-e_i mapped through (Im Omega)^(-1/2), where vec has
+    the same width on every axis (n seeded in {-1, 0, 1}^q), over max |vec|
+    there times the operators' largest coefficient, 2 pi max |(T1, T2) X^-1|."""
     emb, bound = cfg.embedding, cfg.tolerances["inner_rel"]
     cs = holomorphy.solved_structure(emb, cfg.structure)
     axes = np.kron(np.eye(emb.p), [[-1], [-0.5], [0.5], [1]])
-    s = np.vstack([np.zeros(emb.p), axes])[:32]
+    w, V = np.linalg.eigh(vec.omega.imag)
+    s = np.vstack([np.zeros(emb.p), axes])[:32] @ (V / np.sqrt(w) @ V.T)
     n = seeded_integers(cfg.seed, -1, 2, (len(s), emb.q))
     scale = 2 * np.pi * np.max(np.abs(np.hstack([cs.t1, cs.t2]) @ emb.x_inv[:2 * emb.p]))
     value = holomorphy.antiholomorphic_residual(emb, cs, vec, zip(s, n)) \

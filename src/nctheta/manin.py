@@ -30,7 +30,7 @@ from .errors import DegenerateTranslation, DimensionMismatch, GridTooLarge, NCTh
 from .lattice import (EmbeddingMap, LatticePoint, QuantumElement, _cmul,
                       _component_dot, _indices, ball, batch_rows,
                       cocycle_arrays, seeded_integers)
-from .theta import (STRUCTURAL_ZERO_TOL, TAIL_EPS, HermitianFormContext,
+from .theta import (STRUCTURAL_ZERO_TOL, TAIL_EPS, HermitianFormContext, _far,
                     _gaussian_factor, _vecmat, complex_coordinates,
                     hermitian_pairing_arrays, theta_coefficients)
 
@@ -81,7 +81,8 @@ def _translations(ctx: HermitianFormContext, emb: EmbeddingMap, G, H,
     their structural-zero flags, alpha(g, h), T_g(h) and (manin) the
     exponents of the factors and of T, from one blocks call and (modified)
     one closed-formula call on the stacked rows, with BallTable's caveat
-    on its bits.  Unchecked: an underflowed C_g C_h gives inf or NaN."""
+    on its bits.  Unchecked: an underflowed C_g C_h gives inf or NaN; the
+    cocycle check compares such manin pairs (_far) on the exponents."""
     n = len(G) + len(H)
     parts = (slice(0, len(G)), slice(len(G), n), slice(n, None))
     rows = np.concatenate([G, H, G + H])
@@ -229,7 +230,10 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
     degeneracy scan; the manin C_g of all g is one _gaussian_factor call.
     As T_g(h) = c_{g+h} / (C_g c_h alpha), the modified residual checks
     that the inner-product coefficient over the closed formula agrees at
-    h and g + h.
+    h and g + h.  Manin entries where C_g or T is far (theta._far) take
+    lhs = alpha exp(log C_g + log T + log theta_h); those whose stored
+    theta_h is 0 (below DROP_TOL: not represented) are left out.  A call
+    whose theta has no 0 and whose ball corners bound C_g and T skips this.
 
     Errors come in the order of the single-g calls: rows outside the one
     index rule, lattice._indices, |g|_inf > R/2 (ValueError), over FE_BUDGET
@@ -262,7 +266,12 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
         # H(g, h) = (x_g Im(Omega)^-1) . conj(x_h): the first factor per g
         # and the conjugated cube of x_h are each formed once
         x_g = complex_coordinates(ctx, rows[0], rows[1])
-        factors = _gaussian_factor(ctx, x_g)[0]
+        factors, log_factors = _gaussian_factor(ctx, x_g)
+        # the exponent path unless no C_g, T or stored theta_h can be far:
+        # |Re log T| <= 2 sqrt(log C_g log C_h) <= -2 log C_k, k a ball corner
+        corners = emb.blocks(np.array(list(itertools.product((-R, R), repeat=d))))
+        exponents = not np.all(theta.values) or -2 * np.min(_gaussian_factor(
+            ctx, complex_coordinates(ctx, corners[0], corners[1]))[1]) > 690
         rows.append(_vecmat(x_g, ctx.im_inv))
         cubes.append(np.conj(complex_coordinates(ctx, cubes[0], cubes[1])))
     cubes = [np.ascontiguousarray(block.T).reshape(
@@ -306,14 +315,20 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
                 C_g = factors[at].reshape((len(at),) + (1,) * d)
                 offset = tuple((gr - G[at]).T)
                 if kind == KIND_MANIN:
-                    T = _with_mirrors(_manin_multiplier(
-                        _component_dot(g_rows[4], h[4]))[0], flipped)
+                    T, log_T = _manin_multiplier(_component_dot(g_rows[4], h[4]))
+                    T = _with_mirrors(T, flipped)
                 else:
                     c = c_h[offset]
                     underflow[at] = (factors[at] == 0) | np.any(
                         (c == 0).reshape(len(at), -1), axis=1)
                     T = _modified_multiplier(C_g, c, table.values[at_k], alpha)
                 lhs = C_g * alpha * T * theta_h[offset]
+                if kind == KIND_MANIN and exponents:
+                    # far entries from the exponents; a stored theta_h of 0 left out
+                    log_lhs = (log_factors[at].reshape(C_g.shape) + np.log(theta_h[offset])
+                               + _with_mirrors(log_T, flipped))
+                    lhs = np.where(_far(C_g, T), alpha * np.exp(log_lhs), lhs)
+                    lhs = np.where(theta_h[offset] == 0, theta.values[at_k], lhs)
                 residuals[at] = np.abs(lhs - theta.values[at_k]).reshape(
                     len(at), -1).max(axis=1)
     residuals, factors = residuals.tolist(), factors.tolist()
@@ -394,10 +409,10 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
     relative.  The factors, T and alpha of all pairs come from one
     _translations call; only the comparison is scalar.  A pair where C_g,
     C_h or C_{g+h} vanishes structurally is skipped and counted as
-    degenerate.  manin pairs whose C_g C_h, C_{g+h} or T leaves the normal
-    double range are compared on the exponent scale.  NCThetaError when
-    C_g C_h underflows to 0, or when any other pair's ratio of the two
-    sides is 0 or not finite (C_{g+h} or T out of double range).
+    degenerate.  manin pairs where C_g C_h, C_{g+h} or T is far (_far)
+    are compared on their exponents.  NCThetaError when another pair's
+    C_g C_h underflows to 0 (modified), or its ratio of the two sides is
+    0 or not finite (C_{g+h} or T out of double range).
     """
     _check_kind(kind)
     K = _indices(pairs, (-1, 2, emb.d))
@@ -405,31 +420,23 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
         ctx, emb, K[:, 0], K[:, 1], kind, tail_eps)
     far = np.zeros(len(K), dtype=bool)
     if kind == KIND_MANIN:
-        # where C_g C_h, C_{g+h} or T leaves the normal double range, the
-        # ratio of the two sides from the exponents alone
-        c_g, c_h, c_gh = factors
+        # where C_g C_h, C_{g+h} or T is far, the ratio from the exponents
         (log_g, log_h, log_gh), log_T = exponents
-        tiny = np.finfo(float).tiny
-        far = ((c_g * c_h < tiny) | (c_gh < tiny) | ~np.isfinite(T)
-               | (np.abs(T) < tiny))
+        far = _far(factors[0] * factors[1], factors[2], T)
         far_ratio = np.exp(log_gh - log_g - log_h - log_T) / alpha
-    max_mod = 0.0
-    max_phase = 0.0
-    max_rel = 0.0
+    max_mod = max_phase = max_rel = 0.0
     n_skipped = 0
     for i in range(len(K)):
         if zero[0][i] or zero[1][i] or zero[2][i]:
             n_skipped += 1
             continue
         fg, fh, fgh = (complex(f[i]) for f in factors)
-        if fg * fh == 0:
-            raise _underflow(K[i])
         if far[i]:
             ratio = far_ratio[i]
         else:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                ratio = fgh / (fg * fh) / (T[i] * alpha[i])
-            # C_{g+h} or T out of double range: 0/0, x/0 or 0/x
+                ratio = fgh / (fg * fh) / (T[i] * alpha[i]) if fg * fh else 0
+            # C_g C_h underflowed, or C_{g+h} or T out of double range
             if ratio == 0 or not cmath.isfinite(ratio):
                 raise _underflow(K[i])
         max_mod = max(max_mod, abs(abs(ratio) - 1.0))
@@ -437,10 +444,7 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
         if kind == KIND_MODIFIED:
             t_scalar = _modified_multiplier(fg, fh, fgh, alpha[i])
             max_rel = max(max_rel, abs(t_scalar - T[i]) / max(abs(T[i]), 1e-300))
-    if kind == KIND_MANIN:
-        ok = max_mod < MODULUS_TOL
-    else:
-        ok = max_rel < 1e-12
+    ok = max_mod < MODULUS_TOL if kind == KIND_MANIN else max_rel < 1e-12
     return {
         "kind": kind,
         "pairs_checked": len(K) - n_skipped,
@@ -495,12 +499,8 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
             t1, t2, t12 = (_manin_multiplier(x)[0] for x in (h1, h2, h12))
             t1t2 = t1 * t2
             rel = np.abs(t1t2 - t12) / np.maximum(np.abs(t12), 1e-300)
-        # where a multiplier or the product leaves the normal double range
-        # (a subnormal factor has lost digits even when the product is
-        # normal), the same deviation from the exponents alone
-        tiny = np.finfo(float).tiny
-        far = ~np.isfinite(rel) | np.any(
-            [np.abs(t) < tiny for t in (t1, t2, t1t2, t12)], axis=0)
+        # where a multiplier or their product is far: from the exponents
+        far = ~np.isfinite(rel) | _far(t1, t2, t1t2, t12)
         rel[far] = np.abs(np.expm1(-np.pi * (h1 + h2 - h12)[far]))
         max_rel = float(np.max(rel)) if len(i1) else 0.0
         return {

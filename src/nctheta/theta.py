@@ -234,6 +234,11 @@ def gaussian_integral(M: np.ndarray, v: np.ndarray) -> complex:
     return complex(_gaussian_values(M, v[None])[0])
 
 
+def _far(*factors):
+    """Where a factor is not finite or below the smallest normal double."""
+    return sum(~np.isfinite(f) | (np.abs(f) < np.finfo(float).tiny) for f in factors) > 0
+
+
 def _gaussian_values(M: np.ndarray, V: np.ndarray, log_scale=None) -> np.ndarray:
     """gaussian_integral, unchecked, of one (p, p) M, p >= 1, at each row of
     an (n, p) V, times exp(log_scale) when given, inside the one exp."""
@@ -281,10 +286,10 @@ def _closed_inner_products(f: GaussianVector, g: GaussianVector, blocks,
         V = 2j * np.pi * (f.ell - lg_bar - OW1 - W2)
         quad = _rowdot(W1, W2) + _rowdot(_vecmat(W1, og_bar), W1)
         log_const = -1j * np.pi * quad - 2j * np.pi * _rowdot(lg_bar, W1)
-        cont = _cmul(np.exp(log_const), _gaussian_values(M, V))
-        # far out, exp(log_const) underflows where the Gaussian overflows;
-        # there the two exponents are summed before one exp
-        far = ~np.isfinite(cont)
+        factor, gaussian = np.exp(log_const), _gaussian_values(M, V)
+        cont = _cmul(factor, gaussian)
+        # where a factor or their product is far, one exp of the summed exponents
+        far = _far(factor, gaussian, cont)
         if np.any(far):
             cont[far] = _gaussian_values(M, V[far], log_const[far])
     # Lattice sector: one peak-shifted theta series per component.

@@ -506,21 +506,31 @@ def test_far_coefficients_match_closed_zeros(tmp_path):
 
 @pytest.mark.parametrize("embedding, R, code", [
     ({"p": 1, "q": 0, "theta": [10.0]}, 4, 0),
-    ({"p": 1, "q": 0, "theta": [50.0]}, 4, 2),
+    # manin: C_g underflows and T overflows, so the functional equation is
+    # formed from the exponents where the direct product leaves double range
+    ({"p": 1, "q": 0, "theta": [50.0]}, 4, 0),
+    # modified: its factors leave double range too, and the run still raises
     ({"p": 1, "q": 1, "theta": [50.0], "Q": [[1]], "Delta": [[0.3]]}, 2, 2),
-    # C_g underflows and T overflows where theta_h has underflowed to 0
-    ({"p": 1, "q": 0, "theta": [1000.0]}, 2, 2)])
+    # manin, and theta_h has underflowed to 0 where C_g T overflows: those
+    # entries are left out of the residual
+    ({"p": 1, "q": 0, "theta": [1000.0]}, 2, 0),
+    # C_g underflows and T overflows at the outer g from R = 10 (theta 3.0)
+    # and R = 22 (theta 0.5) on
+    *[({"p": 1, "q": 0, "theta": [theta]}, R, 0)
+      for theta, R in [(3.0, 10), (3.0, 12), (3.0, 16), (0.5, 22), (0.5, 30), (0.5, 40)]]])
 def test_multipliers_beyond_double_range(tmp_path, capsys, embedding, R, code):
     # translation multipliers overflow or their products underflow: the
-    # run either writes finite reports or stops with a typed NCThetaError at
+    # run either passes every check or stops with a typed NCThetaError at
     # the first translation, g = (-R/2, ..., -R/2), and writes no report
     cfg = write_config(tmp_path, {"embedding": embedding, "truncation_R": R})
     out = tmp_path / "out"
     assert cli.main(["all", "--config", cfg, "--out", str(out)]) == code
     if code == 0:
-        additivity = json.loads((out / "verify.json").read_text())["additivity"]
-        assert additivity["verdict"] == "additive"
-        assert additivity["max_relative_deviation"] < 1e-10
+        # overall_pass: every functional-equation residual below residual_abs
+        report = json.loads((out / "verify.json").read_text())
+        assert report["overall_pass"] and report["cocycle_consistency"]["pass"]
+        assert report["additivity"]["verdict"] == "additive"
+        assert report["additivity"]["max_relative_deviation"] < 1e-10
     else:
         err = json.loads(capsys.readouterr().err)
         first = tuple([-(R // 2)] * (2 * embedding["p"] + embedding["q"]))

@@ -17,11 +17,17 @@ Random configs go through `load_config` and `run_config` in-process:
   `run_config` passes it, or the same error type and message; for a
   config without a structure, so is `build_theta_vector(emb)`.
 
+- a p = 1, q = 0 config with no structure named that passes at R also
+  passes at R + 2 and R + 4, unless the larger run is over a work budget
+  (GridTooLarge): a true identity does not fail for want of double range.
+
 The configs have p, q <= 2 and d = 2p + q <= 4, R in {1, 2}, canonical
 embeddings or raw Phi whose square block is U diag(s) V with s down to
 1e-9, and the default, a full or a partial structure with |T1| from 1e-4
 to 1e4.  The ill-conditioned Omega and Phi configs of test_cli always
-run.
+run.  The radius property draws |theta| from 0.05 to 50 and R from 1 to
+20; its runs reach exponents of about 1e4, below the cocycle check's
+rounding floor (test_manin.test_cocycle_exponent_rounding_floor).
 """
 
 import json
@@ -30,7 +36,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nctheta import cli, holomorphy
-from nctheta.errors import ConfigError, NCThetaError, SingularEmbedding
+from nctheta.errors import ConfigError, GridTooLarge, NCThetaError, SingularEmbedding
 from test_cli import ILL_CONDITIONED, ILL_CONDITIONED_PHI
 from test_holomorphy import vector_bits
 
@@ -157,3 +163,28 @@ def test_library_theta_vector_is_the_clis(tmp_path, config):
     if "complex_structure" not in config:
         # no structure and no classification: the default structure's
         assert _theta_vector_outcome(emb) == clis
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(theta=st.floats(-1.3, 1.7).map(lambda e: 10.0 ** e),
+       sign=st.sampled_from([1, -1]), R=st.integers(1, 20))
+# at R = 10 the inner-product coefficient at h = (6, 5) was a product of a
+# subnormal and a large factor, 60 % off, and the FE read 1.9e-5
+@example(theta=6.58600221378509, sign=1, R=6)
+def test_a_passing_q0_run_passes_at_larger_radius(tmp_path, theta, sign, R):
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    for radius in (R, R + 2, R + 4):
+        path.write_text(json.dumps({"embedding": {"p": 1, "q": 0, "theta": [sign * theta]},
+                                    "truncation_R": radius}))
+        try:
+            code = cli.run_config(cli.load_config(str(path)), str(out))
+        except GridTooLarge:
+            return
+        except NCThetaError:
+            if radius == R:
+                return
+            raise
+        if radius == R and code != 0:
+            return
+        assert code == 0, json.loads((out / "summary.json").read_text())

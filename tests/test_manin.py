@@ -282,14 +282,16 @@ def test_functional_equation_underflow_raises():
 def test_underflowed_factor_products_raise():
     # Omega = 0.02i (theta = 50): the factors at these pairs are about
     # 1e-273 each, so C_g C_h (cocycle check) and C_g c_h (multipliers)
-    # underflow to 0 while no factor is 0
+    # underflow to 0 while no factor is 0.  The modified convention raises;
+    # the manin pair is compared on its exponents, where the law holds
     cont = nc.canonical_embedding(1, 0, theta=[50.0])
     mixed = nc.canonical_embedding(1, 1, theta=[50.0], Q=[[1]], Delta=[[0.3]])
     ctx = HermitianFormContext(np.array([[0.02j]]))
+    rep = nc.verify_cocycle_consistency(ctx, cont, "manin", [([2, 2], [2, 2])])
+    assert rep["pass"] and rep["pairs_checked"] == 1
+    assert rep["max_modulus_residual"] < 1e-10
     g, h = [-2, -2, -2], [-2, -2, -1]
     for call, where in (
-            (lambda: nc.verify_cocycle_consistency(
-                ctx, cont, "manin", [([2, 2], [2, 2])]), "[(2, 2), (2, 2)]"),
             (lambda: nc.verify_cocycle_consistency(
                 ctx, mixed, "modified", [(g, h)]), "[(-2, -2, -2), (-2, -2, -1)]"),
             (lambda: _multipliers(ctx, mixed, mixed.point(g), np.array([h]),
@@ -344,6 +346,19 @@ def test_cocycle_consistency_manin_beyond_double_range():
     assert rep["pass"] and rep["pairs_checked"] == len(pairs)
     assert rep["max_modulus_residual"] < 1e-10
     assert rep["max_phase_residual"] < 1e-10
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP J: the manin cocycle check sums exponents near 1.5e6, whose "
+    "rounding (one ulp is 2.3e-10) is above MODULUS_TOL"))
+def test_cocycle_exponent_rounding_floor():
+    # Omega = 0.001i (theta = 1000), g = h = (11, 11): log C_g = -3.8e5 and
+    # log C_{g+h} = -1.5e6.  The law holds exactly, but the exponents of
+    # the two sides differ by 1.2e-10 after rounding
+    emb = nc.canonical_embedding(1, 0, theta=[1000.0])
+    ctx = HermitianFormContext(np.array([[0.001j]]))
+    rep = nc.verify_cocycle_consistency(ctx, emb, "manin", [((11, 11), (11, 11))])
+    assert rep["pass"]
 
 
 def test_cocycle_consistency_modified_underflow_raises():

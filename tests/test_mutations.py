@@ -3,7 +3,9 @@
 Each test replaces one kernel, or the quadratic-form solver, by a wrong
 version, in every module that imported it by name, and runs `run_config`
 at seed 1 on the mixed and the continuous workload.  A caught mutant exits
-2 with a named failure.  The faults no run catches yet are strict xfails
+2 with a named failure; the wrong quadratic form is also run where Im Omega
+is large, so that the holomorphy check's sample points, scaled by
+(Im Omega)^(-1/2), still see the vector.  The faults no run catches yet are strict xfails
 naming the ROADMAP item whose runtime check is to catch them: a kernel
 mutant, and ROADMAP E's false decay certificate under `nctheta theta`.
 Once the check lands, the xfail passes, strict fails it, and the mark
@@ -96,6 +98,21 @@ def test_wrong_omega_is_not_holomorphic(tmp_path, monkeypatch, workload):
     assert cli.run_config(cfg, str(out), 1) == 2
     failures = json.loads((out / "summary.json").read_text())["failures"]
     assert [f for f in failures if f.startswith("theta vector not holomorphic: residual ")]
+
+
+def test_wrong_omega_is_not_holomorphic_at_large_im_omega(tmp_path, monkeypatch):
+    # t1 = 50i: exp(-pi Im Omega / 4) is far below inner_rel at the unscaled
+    # points s = +-e/2, +-e, where the mutant read 3.9e-38 and passed; at
+    # the scaled points it reads 2.3e-5
+    cfg = cli.load_config(write_config(tmp_path, {
+        "embedding": {"p": 1, "q": 0, "theta": [0.5]},
+        "complex_structure": {"kind": "full", "t1": [[[0, 50]]], "t2": [[1]]},
+        "truncation_R": 2}))
+    _mutate(monkeypatch, "omega_plus_tenth_i")
+    out = tmp_path / "out"
+    assert cli.run_config(cfg, str(out), 1) == 2
+    failures = json.loads((out / "summary.json").read_text())["failures"]
+    assert failures == ["theta vector not holomorphic: residual 2.280e-05"]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -594,6 +594,21 @@ def test_quantum_theta_coefficient_formula(inst_1_2):
     assert np.max(phases) < 1e-10
 
 
+def test_quantum_theta_far_coefficients_keep_their_digits():
+    # theta = 6.586, Omega = 0.152i: far out, exp(log_const) is subnormal
+    # where the Gaussian is large; at k = (6, 5) their product read
+    # 1.3e-274 against the closed formula's 8.58e-275.  Rows where a factor
+    # or the product leaves the normal double range take one exp of the
+    # summed exponents, and every normal coefficient keeps its digits
+    emb = nc.canonical_embedding(1, 0, theta=[6.58600221378509])
+    vec = nc.build_theta_vector(emb)
+    coeffs = nc.quantum_theta(emb, vec, 6).values.ravel()
+    closed, _ = theta_coefficients(HermitianFormContext(vec.omega), emb, ball(2, 6))
+    normal = np.abs(closed) >= np.finfo(float).tiny
+    assert np.count_nonzero(~normal) == 4
+    assert np.max(np.abs(coeffs[normal] / closed[normal] - 1)) < 1e-12
+
+
 def test_quantum_theta_decay_certificate(inst_1_0):
     emb, omega = inst_1_0
     th = nc.quantum_theta(emb, GaussianVector.pure(omega), 4)
