@@ -26,7 +26,7 @@ from . import holomorphy, manin, theta
 from .errors import (ConfigError, DegenerateTranslation, NCThetaError,
                      NoFullStructure, NoPartialStructure)
 from .heisenberg import GaussianVector
-from .lattice import (EmbeddingMap, ball, embedding_from_config,
+from .lattice import (DROP_TOL, EmbeddingMap, ball, embedding_from_config,
                       seeded_integers)
 from .reports import render_report, write_report
 
@@ -153,12 +153,12 @@ def _embedding_block(emb: EmbeddingMap) -> dict:
     return {"p": emb.p, "q": emb.q, "phi": emb.phi}
 
 
-def _classify_report(cfg: RunConfig, classification) -> dict:
-    if isinstance(classification, NoPartialStructure):
+def _classify_report(cfg: RunConfig) -> dict:
+    try:
+        classification = holomorphy.classify(cfg.embedding, cfg.structure).to_dict()
+    except NoPartialStructure as exc:
         classification = {"variant": "no_partial_structure",
-                          "witness": {"condition": classification.condition}}
-    else:
-        classification = classification.to_dict()
+                          "witness": {"condition": exc.condition}}
     return {"schema_version": SCHEMA_VERSION,
             "instance": _embedding_block(cfg.embedding),
             "classification": classification}
@@ -184,9 +184,9 @@ def _holomorphy_check(cfg: RunConfig, vec: GaussianVector) -> Check:
 
 def _theta_report(cfg: RunConfig, vec: GaussianVector, checks: list):
     """Build the element of `vec` and its closed-formula table and add the
-    check that the two coefficient routes agree to inner_rel.  Returns
-    (element, form context, table, report); the report is None unless
-    "theta" is among the outputs."""
+    checks that the two coefficient routes agree to inner_rel, absolutely
+    and relatively.  Returns (element, form context, table, report); the
+    report is None unless "theta" is among the outputs."""
     emb, tol = cfg.embedding, cfg.tolerances
     R, tail_eps = cfg.truncation_R, tol["tail_eps"]
     ctx = theta.HermitianFormContext(vec.omega)
@@ -203,6 +203,16 @@ def _theta_report(cfg: RunConfig, vec: GaussianVector, checks: list):
     checks.append(Check("coefficient formula residual {0.value:.3e} exceeds inner_rel"
                         " bound {0.bound:.3e}", not formula_residual > formula_tol,
                         formula_residual, formula_tol))
+    # relative where either route is >= 2 DROP_TOL, so far coefficients count too
+    stored, formula = element.values, table.values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(np.maximum(np.abs(stored), np.abs(formula)) >= 2 * DROP_TOL,
+                       np.abs(stored - formula) / np.abs(formula), 0.0)
+    k = np.unravel_index(np.argmax(rel), rel.shape)
+    checks.append(Check("coefficient formula relative residual {0.value:.3e} at"
+                        " k={0.where} exceeds inner_rel {0.bound:.3e}",
+                        bool(rel[k] <= tol["inner_rel"]), float(rel[k]), tol["inner_rel"],
+                        tuple(np.subtract(k, R).tolist())))
     report = None
     if "theta" in cfg.outputs:
         certificate = theta.decay_certificate(element)
@@ -286,13 +296,11 @@ def run_config(cfg: RunConfig, out_dir: str, seed: int | None = None) -> int:
                 write_report(os.path.join(staging, f"{name}.json"), report)
                 written.append(name)
 
-        classification = holomorphy.classify(cfg.embedding, cfg.structure)
         if "classify" in cfg.outputs:
-            stage("classify", _classify_report(cfg, classification))
+            stage("classify", _classify_report(cfg))
         if "theta" in cfg.outputs or "verify" in cfg.outputs:
             try:
-                vec = holomorphy.build_theta_vector(cfg.embedding, cfg.structure,
-                                                    classification)
+                vec = holomorphy.build_theta_vector(cfg.embedding, cfg.structure)
             except (NoFullStructure, NoPartialStructure) as exc:
                 checks.append(Check("theta vector: {0.where}", False, where=exc))
                 stage("theta", {"schema_version": SCHEMA_VERSION, "error": str(exc)})

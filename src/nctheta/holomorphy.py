@@ -266,18 +266,13 @@ def default_structure(emb: EmbeddingMap) -> ComplexStructure | None:
 def classify(emb: EmbeddingMap, cs: ComplexStructure | None = None):
     """The solver of a structure's kind (default_structure's when cs is
     None): classify_holomorphic's result for a full structure,
-    solve_partial's for a partial one, the NoPartialStructure that
-    solve_partial raised, or a "skipped" result when there is none."""
+    solve_partial's for a partial one (raising its NoPartialStructure),
+    or a "skipped" result when there is none."""
     cs = default_structure(emb) if cs is None else cs
     if cs is None:
         return HolomorphyResult("skipped", None, None,
                                 {"note": "odd dimension admits no full structure"})
-    if cs.kind == "full":
-        return classify_holomorphic(emb, cs)
-    try:
-        return solve_partial(emb, cs)
-    except NoPartialStructure as exc:
-        return exc
+    return (classify_holomorphic if cs.kind == "full" else solve_partial)(emb, cs)
 
 
 def solved_structure(emb: EmbeddingMap, cs: ComplexStructure | None = None):
@@ -287,25 +282,21 @@ def solved_structure(emb: EmbeddingMap, cs: ComplexStructure | None = None):
     return default_structure(emb) if cs is None or cs.kind == "full" and mixed else cs
 
 
-def build_theta_vector(emb: EmbeddingMap, cs: ComplexStructure | None = None,
-                       solved=None) -> GaussianVector:
-    """Theta vector of solved_structure(emb, cs); only the vector-space
-    part carries a holomorphic Gaussian.
+def build_theta_vector(emb: EmbeddingMap,
+                       cs: ComplexStructure | None = None) -> GaussianVector:
+    """Theta vector of solved_structure(emb, cs), classified here; only the
+    vector-space part carries a holomorphic Gaussian.
 
     p = 0: the lattice Gaussian exp(-(pi/2)|n|^2), whatever cs is.
-    Otherwise the centered Gaussian of the solved Omega.  `solved` is
-    classify(emb, cs) when the caller holds it; a NoPartialStructure there
-    is raised.  Raises NoPartialStructure when a reduced condition fails
-    or the equations demand a lattice/continuous cross coupling,
-    NoFullStructure when a full structure on q = 0 is not classified unique.
+    Otherwise the centered Gaussian of the solved Omega.  Raises
+    NoPartialStructure when a reduced condition fails or the equations
+    demand a lattice/continuous cross coupling, NoFullStructure when a
+    full structure on q = 0 is not classified unique.
     """
     if emb.p == 0:
         return GaussianVector.pure(np.zeros((0, 0)), emb.q)
     target = solved_structure(emb, cs)
-    if solved is None or cs not in (None, target):  # the default stood in
-        solved = classify(emb, target)
-    if isinstance(solved, NoPartialStructure):
-        raise solved
+    solved = classify(emb, target)
     if target.kind == "full":
         if solved.variant != "unique":
             raise NoFullStructure(

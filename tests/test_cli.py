@@ -11,7 +11,7 @@ import pytest
 
 import nctheta as nc
 from nctheta import cli, holomorphy, manin, theta
-from nctheta.errors import ConfigError, NCThetaError
+from nctheta.errors import ConfigError, NCThetaError, NoPartialStructure
 from nctheta.heisenberg import POSITIVITY_TOL, GaussianVector
 from nctheta.lattice import ball, embedding_from_config
 from test_holomorphy import vector_bits
@@ -372,7 +372,8 @@ def test_unknown_nested_keys_rejected(tmp_path, capsys, block, key):
     ("solve_partial", VERIFY_MIXED),  # default partial structure
 ], ids=["full_q0", "partial"])
 def test_structure_classified_once(tmp_path, monkeypatch, solver, workload):
-    # the classify and theta reports read one classifier result
+    # once for each stage that needs it: the classify report and the theta
+    # vector under `all`, the theta vector alone under `verify`
     calls = []
     solve = getattr(holomorphy, solver)
 
@@ -384,9 +385,9 @@ def test_structure_classified_once(tmp_path, monkeypatch, solver, workload):
     config = json.loads(workload.read_text())
     cfg = write_config(tmp_path, config)
     assert cli.main(["all", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 1
-    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
     assert len(calls) == 2
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    assert len(calls) == 3
 
 
 def test_partial_structure_config(tmp_path):
@@ -787,10 +788,15 @@ def test_no_partial_structure_route(tmp_path):
                               "witness": {"condition": "invertibility"}}
     theta_report = json.loads((out / "theta.json").read_text())
     assert set(theta_report) == {"error", "schema_version"}
-    assert theta_report["error"].startswith("partial structure failed: invertibility (")
+    config = cli.load_config(cfg)
+    with pytest.raises(NoPartialStructure) as exc:
+        nc.build_theta_vector(config.embedding, config.structure)
+    assert theta_report["error"] == str(exc.value)
+    assert str(exc.value).startswith("partial structure failed: invertibility (")
     assert not (out / "verify.json").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["reports_written"] == ["classify", "theta"]
+    assert summary["failures"] == [f"theta vector: {exc.value}"]
 
 
 @pytest.mark.parametrize("embedding, name, edit, message", [

@@ -13,9 +13,9 @@ Random configs go through `load_config` and `run_config` in-process:
   ill-conditioned Im Omega error: `heisenberg._check_omega` is the one
   rule for a usable Omega, and the classifier applies it;
 - the library's theta vector, `holomorphy.build_theta_vector(emb, cs)`,
-  is the CLI's: the same bits as with the classification that
-  `run_config` passes it, or the same error type and message; for a
-  config without a structure, so is `build_theta_vector(emb)`.
+  is the CLI's: the same bits as the vector `run_config` builds, or the
+  same error type and message; for a config without a structure, so is
+  `build_theta_vector(emb)`.
 
 - a p = 1, q = 0 config with no structure named that passes at R also
   passes at R + 2 and R + 4, unless the larger run is over a work budget
@@ -36,7 +36,8 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nctheta import cli, holomorphy
-from nctheta.errors import ConfigError, GridTooLarge, NCThetaError, SingularEmbedding
+from nctheta.errors import (ConfigError, GridTooLarge, NCThetaError, NoPartialStructure,
+                            SingularEmbedding)
 from test_cli import ILL_CONDITIONED, ILL_CONDITIONED_PHI
 from test_holomorphy import vector_bits
 
@@ -132,8 +133,10 @@ def test_run_outcomes_are_typed_and_rules_agree(tmp_path, monkeypatch, config):
         raise AssertionError(f"load_config accepted a Phi that a stage rejects: {exc}")
     except NCThetaError as exc:
         if str(exc) == ILL_CONDITIONED_ERROR:
-            variant = getattr(holomorphy.classify(cfg.embedding, cfg.structure),
-                              "variant", None)
+            try:
+                variant = holomorphy.classify(cfg.embedding, cfg.structure).variant
+            except NoPartialStructure:
+                variant = None
             assert variant not in ("unique", "partial"), \
                 f"classified {variant}, then Im Omega was too ill-conditioned"
 
@@ -150,19 +153,37 @@ def _theta_vector_outcome(*args):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(config=configs())
 @example(config=ILL_CONDITIONED)
-def test_library_theta_vector_is_the_clis(tmp_path, config):
+def test_library_theta_vector_is_the_clis(tmp_path, monkeypatch, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     try:
         cfg = cli.load_config(str(path))
     except ConfigError:
         return
+    cfg.outputs = ["theta"]
+    build, built = holomorphy.build_theta_vector, []
+
+    def spy(*args):
+        try:
+            vec = build(*args)
+        except NCThetaError as exc:
+            built.append((type(exc), str(exc)))
+            raise
+        built.append(vector_bits(vec))
+        return vec
+
+    monkeypatch.setattr(holomorphy, "build_theta_vector", spy)
+    try:
+        cli.run_config(cfg, str(tmp_path / "out"))
+    except NCThetaError:  # raised by the vector or a later stage
+        pass
+    monkeypatch.undo()
+    assert len(built) == 1
     emb, cs = cfg.embedding, cfg.structure
-    clis = _theta_vector_outcome(emb, cs, holomorphy.classify(emb, cs))
-    assert _theta_vector_outcome(emb, cs) == clis
+    assert _theta_vector_outcome(emb, cs) == built[0]
     if "complex_structure" not in config:
-        # no structure and no classification: the default structure's
-        assert _theta_vector_outcome(emb) == clis
+        # no structure: the default structure's
+        assert _theta_vector_outcome(emb) == built[0]
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None,

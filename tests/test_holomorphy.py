@@ -223,20 +223,11 @@ def vector_bits(vec):
                                     (vec.omega, vec.ell, vec.n0, vec.mu)))
 
 
-def _same_with_solved(emb, cs):
-    """build_theta_vector's vector, checked to have the same bits when
-    the caller passes the classification it holds."""
-    vec = nc.build_theta_vector(emb, cs)
-    solved = holomorphy.classify(emb, cs)
-    assert vector_bits(nc.build_theta_vector(emb, cs, solved)) == vector_bits(vec)
-    return vec
-
-
 @pytest.mark.parametrize("cs", [None, full_structure(1j, 1.0)],
                          ids=["none", "full"])
 def test_theta_vector_p0_is_the_lattice_gaussian(inst_0_2, cs):
     emb, _ = inst_0_2
-    vec = _same_with_solved(emb, cs)
+    vec = nc.build_theta_vector(emb, cs)
     assert vector_bits(vec) == vector_bits(nc.GaussianVector.pure(np.zeros((0, 0)), 2))
     assert vec.evaluate(np.zeros(0), [1, -1]) == pytest.approx(np.exp(-np.pi))
 
@@ -246,7 +237,7 @@ def test_theta_vector_full_q0_is_the_classified_omega(inst_2_0):
     cs = full_structure(omega @ np.diag([0.5, 0.25]), np.eye(2))
     res = nc.classify_holomorphic(emb, cs)
     assert res.variant == "unique"
-    vec = _same_with_solved(emb, cs)
+    vec = nc.build_theta_vector(emb, cs)
     assert vector_bits(vec) == vector_bits(nc.GaussianVector.pure(res.omega))
     assert vec.omega.tobytes() == res.omega.tobytes()
 
@@ -258,35 +249,30 @@ def test_theta_vector_failing_full_q0_names_its_condition():
         "positivity"
     message = ("full structure failed: positivity (supplied structure "
                "admits no holomorphic vector)")
-    for solved in (None, holomorphy.classify(emb, cs)):
-        with pytest.raises(NoFullStructure) as exc:
-            nc.build_theta_vector(emb, cs, solved)
-        assert str(exc.value) == message
+    with pytest.raises(NoFullStructure) as exc:
+        nc.build_theta_vector(emb, cs)
+    assert str(exc.value) == message
 
 
 def test_theta_vector_full_mixed_is_the_default_partial_one(inst_1_2):
     emb, omega = inst_1_2
     cs = full_structure(np.diag([1j, 1j]), np.eye(2))
     assert holomorphy.classify(emb, cs).variant == "nonexistent"
-    vec = _same_with_solved(emb, cs)
+    vec = nc.build_theta_vector(emb, cs)
     default = nc.build_theta_vector(emb, ComplexStructure.default_partial(1))
     assert vector_bits(vec) == vector_bits(default)
     np.testing.assert_allclose(vec.omega, omega, atol=1e-12)
 
 
-def test_theta_vector_partial_with_solved_matches(inst_general):
-    _same_with_solved(inst_general, ComplexStructure.default_partial(1))
-
-
-def test_theta_vector_reraises_a_held_no_partial_structure():
+def test_a_failing_partial_structure_raises_in_classify_and_the_vector():
     emb = nc.canonical_embedding(1, 0, theta=[2.0])
     cs = ComplexStructure("partial", [[-1j]], [[1.0]])
-    solved = holomorphy.classify(emb, cs)
-    assert isinstance(solved, NoPartialStructure)
-    assert solved.condition == "positivity"
-    with pytest.raises(NoPartialStructure) as exc:
-        nc.build_theta_vector(emb, cs, solved)
-    assert exc.value is solved
+    with pytest.raises(NoPartialStructure) as classified:
+        holomorphy.classify(emb, cs)
+    assert classified.value.condition == "positivity"
+    with pytest.raises(NoPartialStructure) as built:
+        nc.build_theta_vector(emb, cs)
+    assert str(built.value) == str(classified.value)
 
 
 def _embedding(p, q):

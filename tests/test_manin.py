@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 import nctheta as nc
-from nctheta import manin
+from nctheta import cli, manin
 from nctheta.errors import (DegenerateTranslation, DimensionMismatch,
                              GridTooLarge, NCThetaError)
 from nctheta.heisenberg import GaussianVector
-from nctheta.lattice import ball, cocycle_arrays, cocycle_exponent_arrays
+from nctheta.lattice import QuantumElement, ball, cocycle_arrays, cocycle_exponent_arrays
 from nctheta.manin import (ADDITIVITY_TOL, BallTable, TranslationFactor,
                            _multipliers, _translations,
                            functional_equation_residual_ops)
-from nctheta.theta import (STRUCTURAL_ZERO_TOL, TAIL_EPS, HermitianFormContext,
+from nctheta.theta import (STRUCTURAL_ZERO_TOL, TAIL_EPS, HermitianFormContext, _far,
                            b_product_arrays, complex_coordinates, hermitian_form,
                            hermitian_pairing_arrays, theta_coefficients)
+from test_cli import VERIFY_CONT
 
 THETA_I_0 = 1.086434811213308014575316
 
@@ -279,6 +280,33 @@ def test_functional_equation_underflow_raises():
         assert "(-2, -2, -2)" in str(exc.value)
 
 
+def test_manin_exponent_path_keeps_every_residual(monkeypatch):
+    # verify_cont with its coefficient at k = (-R, ..., -R) zeroed: a stored
+    # theta_h of 0 sends the manin FE through its exponent path, and every
+    # residual keeps the bits of the run that takes the direct product only
+    cfg = cli.load_config(str(VERIFY_CONT))
+    emb, R = cfg.embedding, cfg.truncation_R
+    vec = nc.build_theta_vector(emb, cfg.structure)
+    ctx = HermitianFormContext(vec.omega)
+    element = nc.quantum_theta(emb, vec, R, tail_eps=cfg.tolerances["tail_eps"])
+    values = element.values.copy()
+    values[(0,) * emb.d] = 0
+    calls = []
+
+    def counted(*factors):
+        calls.append(len(factors))
+        return _far(*factors)
+
+    monkeypatch.setattr(manin, "_far", counted)
+    residuals = []
+    for th in (element, QuantumElement(emb, values)):
+        rows = nc.verify_functional_equations(ctx, emb, th, ball(emb.d, R // 2), "manin")
+        residuals.append([row["max_residual"] for row in rows])
+        assert bool(calls) == (th is not element)  # the gate took the exponents
+    assert len(residuals[0]) == 625
+    assert residuals[0] == residuals[1]
+
+
 def test_underflowed_factor_products_raise():
     # Omega = 0.02i (theta = 50): the factors at these pairs are about
     # 1e-273 each, so C_g C_h (cocycle check) and C_g c_h (multipliers)
@@ -359,6 +387,21 @@ def test_cocycle_exponent_rounding_floor():
     ctx = HermitianFormContext(np.array([[0.001j]]))
     rep = nc.verify_cocycle_consistency(ctx, emb, "manin", [((11, 11), (11, 11))])
     assert rep["pass"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP J: the manin additivity probe compares exp(-pi H) at |H| near "
+    "1e5, whose phase rounding (1.16e-10) is above ADDITIVITY_TOL"))
+def test_additivity_phase_rounding_floor():
+    # theta = 20000, default structure (Omega = 5e-5 i), search radius 3:
+    # the exponents add exactly (residual 0.0), but T_{g1} T_{g2} and
+    # T_{g1+g2} differ by 1.16e-10 relative; `nctheta all` exits 2 at R = 1
+    # with "translations unexpectedly non-additive" alone
+    emb = nc.canonical_embedding(1, 0, theta=[20000.0])
+    ctx = HermitianFormContext(nc.build_theta_vector(emb).omega)
+    rep = nc.additivity_probe(ctx, emb, "manin", search_radius=3)
+    assert rep["max_exponent_residual"] == 0.0
+    assert rep["verdict"] == "additive"
 
 
 def test_cocycle_consistency_modified_underflow_raises():

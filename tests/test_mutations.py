@@ -9,7 +9,8 @@ is large, so that the holomorphy check's sample points, scaled by
 naming the ROADMAP item whose runtime check is to catch them: a kernel
 mutant, and ROADMAP E's false decay certificate under `nctheta theta`.
 Once the check lands, the xfail passes, strict fails it, and the mark
-comes off.
+comes off.  The inner-product route without its far path (theta._far) is
+caught by the relative coefficient-formula check alone.
 """
 
 import json
@@ -113,6 +114,21 @@ def test_wrong_omega_is_not_holomorphic_at_large_im_omega(tmp_path, monkeypatch)
     assert cli.run_config(cfg, str(out), 1) == 2
     failures = json.loads((out / "summary.json").read_text())["failures"]
     assert failures == ["theta vector not holomorphic: residual 2.280e-05"]
+
+
+def test_inner_product_without_its_far_path_fails_the_relative_check(tmp_path,
+                                                                      monkeypatch):
+    # theta 6.586, R = 6: the inner-product coefficient at k = (-6, -5) is a
+    # product of a subnormal and a large factor, 61 % off the closed formula
+    # and far below the absolute bound
+    cfg = cli.load_config(write_config(tmp_path, {
+        "embedding": {"p": 1, "q": 0, "theta": [6.586]}, "truncation_R": 6}))
+    monkeypatch.setattr(theta, "_far", lambda *factors: False)
+    out = tmp_path / "out"
+    assert cli.run_config(cfg, str(out), 1) == 2
+    failures = json.loads((out / "summary.json").read_text())["failures"]
+    assert failures == ["coefficient formula relative residual 6.053e-01 at"
+                        " k=(-6, -5) exceeds inner_rel 1.000e-06"]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
