@@ -4,8 +4,8 @@ noncommutative tori built from general lattice embeddings."""
 from .errors import (BadTau, ConfigError, DegenerateTranslation,
                      DimensionMismatch, DivergentIntegral, GridMismatch,
                      GridTooLarge, LatticeOverflow, NCThetaError,
-                     NoPartialStructure, OddDimension, SingularEmbedding,
-                     SingularQ, ZeroTheta)
+                     NoFullStructure, NoPartialStructure, OddDimension,
+                     SingularEmbedding, SingularQ, ZeroTheta)
 from .heisenberg import (GaussianVector, LinearGaussian, SampledVector,
                          apply_connection, apply_generator, apply_heisenberg,
                          connection_combination, connection_matrix,
@@ -34,9 +34,9 @@ __all__ = [
     "GridMismatch", "GridTooLarge", "HermitianFormContext", "HolomorphyResult",
     "KIND_MANIN", "KIND_MODIFIED", "LatticeOverflow", "LatticePoint",
     "LinearGaussian",
-    "NCThetaError", "NoPartialStructure", "OddDimension", "QuantumElement",
-    "SampledVector", "SingularEmbedding", "SingularQ", "TranslationFactor",
-    "ZeroTheta", "additivity_probe", "antiholomorphic_residual",
+    "NCThetaError", "NoFullStructure", "NoPartialStructure", "OddDimension",
+    "QuantumElement", "SampledVector", "SingularEmbedding", "SingularQ",
+    "TranslationFactor", "ZeroTheta", "additivity_probe", "antiholomorphic_residual",
     "apply_connection", "apply_generator", "apply_heisenberg", "b_factor",
     "build_theta_vector", "canonical_embedding", "classical_theta",
     "classify_holomorphic", "cocycle",

@@ -122,11 +122,12 @@ def _underflow(indices) -> NCThetaError:
 
 
 def _check_factors(factors, zero, G: np.ndarray, H: np.ndarray):
-    """DegenerateTranslation, then an underflow NCThetaError, C_g first."""
+    """DegenerateTranslation, then an underflow NCThetaError where C_g, then
+    C_g C_h, is out of range (_far)."""
     for error, K, bad in ((DegenerateTranslation, G, zero[0]),
                           (DegenerateTranslation, H, zero[1]),
-                          (_underflow, G, factors[0] == 0),
-                          (_underflow, H, factors[0] * factors[1] == 0)):
+                          (_underflow, G, _far(factors[0])),
+                          (_underflow, H, _far(factors[0] * factors[1]))):
         if np.any(bad):
             raise error(K[bad])
 
@@ -149,7 +150,8 @@ def translate(ctx: HermitianFormContext, emb: EmbeddingMap, g: LatticePoint,
 
     Support is unchanged.  In the modified convention every support point
     (and g itself) must carry a nonvanishing factor, otherwise
-    DegenerateTranslation lists the offenders.
+    DegenerateTranslation lists the offenders, and C_g and C_g c_h must be
+    in range (_far), otherwise an underflow NCThetaError does.
     """
     _check_kind(kind)
     if x.embedding.d != emb.d:

@@ -7,6 +7,10 @@ Random configs go through `load_config` and `run_config` in-process:
   passed, the summary's failures are the failed checks' messages in
   order, and a run that exits 0 with p >= 1 checked that its theta
   vector is holomorphic within the check's bound;
+- a run makes at most one coefficient-formula check, and when it passes,
+  theta.json's coefficient_formula_residual is at most inner_rel times
+  the largest closed-formula coefficient magnitude on the element's
+  support: the relative check bounds the absolute residual;
 - a config that `load_config` accepts never raises SingularEmbedding:
   `EmbeddingMap` is the one rule for a usable Phi;
 - a `unique` or `partial` classification never ends in the
@@ -35,7 +39,7 @@ import json
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nctheta import cli, holomorphy
+from nctheta import cli, holomorphy, manin, theta
 from nctheta.errors import (ConfigError, GridTooLarge, NCThetaError, NoPartialStructure,
                             SingularEmbedding)
 from test_cli import ILL_CONDITIONED, ILL_CONDITIONED_PHI
@@ -129,6 +133,12 @@ def test_run_outcomes_are_typed_and_rules_agree(tmp_path, monkeypatch, config):
         if code == 0:
             assert len(holomorphic) == (cfg.embedding.p > 0)
             assert all(check.value <= check.bound for check in holomorphic)
+        formula = [check for check in checks
+                   if check.text.startswith("coefficient formula")]
+        assert len(formula) <= 1
+        if formula and formula[0].passed:
+            assert json.loads((out / "theta.json").read_text())[
+                "coefficient_formula_residual"] <= _absolute_formula_bound(cfg)
     except SingularEmbedding as exc:
         raise AssertionError(f"load_config accepted a Phi that a stage rejects: {exc}")
     except NCThetaError as exc:
@@ -139,6 +149,18 @@ def test_run_outcomes_are_typed_and_rules_agree(tmp_path, monkeypatch, config):
                 variant = None
             assert variant not in ("unique", "partial"), \
                 f"classified {variant}, then Im Omega was too ill-conditioned"
+
+
+def _absolute_formula_bound(cfg):
+    """inner_rel times the largest closed-formula coefficient magnitude
+    over the support of the run's element, from the library's vector."""
+    emb, R, tail_eps = cfg.embedding, cfg.truncation_R, cfg.tolerances["tail_eps"]
+    vec = holomorphy.build_theta_vector(emb, cfg.structure)
+    element = theta.quantum_theta(emb, vec, R, tail_eps=tail_eps)
+    closed = manin.BallTable.build(theta.HermitianFormContext(vec.omega), emb, R,
+                                   tail_eps).values
+    return cfg.tolerances["inner_rel"] * np.max(np.abs(closed[element.values != 0]),
+                                                initial=0.0)
 
 
 def _theta_vector_outcome(*args):

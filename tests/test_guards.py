@@ -162,3 +162,11 @@ def test_guard_raises_its_typed_error(call, error, message):
     assert type(exc.value) is error
     assert str(exc.value) == message
 
+
+def test_every_error_type_is_exported():
+    errors = [obj for obj in vars(nc.errors).values()
+              if isinstance(obj, type) and issubclass(obj, nc.NCThetaError)]
+    assert nc.NCThetaError in errors and len(errors) > 1
+    for error in errors:
+        assert getattr(nc, error.__name__) is error
+        assert error.__name__ in nc.__all__

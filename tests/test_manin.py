@@ -329,6 +329,27 @@ def test_underflowed_factor_products_raise():
         assert str(exc.value).endswith(where)
 
 
+def test_translate_refuses_a_subnormal_factor_product():
+    # theta = 50, default structure, R = 2: for g = (1, 0, 0), C_g c_h is
+    # 4.5e-309 at the 8 corners of the ball, subnormal but not 0.  The
+    # modified translation and its reference residual raise the underflow
+    # error there instead of dividing by the product
+    emb = nc.canonical_embedding(1, 1, theta=[50.0], Q=[[1]], Delta=[[0.3]])
+    vec = nc.build_theta_vector(emb)
+    ctx = HermitianFormContext(vec.omega)
+    element = nc.quantum_theta(emb, vec, 2)
+    g = emb.point((1, 0, 0))
+    for call in (lambda: nc.translate(ctx, emb, g, element, "modified"),
+                 lambda: functional_equation_residual_ops(ctx, emb, element, g,
+                                                          "modified")):
+        with pytest.raises(NCThetaError, match="underflow") as exc:
+            call()
+        assert not isinstance(exc.value, DegenerateTranslation)
+        assert str(exc.value).startswith(
+            "translation factors underflow double precision at indices "
+            "[(-2, -2, -2), (-2, -2, 2), ")
+
+
 def test_cocycle_consistency_general_embedding(inst_general):
     emb = inst_general
     vec = nc.build_theta_vector(emb, nc.ComplexStructure.default_partial(1))
