@@ -12,8 +12,7 @@ from .heisenberg import (GaussianVector, LinearGaussian, SampledVector,
                          heisenberg_on_linear, sample_on_grid)
 from .holomorphy import (ComplexStructure, HolomorphyResult,
                          antiholomorphic_residual, build_theta_vector,
-                         classify_holomorphic, solve_partial,
-                         verify_nonexistence_by_search)
+                         classify_holomorphic, solve_partial)
 from .lattice import (EmbeddingMap, LatticePoint, QuantumElement,
                       canonical_embedding, cocycle, embedding_from_config,
                       induced_theta)
@@ -47,5 +46,5 @@ __all__ = [
     "sample_on_grid", "solve_partial",
     "theta_coefficients", "translate", "translation_factor",
     "verify_cocycle_consistency", "verify_functional_equation",
-    "verify_functional_equations", "verify_nonexistence_by_search",
+    "verify_functional_equations",
 ]

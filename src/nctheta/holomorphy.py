@@ -76,12 +76,20 @@ class HolomorphyResult:
 def _check_structure(emb: EmbeddingMap, cs: ComplexStructure):
     """The one rule for a structure on an embedding: full blocks are
     (d/2) x (d/2) on even d (else OddDimension), partial blocks p x p
-    (else DimensionMismatch)."""
+    (else DimensionMismatch), and the blocks and the connection rows
+    T1 B_top + T2 B_bottom they form are finite (else ValueError).
+    Returns those rows as _acf_split's (A, C, F)."""
     if cs.kind == "full" and emb.d % 2:
         raise OddDimension(f"full complex structure needs even d, got {emb.d}")
     n = emb.d // 2 if cs.kind == "full" else emb.p
     if cs.t1.shape != (n, n):
         raise DimensionMismatch(f"{cs.kind} structure blocks must be {n}x{n}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        acf = _acf_split(emb, cs)
+    if not all(np.isfinite(m).all() for m in (cs.t1, cs.t2, *acf)):
+        raise ValueError(f"{cs.kind} structure blocks and their connection rows"
+                         " must be finite")
+    return acf
 
 
 def _svd_rank(mat: np.ndarray) -> int:
@@ -91,15 +99,13 @@ def _svd_rank(mat: np.ndarray) -> int:
     return int(np.sum(sv > RANK_REL_TOL * sv[0])) if sv[0] > 0 else 0
 
 
-def _acf_split(emb: EmbeddingMap, t1: np.ndarray, t2: np.ndarray, rows: slice):
-    """(T1, T2) applied to connection-matrix rows, split into column blocks.
-
-    Returns (A, C, F) with p, p and q columns respectively; the rows
-    argument selects which connections the structure combines.
-    """
-    B = connection_matrix(emb)[rows]
-    half = B.shape[0] // 2
-    acf = t1 @ B[:half] + t2 @ B[half:]
+def _acf_split(emb: EmbeddingMap, cs: ComplexStructure):
+    """(T1, T2) applied to the connection-matrix rows the structure
+    combines (all d for a full one, the first 2p for a partial one),
+    split into column blocks (A, C, F) with p, p and q columns."""
+    half = cs.t1.shape[0]
+    B = connection_matrix(emb)[:2 * half]
+    acf = cs.t1 @ B[:half] + cs.t2 @ B[half:]
     p = emb.p
     return acf[:, :p], acf[:, p:2 * p], acf[:, 2 * p:]
 
@@ -108,17 +114,23 @@ def _solve_quadratic_form(A: np.ndarray, C: np.ndarray):
     """Solve C Omega = A for symmetric Omega; report the four conditions.
 
     C is p x p with p >= 1.  Returns (omega or None, witness); omega is
-    the symmetrized solution when C is invertible, the solution symmetric
-    and _check_omega's rule holds ("positivity" and "conditioning").
+    the symmetrized solution when C is invertible, the solution and its
+    symmetric and skew parts finite ("conditioning" if not), the solution
+    symmetric, and _check_omega's rule holds ("positivity" and
+    "conditioning").
     """
     witness: dict = {"c_rank": _svd_rank(C)}
     if witness["c_rank"] < A.shape[1]:
         return None, {**witness, "failed_condition": "invertibility"}
     omega_raw = np.linalg.solve(C, A)
-    witness["symmetry_residual"] = float(np.max(np.abs(omega_raw - omega_raw.T)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew, twice = omega_raw - omega_raw.T, omega_raw + omega_raw.T
+    if not (np.isfinite(skew).all() and np.isfinite(twice).all()):
+        return None, {**witness, "failed_condition": "conditioning"}
+    witness["symmetry_residual"] = float(np.max(np.abs(skew)))
     if witness["symmetry_residual"] > SYMMETRY_TOL:
         return None, {**witness, "failed_condition": "symmetry"}
-    omega = (omega_raw + omega_raw.T) / 2
+    omega = twice / 2
     witness["min_im_eig"] = float(np.min(np.linalg.eigvalsh(omega.imag)))
     try:
         _check_omega(omega)
@@ -138,15 +150,15 @@ def classify_holomorphic(emb: EmbeddingMap, cs: ComplexStructure) -> HolomorphyR
     matrix exists, is symmetric and passes heisenberg's Omega rule
     (_check_omega: Im Omega positive definite and well-conditioned).
     p, q both nonzero: never solvable; the coefficient map factors
-    through a rank <= p matrix while the right side has rank p + q/2.
+    through C, whose rank (left_rank) is at most p because C has p
+    columns, while the right side needs rank p + q/2 (required_rank).
     p = 0: the constraints force all weight onto the lattice origin, so
     only a delta-supported (non-Schwartz-class) remnant survives.
     """
     if cs.kind != "full":
         raise ValueError("classification requires a full complex structure")
-    _check_structure(emb, cs)
+    A, C, F = _check_structure(emb, cs)
     p, q = emb.p, emb.q
-    A, C, F = _acf_split(emb, cs.t1, cs.t2, slice(0, emb.d))
     if q == 0:
         omega, witness = _solve_quadratic_form(A, C)
         if omega is None:
@@ -168,67 +180,6 @@ def classify_holomorphic(emb: EmbeddingMap, cs: ComplexStructure) -> HolomorphyR
     return HolomorphyResult("delta_only", None, None, witness)
 
 
-def _symmetric_basis(p: int):
-    basis = []
-    for a in range(p):
-        for b in range(a, p):
-            E = np.zeros((p, p))
-            E[a, b] = 1.0
-            E[b, a] = 1.0
-            basis.append(E)
-    return basis
-
-
-def verify_nonexistence_by_search(emb: EmbeddingMap, cs: ComplexStructure,
-                                  trials: int, seed: int = 0) -> dict:
-    """Least-squares corroboration of the mixed-embedding obstruction.
-
-    For the supplied structure plus `trials` random full structures,
-    fit C (Omega, I, G^t) = (A, C, F) over symmetric Omega and arbitrary
-    G and record the irreducible residual.  The rank certificate
-    (rank C <= p, strictly below p + q/2 when q > 0) is asserted; the
-    residual is reported only, since its size depends on conditioning.
-    """
-    _check_structure(emb, cs)
-    d = emb.d
-    p, q = emb.p, emb.q
-    rng = np.random.default_rng(seed)
-    structures = [cs]
-    half = d // 2
-    for _ in range(trials):
-        t1 = rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half))
-        t2 = rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half))
-        structures.append(ComplexStructure("full", t1, t2))
-    sym_basis = _symmetric_basis(p)
-    residuals, left_ranks = [], []
-    for struct in structures:
-        A, C, F = _acf_split(emb, struct.t1, struct.t2, slice(0, d))
-        rank_c = _svd_rank(C)
-        left_ranks.append(rank_c)
-        if q > 0 and not rank_c < p + q // 2:
-            raise ArithmeticError("rank certificate violated; inconsistent inputs")
-        # the Omega and G equations share no unknowns, so they are fitted
-        # apart; with p = 0 the Omega fit has none and leaves A as it is
-        design = np.stack([np.ravel(C @ E) for E in sym_basis], axis=1) \
-            if sym_basis else np.zeros((A.size, 0))
-        sol, *_ = np.linalg.lstsq(design, np.ravel(A), rcond=None)
-        g_t, *_ = np.linalg.lstsq(C, F, rcond=None)
-        residuals.append(float(max(np.max(np.abs(design @ sol - np.ravel(A)),
-                                          initial=0.0),
-                                   np.max(np.abs(C @ g_t - F), initial=0.0))))
-    return {
-        "trials": len(structures),
-        "p": p,
-        "q": q,
-        "left_ranks": left_ranks,
-        "required_rank": p + q // 2,
-        "max_left_rank": max(left_ranks),
-        "min_residual": min(residuals),
-        "max_residual": max(residuals),
-        "certified": bool(max(left_ranks) <= p),
-    }
-
-
 def solve_partial(emb: EmbeddingMap, cs: ComplexStructure):
     """Quadratic form and lattice coupling for a partial structure.
 
@@ -241,8 +192,7 @@ def solve_partial(emb: EmbeddingMap, cs: ComplexStructure):
         raise NoPartialStructure("continuous part", "needs p >= 1")
     if cs.kind != "partial":
         raise ValueError("solve_partial requires a partial complex structure")
-    _check_structure(emb, cs)
-    A, C, F = _acf_split(emb, cs.t1, cs.t2, slice(0, 2 * p))
+    A, C, F = _check_structure(emb, cs)
     omega, witness = _solve_quadratic_form(A, C)
     if omega is None:
         raise NoPartialStructure(witness["failed_condition"], str(witness))

@@ -1,3 +1,4 @@
+import ast
 import errno
 import json
 import os
@@ -638,6 +639,52 @@ ILL_CONDITIONED_PHI = {"embedding": {"p": 2, "q": 0, "phi": [
     "truncation_R": 2}
 
 
+# structures whose connection rows T1 B_top + T2 B_bottom overflow double
+# range: configuration errors, on q = 0 and on verify_mixed's embedding
+MIXED_EMBEDDING = {"p": 1, "q": 2, "theta": [0.5], "Q": [[1, 0], [0, 1]],
+                   "Delta": [[0.2, 0.0], [0.0, 0.7]]}
+OVERFLOW_ROWS = {"embedding": {"p": 1, "q": 0, "theta": [0.5]},
+                 "complex_structure": {"kind": "full", "t1": [[[0, 1e308]]],
+                                       "t2": [[1]]}}
+OVERFLOW_ROWS_MIXED = {"embedding": MIXED_EMBEDDING,
+                       "complex_structure": {"kind": "full",
+                                             "t1": [[[0, 1e308], 0], [0, [0, 1]]],
+                                             "t2": [[1, 0], [0, 1]]}}
+# finite rows whose solved Omega, 5e309 i, is beyond double range
+OVERFLOW_OMEGA = {"embedding": {"p": 1, "q": 0, "theta": [0.5]},
+                  "complex_structure": {"kind": "full", "t1": [[[0, 1e10]]],
+                                        "t2": [[1e-300]]}}
+
+
+@pytest.mark.parametrize("command", ["classify", "all"])
+@pytest.mark.parametrize("config", [OVERFLOW_ROWS, OVERFLOW_ROWS_MIXED],
+                         ids=["q0", "mixed"])
+def test_structure_rows_beyond_double_range_exit_one(tmp_path, capsys, config,
+                                                     command):
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "config", "reason": "bad config: ValueError: full"
+                   " structure blocks and their connection rows must be finite"}
+    assert not out.exists()
+
+
+def test_omega_beyond_double_range_exits_two(tmp_path):
+    cfg = write_config(tmp_path, OVERFLOW_OMEGA)
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", cfg, "--out", str(out)]) == 2
+    classification = json.loads((out / "classify.json").read_text())["classification"]
+    assert classification == {"variant": "nonexistent",
+                              "witness": {"c_rank": 1,
+                                          "failed_condition": "conditioning"}}
+    assert json.loads((out / "theta.json").read_text())["error"] == \
+        "full structure failed: conditioning (supplied structure admits no" \
+        " holomorphic vector)"
+    assert json.loads((out / "summary.json").read_text())["reports_written"] == \
+        ["classify", "theta"]
+
+
 @pytest.mark.parametrize("command", ["theta", "all"])
 def test_ill_conditioned_omega_exits_two(tmp_path, command):
     cfg = write_config(tmp_path, ILL_CONDITIONED)
@@ -763,6 +810,32 @@ def test_all_does_not_import_numpy_random(tmp_path, workload):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
+
+
+def _uses_numpy_random(node) -> bool:
+    """An `import numpy.random`, a `from numpy import random` (or from
+    numpy.random) or a `.random` attribute of `np` or `numpy`."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[:2] == ["numpy", "random"]
+                   for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").split(".")
+        return module[:2] == ["numpy", "random"] or module == ["numpy"] and \
+            any(alias.name == "random" for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr == "random" and \
+        isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+
+
+def test_package_source_does_not_use_numpy_random():
+    # the runtime check above covers two runs; this covers every module,
+    # library-only functions included
+    package = Path(cli.__file__).resolve().parent
+    modules = sorted(package.rglob("*.py"))
+    assert package / "holomorphy.py" in modules
+    uses = [f"{path.name}:{node.lineno}" for path in modules
+            for node in ast.walk(ast.parse(path.read_text()))
+            if _uses_numpy_random(node)]
+    assert uses == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,6 +13,9 @@ Random configs go through `load_config` and `run_config` in-process:
   support: the relative check bounds the absolute residual;
 - a config that `load_config` accepts never raises SingularEmbedding:
   `EmbeddingMap` is the one rule for a usable Phi;
+- a full structure on a mixed embedding (p, q >= 1) is classified
+  `nonexistent` with the rank certificate left_rank <= p < required_rank
+  = p + q // 2 in classify.json;
 - a `unique` or `partial` classification never ends in the
   ill-conditioned Im Omega error: `heisenberg._check_omega` is the one
   rule for a usable Omega, and the classifier applies it;
@@ -29,9 +32,12 @@ The configs have p, q <= 2 and d = 2p + q <= 4, R in {1, 2}, canonical
 embeddings or raw Phi whose square block is U diag(s) V with s down to
 1e-9, and the default, a full or a partial structure with |T1| from 1e-4
 to 1e4.  The ill-conditioned Omega and Phi configs of test_cli always
-run.  The radius property draws |theta| from 0.05 to 50 and R from 1 to
-20; its runs reach exponents of about 1e4, below the cocycle check's
-rounding floor (test_manin.test_cocycle_exponent_rounding_floor).
+run, and so do three structures beyond double range: two whose
+connection rows overflow (config errors) and one whose solved Omega
+does (classified `nonexistent` for `conditioning`).  The radius
+property draws |theta| from 0.05 to 50 and R from 1 to 20; its runs
+reach exponents of about 1e4, below the cocycle check's rounding floor
+(test_manin.test_cocycle_exponent_rounding_floor).
 """
 
 import json
@@ -42,7 +48,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from nctheta import cli, holomorphy, manin, theta
 from nctheta.errors import (ConfigError, GridTooLarge, NCThetaError, NoPartialStructure,
                             SingularEmbedding)
-from test_cli import ILL_CONDITIONED, ILL_CONDITIONED_PHI
+from test_cli import (ILL_CONDITIONED, ILL_CONDITIONED_PHI, OVERFLOW_OMEGA,
+                      OVERFLOW_ROWS, OVERFLOW_ROWS_MIXED)
 from test_holomorphy import vector_bits
 
 ILL_CONDITIONED_ERROR = "Im Omega is too ill-conditioned to invert"
@@ -105,6 +112,9 @@ def configs(draw):
 @given(config=configs())
 @example(config=ILL_CONDITIONED)
 @example(config=ILL_CONDITIONED_PHI)
+@example(config=OVERFLOW_ROWS)
+@example(config=OVERFLOW_ROWS_MIXED)
+@example(config=OVERFLOW_OMEGA)
 def test_run_outcomes_are_typed_and_rules_agree(tmp_path, monkeypatch, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -139,6 +149,14 @@ def test_run_outcomes_are_typed_and_rules_agree(tmp_path, monkeypatch, config):
         if formula and formula[0].passed:
             assert json.loads((out / "theta.json").read_text())[
                 "coefficient_formula_residual"] <= _absolute_formula_bound(cfg)
+        p, q = cfg.embedding.p, cfg.embedding.q
+        classification = json.loads((out / "classify.json").read_text())[
+            "classification"]
+        if cfg.structure is not None and cfg.structure.kind == "full" and p and q:
+            # the lattice-part obstruction: C has p columns, so rank C <= p
+            assert classification["variant"] == "nonexistent"
+            witness = classification["witness"]
+            assert witness["left_rank"] <= p < witness["required_rank"] == p + q // 2
     except SingularEmbedding as exc:
         raise AssertionError(f"load_config accepted a Phi that a stage rejects: {exc}")
     except NCThetaError as exc:

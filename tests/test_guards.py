@@ -88,6 +88,14 @@ GUARDS = [
     ("solve_partial_full",
      lambda: nc.solve_partial(EMB_1_0, FULL),
      ValueError, "solve_partial requires a partial complex structure"),
+    ("check_structure_blocks_finite",
+     lambda: nc.solve_partial(EMB_1_0, holomorphy.ComplexStructure(
+         "partial", [[np.nan]], [[1.0]])),
+     ValueError, "partial structure blocks and their connection rows must be finite"),
+    ("check_structure_rows_finite",
+     lambda: nc.classify_holomorphic(EMB_1_0, holomorphy.ComplexStructure(
+         "full", [[1e308j]], [[1.0]])),
+     ValueError, "full structure blocks and their connection rows must be finite"),
     # lattice
     ("embedding_p_q",
      lambda: nc.EmbeddingMap(p=0, q=0, phi=np.zeros((0, 0))),

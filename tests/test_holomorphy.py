@@ -96,42 +96,73 @@ def test_classifier_determinism(inst_1_2):
     assert a == b
 
 
-def test_nonexistence_search_rank_certificates(inst_1_2):
+def drawn_structures(cs, trials, seed):
+    """cs, then `trials` full structures of cs's size drawn from
+    default_rng(seed), each block normal + 1j * normal, T1 first."""
+    rng = np.random.default_rng(seed)
+    half = cs.t1.shape[0]
+    drawn = [cs]
+    for _ in range(trials):
+        t1 = rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half))
+        t2 = rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half))
+        drawn.append(full_structure(t1, t2))
+    return drawn
+
+
+def test_rank_certificate_p1q2(inst_1_2):
     emb, _ = inst_1_2
-    report = nc.verify_nonexistence_by_search(
-        emb, full_structure(np.diag([1j, 1j]), np.eye(2)), trials=100, seed=5)
-    assert report["certified"]
-    assert report["max_left_rank"] <= 1
-    assert report["required_rank"] == 2
-    assert all(r <= 1 for r in report["left_ranks"])
+    for cs in drawn_structures(full_structure(np.diag([1j, 1j]), np.eye(2)),
+                               trials=100, seed=5):
+        res = nc.classify_holomorphic(emb, cs)
+        assert res.variant == "nonexistent"
+        assert res.witness["left_rank"] <= 1
+        assert res.witness["required_rank"] == 2
 
 
-def test_nonexistence_search_p2q2():
+def test_rank_certificate_p2q2():
     emb = nc.canonical_embedding(2, 2, theta=[0.5, 0.25], Q=np.eye(2),
                                  Delta=np.diag([0.2, 0.7]))
-    report = nc.verify_nonexistence_by_search(
-        emb, full_structure(1j * np.eye(3), np.eye(3)), trials=20, seed=7)
-    assert report["max_left_rank"] <= 2
-    assert report["required_rank"] == 3
-    assert report["certified"]
+    for cs in drawn_structures(full_structure(1j * np.eye(3), np.eye(3)),
+                               trials=20, seed=7):
+        res = nc.classify_holomorphic(emb, cs)
+        assert res.variant == "nonexistent"
+        assert res.witness["left_rank"] <= 2
+        assert res.witness["required_rank"] == 3
 
 
-def test_nonexistence_search_without_continuous_part():
-    # p = 0: no symmetric basis, so the Omega fit has no unknowns (its
-    # residual is max |A|, 0 for an empty A) and only G is fitted
+def test_rank_certificate_without_continuous_part():
+    # p = 0: C is empty, and only the delta-supported remnant survives
     emb = nc.canonical_embedding(0, 2, Q=np.eye(2), Delta=np.diag([0.2, 0.7]))
-    report = nc.verify_nonexistence_by_search(
-        emb, full_structure(1j, 1.0), trials=3, seed=3)
-    assert report["certified"]
-    assert report["trials"] == 4 and report["left_ranks"] == [0] * 4
-    assert report["required_rank"] == 1
+    for cs in drawn_structures(full_structure(1j, 1.0), trials=3, seed=3):
+        assert nc.classify_holomorphic(emb, cs).variant == "delta_only"
 
 
-def test_nonexistence_search_solvable_control():
+def test_rank_certificate_solvable_control():
+    # q = 0: the supplied structure solves, and so does every drawn one
+    # that is classified unique
     emb = nc.canonical_embedding(1, 0, theta=[0.5])
-    report = nc.verify_nonexistence_by_search(
-        emb, full_structure(1j, 1.0), trials=20, seed=9)
-    assert report["min_residual"] < 1e-10
+    structures = drawn_structures(full_structure(1j, 1.0), trials=20, seed=9)
+    results = [nc.classify_holomorphic(emb, cs) for cs in structures]
+    assert results[0].variant == "unique"
+    for res in results:
+        if res.variant == "unique":
+            assert res.witness["substitution_residual"] < 1e-10
+
+
+@pytest.mark.parametrize("t1, t2", [
+    ([[1e10j]], [[1e-300]]),  # Omega = 5e309 i
+    ([[1j, 1.5e308], [-1.5e308, 1j]], np.eye(2)),  # finite, skew part not
+    ([[1.5e308j, 0], [0, 1j]], np.eye(2)),  # finite, 2 Omega not
+], ids=["solve", "skew", "sum"])
+def test_an_omega_beyond_double_range_fails_as_conditioning(t1, t2):
+    n = len(t1)
+    emb = nc.canonical_embedding(n, 0, theta=[1.0] * n)
+    res = nc.classify_holomorphic(emb, full_structure(t1, t2))
+    assert (res.variant, res.witness) == (
+        "nonexistent", {"c_rank": n, "failed_condition": "conditioning"})
+    with pytest.raises(NoPartialStructure) as exc:
+        solve_partial(emb, ComplexStructure("partial", t1, t2))
+    assert exc.value.condition == "conditioning"
 
 
 def test_build_theta_vector_canonical(inst_1_2):
