@@ -80,9 +80,9 @@ def _translations(ctx: HermitianFormContext, emb: EmbeddingMap, G, H,
     and G (one row, or one per row of H): the factors (C_g, C_h, C_{g+h}),
     their structural-zero flags, alpha(g, h), T_g(h) and (manin) the
     exponents of the factors and of T, from one blocks call and (modified)
-    one closed-formula call on the stacked rows, with BallTable's caveat
-    on its bits.  Unchecked: an underflowed C_g C_h gives inf or NaN; the
-    cocycle check compares such manin pairs (_far) on the exponents."""
+    one closed-formula call on the stacked rows, each row with its one-row
+    bits.  Unchecked: an underflowed C_g C_h gives inf or NaN; the cocycle
+    check compares such manin pairs (_far) on the exponents."""
     n = len(G) + len(H)
     parts = (slice(0, len(G)), slice(len(G), n), slice(n, None))
     rows = np.concatenate([G, H, G + H])
@@ -169,12 +169,10 @@ class BallTable:
 
     `values` and `norms` (the normalized b-factors that detect structural
     zeros) are cubes of side 2 radius + 1 indexed by k + radius, filled
-    by one theta_coefficients call.  Every array the functional-equation
-    engine needs from it (c_h, c_{g+h} and C_g = c_g) is a slice or an
-    entry of `values`, with the bits of that call.  It sums every row with
-    the largest series halfwidth any row needs, so c_g (like a row of one
-    _translations call) has its one-row bits only where all rows need the
-    same halfwidth.
+    by theta_coefficients calls on batches of lattice.batch_rows(1) ball
+    rows.  Every array the functional-equation engine needs from it (c_h,
+    c_{g+h} and C_g = c_g) is a slice or an entry of `values`, with the
+    bits of its one-row call.
     """
 
     radius: int
@@ -184,8 +182,11 @@ class BallTable:
     @classmethod
     def build(cls, ctx: HermitianFormContext, emb: EmbeddingMap, radius: int,
               tail_eps: float = TAIL_EPS) -> "BallTable":
-        values, norms = theta_coefficients(ctx, emb, ball(emb.d, radius),
-                                           tail_eps)
+        K = ball(emb.d, radius)
+        values, norms = np.empty(len(K), dtype=complex), np.empty(len(K))
+        step = batch_rows(1)
+        for at in (slice(i, i + step) for i in range(0, len(K), step)):
+            values[at], norms[at] = theta_coefficients(ctx, emb, K[at], tail_eps)
         shape = (2 * radius + 1,) * emb.d
         return cls(radius=radius, values=values.reshape(shape),
                    norms=norms.reshape(shape))
@@ -414,7 +415,8 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
     degenerate.  manin pairs where C_g C_h, C_{g+h} or T is far (_far)
     are compared on their exponents.  NCThetaError when another pair's
     C_g C_h underflows to 0 (modified), or its ratio of the two sides is
-    0 or not finite (C_{g+h} or T out of double range).
+    0 or not finite (C_{g+h} or T out of double range), or a far pair's
+    ratio from the exponents is not finite.
     """
     _check_kind(kind)
     K = _indices(pairs, (-1, 2, emb.d))
@@ -425,7 +427,8 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
         # where C_g C_h, C_{g+h} or T is far, the ratio from the exponents
         (log_g, log_h, log_gh), log_T = exponents
         far = _far(factors[0] * factors[1], factors[2], T)
-        far_ratio = np.exp(log_gh - log_g - log_h - log_T) / alpha
+        with np.errstate(over="ignore", invalid="ignore"):
+            far_ratio = np.exp(log_gh - log_g - log_h - log_T) / alpha
     max_mod = max_phase = max_rel = 0.0
     n_skipped = 0
     for i in range(len(K)):
@@ -435,6 +438,9 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
         fg, fh, fgh = (complex(f[i]) for f in factors)
         if far[i]:
             ratio = far_ratio[i]
+            if not cmath.isfinite(ratio):
+                raise NCThetaError("cocycle ratio from the exponents is not a "
+                                   f"finite double at pair {K[i].tolist()}")
         else:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 ratio = fgh / (fg * fh) / (T[i] * alpha[i]) if fg * fh else 0
@@ -467,7 +473,8 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
     in its first slot; asserted on the log scale (exponent residual) and
     as a relative deviation, both below 1e-10.  Exact cancellation of
     huge multipliers cannot be asked of floating point in absolute terms,
-    so the deviation is measured relative to the composed multiplier.
+    so the deviation is measured relative to the composed multiplier;
+    NCThetaError where it is not finite even from the exponents.
 
     modified: searches the ball (zero excluded: the unnormalized factor
     at 0 deviates by construction) for a concrete witness triple with
@@ -501,9 +508,14 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
             t1, t2, t12 = (_manin_multiplier(x)[0] for x in (h1, h2, h12))
             t1t2 = t1 * t2
             rel = np.abs(t1t2 - t12) / np.maximum(np.abs(t12), 1e-300)
-        # where a multiplier or their product is far: from the exponents
-        far = ~np.isfinite(rel) | _far(t1, t2, t1t2, t12)
-        rel[far] = np.abs(np.expm1(-np.pi * (h1 + h2 - h12)[far]))
+            # where a multiplier or their product is far: from the exponents
+            far = ~np.isfinite(rel) | _far(t1, t2, t1t2, t12)
+            rel[far] = np.abs(np.expm1(-np.pi * (h1 + h2 - h12)[far]))
+        if not np.all(np.isfinite(rel)):
+            j = np.argmin(np.isfinite(rel))
+            triple = K_pts[[i1[j], i2[j], ih[j]]].tolist()
+            raise NCThetaError("additivity deviation from the exponents is not a "
+                               f"finite double at g1, g2, h = {triple}")
         max_rel = float(np.max(rel)) if len(i1) else 0.0
         return {
             **base,

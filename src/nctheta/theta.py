@@ -24,7 +24,7 @@ from .errors import (BadTau, DimensionMismatch, DivergentIntegral,
                      GridMismatch, NCThetaError)
 from .heisenberg import GaussianVector, SampledVector, _check_omega
 from .lattice import (EmbeddingMap, LatticePoint, QuantumElement, _cmul,
-                      _component_dot, _indices, _readonly, ball)
+                      _component_dot, _indices, _readonly, ball, batch_rows)
 
 TAIL_EPS = 1e-15
 # Most terms a theta series may sum on each side of its peak.
@@ -60,7 +60,7 @@ def _series_halfwidth(a: float, b: float, tail_eps: float) -> int:
         return log_ratio < 0.0 and log_head + math.log(
             2.0 / (1.0 - math.exp(log_ratio))) < log_tail
 
-    root = (b + math.sqrt(max(b * b - a * log_tail / math.pi, 0.0))) / a
+    root = b / a + math.sqrt(max((b / a) ** 2 - log_tail / (math.pi * a), 0.0))
     n = SERIES_BUDGET + 1
     if root <= n:
         n = bisect.bisect_left(range(n), True, key=below,
@@ -84,10 +84,14 @@ def classical_theta(tau: complex, z: complex, tail_eps: float = TAIL_EPS) -> com
     if tau.imag <= 0.0:
         raise BadTau(f"Im tau must be positive, got {tau}")
     with np.errstate(over="ignore", invalid="ignore"):
-        value = complex(_shifted_lattice_sums(2j * np.pi * z, 0.0, tail_eps,
-                                              a=-1j * tau)[0])
-    if not cmath.isfinite(value):
-        raise NCThetaError(f"theta({z} | {tau}) overflows double precision")
+        return _finite(_shifted_lattice_sums(2j * np.pi * z, 0.0, tail_eps,
+                                             a=-1j * tau)[0], f"theta({z} | {tau})")
+
+
+def _finite(value, what: str) -> complex:
+    """value as a complex; NCThetaError when it is not a finite double."""
+    if not cmath.isfinite(value := complex(value)):
+        raise NCThetaError(f"{what} is not a finite double")
     return value
 
 
@@ -97,17 +101,17 @@ def _shifted_lattice_sums(c1: np.ndarray, c0: np.ndarray,
     peak-first; the one theta-series summation of the package.
 
     The summation index is recentered on the magnitude peak
-    n0 = round(Re c1 / (2 pi Re a)), so the summed core stays O(1) and
-    the overall scale exp(-pi a n0^2 + c1 n0 + c0) is applied once; naive
-    summation would overflow already for |Re c1| around 60 pi while the
-    product with c0 is tiny.  Returns (values, core_magnitudes, n0).
+    n0 = round(Re c1 / (2 pi Re a)), so |Re (c1 - 2 pi a n0)| <= pi Re a, the
+    core stays O(1) and its halfwidth comes from that bound and tail_eps
+    alone, the same in any batch.  The scale exp(-pi a n0^2 + c1 n0 + c0) is
+    applied once; naive summation would overflow already for |Re c1| around
+    60 pi while the product with c0 is tiny.  Returns (values, core_magnitudes, n0).
     """
     c1 = np.asarray(c1, dtype=complex)
     c0 = np.asarray(c0, dtype=complex)
     n0 = np.round(c1.real / (2.0 * np.pi * a.real))
     rem = c1 - 2.0 * np.pi * a * n0
-    bmax = float(np.max(np.abs(rem.real))) / (2.0 * np.pi) if c1.size else 0.0
-    N = _series_halfwidth(a.real, bmax, tail_eps)
+    N = _series_halfwidth(a.real, a.real / 2.0, tail_eps)
     j = np.arange(-N, N + 1, dtype=float)
     quad = -np.pi * a * j ** 2
     # one term row at a time, added in order: holds two rows, not 2N+1, and
@@ -124,9 +128,9 @@ def _shifted_lattice_sums(c1: np.ndarray, c0: np.ndarray,
 
 
 def b_factor(r: float, m: int, tail_eps: float = TAIL_EPS) -> complex:
-    """Lattice-sector factor e^{-pi m^2/2 - i pi m r} theta(i, -r + i m/2)."""
+    """e^{-pi m^2/2 - i pi m r} theta(i, -r + i m/2); NCThetaError unless finite."""
     products, _ = b_product_arrays([[float(r)]], _indices([[m]], (1, 1)), tail_eps)
-    return complex(products[0])
+    return _finite(products[0], f"b_factor({r}, {m})")
 
 
 def b_product_arrays(r: np.ndarray, m: np.ndarray, tail_eps: float = TAIL_EPS):
@@ -257,14 +261,14 @@ def inner_product_closed(f: GaussianVector, g: GaussianVector,
 
     The continuous part is a complex Gaussian integral; each lattice
     component contributes a theta-type series evaluated deterministically
-    to tail_eps.
+    to tail_eps.  NCThetaError when the value is not a finite double.
     """
     if f.p != g.p or f.q != g.q:
         raise DimensionMismatch("vectors live on different spaces")
     if h.p != f.p or h.q != f.q:
         raise DimensionMismatch("lattice point does not match the vectors")
-    blocks = tuple(b[None] for b in (h.w1, h.w2, h.m, h.r))
-    return complex(_closed_inner_products(f, g, blocks, tail_eps)[0])
+    value = _closed_inner_products(f, g, [b[None] for b in (h.w1, h.w2, h.m, h.r)], tail_eps)
+    return _finite(value[0], f"<f, pi_h g> at h = {h.index}")
 
 
 def _closed_inner_products(f: GaussianVector, g: GaussianVector, blocks,
@@ -272,8 +276,7 @@ def _closed_inner_products(f: GaussianVector, g: GaussianVector, blocks,
     """<f, pi_h g> at every row h of the (w1, w2, m, r) arrays of
     EmbeddingMap.blocks, for vectors of matching dimensions.
 
-    Products are grouped as in the formula and rounded as in a one-row
-    call; only the lattice series halfwidth is shared by all rows.
+    Products are grouped as in the formula and rounded as in a one-row call.
     """
     W1, W2, mm, rr = blocks
     og_bar, lg_bar, mug_bar = np.conj(g.omega), np.conj(g.ell), np.conj(g.mu)
@@ -369,8 +372,10 @@ def quantum_theta(emb: EmbeddingMap, f: GaussianVector, R: int,
     """Quantum theta element: normalized diagonal inner products on a ball.
 
     Coefficient at index k is sqrt(2^p det Im Omega) <f, pi_{Phi k} f>
-    for |k|_inf <= R, from one array call of the inner-product route on
-    the ball, written into the coefficient cube in lexicographic order.
+    for |k|_inf <= R, from array calls of the inner-product route on
+    batches of lattice.batch_rows(1) ball rows, written into the
+    coefficient cube in lexicographic order; each has the bits of its
+    inner_product_closed call.
     Requires the centered family member (ell = 0, n0 = 0, mu = 0);
     NCThetaError when a coefficient is not a finite double.
     """
@@ -382,9 +387,11 @@ def quantum_theta(emb: EmbeddingMap, f: GaussianVector, R: int,
         raise ValueError("quantum theta requires the centered family member")
     norm = math.sqrt((2 ** emb.p) * float(np.linalg.det(f.omega.imag))) \
         if emb.p else 1.0
+    K = ball(emb.d, R)
+    values, step = np.empty(len(K), dtype=complex), batch_rows(1)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = norm * _closed_inner_products(f, f, emb.blocks(ball(emb.d, R)),
-                                               tail_eps)
+        for at in (slice(i, i + step) for i in range(0, len(K), step)):
+            values[at] = norm * _closed_inner_products(f, f, emb.blocks(K[at]), tail_eps)
     if not np.all(np.isfinite(values)):
         raise NCThetaError("a quantum theta coefficient is not a finite double "
                            f"at truncation radius {R}")

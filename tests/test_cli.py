@@ -656,6 +656,19 @@ OVERFLOW_OMEGA = {"embedding": {"p": 1, "q": 0, "theta": [0.5]},
                                         "t2": [[1e-300]]}}
 
 
+def _huge_structure(x, y):
+    return {"embedding": {"p": 1, "q": 0, "theta": [0.41421356237309515]},
+            "truncation_R": 2,
+            "complex_structure": {"kind": "full", "t1": [[[x, y]]], "t2": [[1]]}}
+
+
+# valid structures (classified unique) with Im Omega near 1e220 and 1e153:
+# the rounding of the manin laws' exponents overflows their far paths, in
+# the cocycle check and in the additivity probe
+OVERFLOW_COCYCLE = _huge_structure(5e219, 1.5e220)
+OVERFLOW_ADDITIVITY = _huge_structure(1.221931913633955e+153, 3.721946974123268e+153)
+
+
 @pytest.mark.parametrize("command", ["classify", "all"])
 @pytest.mark.parametrize("config", [OVERFLOW_ROWS, OVERFLOW_ROWS_MIXED],
                          ids=["q0", "mixed"])
@@ -667,6 +680,21 @@ def test_structure_rows_beyond_double_range_exit_one(tmp_path, capsys, config,
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "config", "reason": "bad config: ValueError: full"
                    " structure blocks and their connection rows must be finite"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, law", [
+    (OVERFLOW_COCYCLE, "cocycle ratio from the exponents"),
+    (OVERFLOW_ADDITIVITY, "additivity deviation from the exponents")],
+    ids=["cocycle", "additivity"])
+def test_manin_law_beyond_double_range_exits_two(tmp_path, capsys, config, law):
+    # a typed error with no report, where the far path wrote inf
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NCThetaError"
+    assert err["reason"].startswith(law + " is not a finite double at ")
     assert not out.exists()
 
 

@@ -32,9 +32,10 @@ The configs have p, q <= 2 and d = 2p + q <= 4, R in {1, 2}, canonical
 embeddings or raw Phi whose square block is U diag(s) V with s down to
 1e-9, and the default, a full or a partial structure with |T1| from 1e-4
 to 1e4.  The ill-conditioned Omega and Phi configs of test_cli always
-run, and so do three structures beyond double range: two whose
-connection rows overflow (config errors) and one whose solved Omega
-does (classified `nonexistent` for `conditioning`).  The radius
+run, and so do five structures beyond double range: two whose
+connection rows overflow (config errors), one whose solved Omega
+does (classified `nonexistent` for `conditioning`) and two whose manin
+laws overflow on their exponents (NCThetaError).  The radius
 property draws |theta| from 0.05 to 50 and R from 1 to 20; its runs
 reach exponents of about 1e4, below the cocycle check's rounding floor
 (test_manin.test_cocycle_exponent_rounding_floor).
@@ -48,8 +49,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from nctheta import cli, holomorphy, manin, theta
 from nctheta.errors import (ConfigError, GridTooLarge, NCThetaError, NoPartialStructure,
                             SingularEmbedding)
-from test_cli import (ILL_CONDITIONED, ILL_CONDITIONED_PHI, OVERFLOW_OMEGA,
-                      OVERFLOW_ROWS, OVERFLOW_ROWS_MIXED)
+from test_cli import (ILL_CONDITIONED, ILL_CONDITIONED_PHI, OVERFLOW_ADDITIVITY,
+                      OVERFLOW_COCYCLE, OVERFLOW_OMEGA, OVERFLOW_ROWS,
+                      OVERFLOW_ROWS_MIXED)
 from test_holomorphy import vector_bits
 
 ILL_CONDITIONED_ERROR = "Im Omega is too ill-conditioned to invert"
@@ -115,6 +117,8 @@ def configs(draw):
 @example(config=OVERFLOW_ROWS)
 @example(config=OVERFLOW_ROWS_MIXED)
 @example(config=OVERFLOW_OMEGA)
+@example(config=OVERFLOW_COCYCLE)
+@example(config=OVERFLOW_ADDITIVITY)
 def test_run_outcomes_are_typed_and_rules_agree(tmp_path, monkeypatch, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

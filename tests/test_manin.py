@@ -740,6 +740,10 @@ GUARDS = ["p1q2", "p1q0", "p2q0", "raw_p1q2", "general", "p0q3"]
 # p = 2 with a lattice sector (d = 6) guards the engine, at R = 2, and the
 # cocycle check
 ENGINE_GUARDS = GUARDS + ["p2q2"]
+# the p1q2 guard at tail targets where the rows of one call, summed with
+# the halfwidth of the call's largest |Re rem|, once had other bits than
+# their one-row calls
+TAIL_GUARDS = {"p1q2_tail_1e-9": 1e-9, "p1q2_tail_1e-3": 1e-3}
 
 
 def _guard_instances(inst_1_2, inst_1_0, inst_2_0, inst_general):
@@ -768,15 +772,16 @@ def _guard_instances(inst_1_2, inst_1_0, inst_2_0, inst_general):
     }
 
 
-@pytest.mark.parametrize("name", ENGINE_GUARDS)
+@pytest.mark.parametrize("name", ENGINE_GUARDS + list(TAIL_GUARDS))
 def test_engine_equals_frozen_index_engine(name, inst_1_2, inst_1_0, inst_2_0,
                                            inst_general):
     emb, omega, kind = _guard_instances(inst_1_2, inst_1_0, inst_2_0,
-                                        inst_general)[name]
+                                        inst_general)[name.split("_tail")[0]]
+    tail_eps = TAIL_GUARDS.get(name, TAIL_EPS)
     ctx, th = build(emb, omega, R=2 if name == "p2q2" else 4)
     K = ball(emb.d, th.radius // 2)
-    assert nc.verify_functional_equations(ctx, emb, th, K, kind) == \
-        _frozen_engine(ctx, emb, th, [emb.point(k) for k in K], kind)
+    assert nc.verify_functional_equations(ctx, emb, th, K, kind, tail_eps) == \
+        _frozen_engine(ctx, emb, th, [emb.point(k) for k in K], kind, tail_eps)
 
 
 @pytest.mark.parametrize("name", ENGINE_GUARDS)
@@ -822,42 +827,19 @@ def test_cocycle_of_negated_points_is_bitwise_equal(inst_general):
         assert np.array_equal(alpha.view(np.uint64), mirrored.view(np.uint64))
 
 
-@pytest.mark.parametrize("name", ENGINE_GUARDS)
+@pytest.mark.parametrize("name", ENGINE_GUARDS + list(TAIL_GUARDS))
 def test_cocycle_equals_frozen_scalar_loop(name, inst_1_2, inst_1_0, inst_2_0,
                                            inst_general):
     emb, omega, kind = _guard_instances(inst_1_2, inst_1_0, inst_2_0,
-                                        inst_general)[name]
+                                        inst_general)[name.split("_tail")[0]]
+    tail_eps = TAIL_GUARDS.get(name, TAIL_EPS)
     ctx = HermitianFormContext(omega)
     for seed in range(10):
         rng = np.random.default_rng(seed)
         pair_idx = rng.integers(-2, 3, size=(100, 2, emb.d))
         pairs = [(row[0], row[1]) for row in pair_idx]
-        assert nc.verify_cocycle_consistency(ctx, emb, kind, pairs) == \
-            _frozen_cocycle(ctx, emb, kind, pairs), seed
-
-
-@pytest.mark.parametrize("tail_eps", [1e-9, 1e-3])
-def test_batched_factors_near_frozen_where_halfwidths_differ(tail_eps,
-                                                              inst_1_2):
-    # at these tail targets the rows of one closed-formula call need
-    # different halfwidths, so the table's C_g and the cocycle check's
-    # batched factors are no longer the one-row values bit for bit; the
-    # reports stay within 1e-15 absolute of the one-row route
-    emb, omega = inst_1_2
-    ctx, th = build(emb, omega)
-    K = ball(emb.d, th.radius // 2)
-    new = nc.verify_functional_equations(ctx, emb, th, K, "modified", tail_eps)
-    old = _frozen_engine(ctx, emb, th, [emb.point(k) for k in K], "modified",
-                         tail_eps)
-    for a, b in zip(new, old):
-        assert a["max_residual"] == pytest.approx(b["max_residual"], abs=1e-15)
-        assert {**a, "max_residual": 0} == {**b, "max_residual": 0}
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        pairs = list(rng.integers(-2, 3, size=(100, 2, emb.d)))
-        a = nc.verify_cocycle_consistency(ctx, emb, "modified", pairs, tail_eps)
-        b = _frozen_cocycle(ctx, emb, "modified", pairs, tail_eps)
-        assert a == pytest.approx(b, abs=1e-15), seed
+        assert nc.verify_cocycle_consistency(ctx, emb, kind, pairs, tail_eps) == \
+            _frozen_cocycle(ctx, emb, kind, pairs, tail_eps), seed
 
 
 def test_engine_rejects_rows_as_blocks_does(inst_1_2):

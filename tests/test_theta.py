@@ -4,12 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nctheta as nc
 from nctheta.errors import (BadTau, DivergentIntegral, GridMismatch,
-                            NCThetaError)
+                            NCThetaError, SingularEmbedding)
 from nctheta.heisenberg import GaussianVector
 from nctheta.lattice import ball
+from nctheta.manin import BallTable
 from nctheta.theta import (SERIES_BUDGET, TAIL_EPS, HermitianFormContext,
                            _closed_inner_products, _series_halfwidth,
                            _shifted_lattice_sums,
@@ -88,6 +90,32 @@ def test_theta_out_of_range_raises():
     with pytest.raises(NCThetaError):
         nc.classical_theta(1e-12j, 0.1)
     assert time.perf_counter() - start < 1.0
+
+
+def test_theta_huge_im_tau_keeps_its_value():
+    # the halfwidth is taken at b = Im tau / 2, whose square overflows
+    # past Im tau = 2.7e154: the root of the head bound is formed from b / a
+    for tau in (1e155j, 1e200j, 1e300j):
+        assert nc.classical_theta(tau, 0.0) == 1.0
+        assert nc.classical_theta(tau, 0.3) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_non_finite_inputs_raise_typed():
+    # the halfwidth no longer depends on the input, so no series budget
+    # sees a NaN: the value itself is checked
+    emb = nc.canonical_embedding(1, 2, theta=[0.5], Q=np.eye(2),
+                                 Delta=np.diag([0.2, 0.7]))
+    f = GaussianVector.pure(np.array([[2j]]), 2)
+    h = emb.point([1, 0, 1, 0])
+    nan_mu = GaussianVector(p=1, q=2, omega=[[2j]], ell=[0], c0=1, n0=[0, 0],
+                            mu=[complex(0, np.nan), 0])
+    nan_m = nc.LatticePoint(h.index, h.w1, h.w2, np.array([np.nan, 0.0]), h.r)
+    for call in (lambda: nc.classical_theta(1j, np.nan),
+                 lambda: nc.b_factor(np.nan, 1),
+                 lambda: nc.inner_product_closed(nan_mu, f, h),
+                 lambda: nc.inner_product_closed(f, f, nan_m)):
+        with pytest.raises(NCThetaError, match="is not a finite double"):
+            call()
 
 
 def _halfwidth_holds(n, a, b, log_tail):
@@ -570,15 +598,81 @@ def test_inner_products_equal_frozen_scalar_route(inst_1_2, inst_2_0, inst_gener
     for k in ball(emb.d, 1):
         h = emb.point(k)
         assert nc.inner_product_closed(f, g, h) == at(h), k
-    # at tail_eps = 1e-9 the halfwidth differs between rows and the batch
-    # sums the largest one, so values move by far less than tail_eps
+    # at tail_eps = 1e-9 too, where a halfwidth taken from the rows of the
+    # call once summed 441 of these 2401 rows longer than alone
     f = GaussianVector.pure(omega, emb.q)
     th = nc.quantum_theta(emb, f, 3, tail_eps=1e-9)
     norm = np.sqrt(2.0 * float(omega.imag[0, 0]))
     at = _scalar_inner_products(f, f, 1e-9)
     for k, value in zip(ball(emb.d, 3), th.values.ravel()):
-        ref = norm * at(emb.point(k))
-        assert abs(value - ref) <= 1e-11 * abs(ref), k
+        assert value == norm * at(emb.point(k)), k
+
+
+def _random_embedding(rng, p, q, raw):
+    """A canonical embedding, or a raw Phi whose square block is
+    U diag(s) V with s down to 0.1 and whose integer rows are in -3..3."""
+    d = 2 * p + q
+    if raw:
+        u, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        v, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        phi = np.vstack([u @ np.diag(np.geomspace(1.0, 0.1, d)) @ v,
+                         rng.uniform(-1, 1, (q, d))])
+        phi[2 * p:2 * p + q] = np.round(3 * phi[2 * p:2 * p + q])
+        return nc.EmbeddingMap(p=p, q=q, phi=phi)
+    theta = rng.choice([0.5, np.sqrt(2) - 1, -0.3, 1.7], p)
+    # unit upper triangular Q: det Q = 1
+    Q = np.eye(q) + np.triu(rng.integers(-2, 3, (q, q)), 1)
+    return nc.canonical_embedding(p, q, theta=theta, Q=Q, Delta=rng.normal(size=(q, q)))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(pq=st.sampled_from([(1, 1), (1, 2), (2, 1)]), raw=st.booleans(),
+       tail_eps=st.sampled_from([1e-15, 1e-12, 1e-9, 1e-6, 1e-3]),
+       size=st.sampled_from([1, 2, 3, 50]), seed=st.integers(0, 2**32 - 1))
+def test_ball_rows_keep_their_bits_in_any_subset(pq, raw, tail_eps, size, seed):
+    # the series halfwidth comes from (a, tail_eps) alone, so a row of the
+    # closed formula or the inner-product route has the same bits whatever
+    # other rows share its call (small subsets often hold no row whose
+    # |Re rem| = pi, which the whole ball holds)
+    rng = np.random.default_rng(seed)
+    p, q = pq
+    try:
+        emb = _random_embedding(rng, p, q, raw)
+    except (SingularEmbedding, ValueError):
+        return
+    sym = rng.normal(size=(p, p))
+    omega = sym + sym.T + 1j * np.diag(rng.uniform(0.5, 2.0, p))
+    ctx, f = HermitianFormContext(omega), GaussianVector.pure(omega, q)
+    g = nc.apply_heisenberg(emb.point(rng.integers(-2, 3, emb.d)), f)
+    K = ball(emb.d, 3)
+    subset = rng.choice(len(K), size=size, replace=False)
+    full = (theta_coefficients(ctx, emb, K, tail_eps),
+            _closed_inner_products(f, g, emb.blocks(K), tail_eps))
+    part = (theta_coefficients(ctx, emb, K[subset], tail_eps),
+            _closed_inner_products(f, g, emb.blocks(K[subset]), tail_eps))
+    for x, y in zip([*full[0], full[1]], [*part[0], part[1]]):
+        assert np.array_equal(x[subset].view(np.int64), y.view(np.int64))
+
+
+@pytest.mark.parametrize("p, q, R", [(1, 0, 200), (1, 1, 25)])
+def test_theta_stage_peak_memory(p, q, R):
+    # quantum_theta and BallTable.build fill their cubes in batches of
+    # ball rows; one kernel call on the whole ball peaked at 16 and 8.5
+    # cubes (q = 0), 18.6 and 12.5 (q = 1)
+    emb = nc.canonical_embedding(p, q, theta=[0.5], Q=np.eye(q),
+                                 Delta=0.3 * np.eye(q))
+    omega = np.array([[0.2 + 1j]])
+    cube = 16 * (2 * R + 1) ** emb.d
+    f, ctx = GaussianVector.pure(omega, q), HermitianFormContext(omega)
+    for build in (lambda: nc.quantum_theta(emb, f, R),
+                  lambda: BallTable.build(ctx, emb, R)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * cube, peak / cube
 
 
 def test_quantum_theta_coefficient_formula(inst_1_2):
