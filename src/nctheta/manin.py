@@ -233,17 +233,17 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
     degeneracy scan; the manin C_g of all g is one _gaussian_factor call.
     As T_g(h) = c_{g+h} / (C_g c_h alpha), the modified residual checks
     that the inner-product coefficient over the closed formula agrees at
-    h and g + h.  Manin entries where C_g or T is far (theta._far) take
-    lhs = alpha exp(log C_g + log T + log theta_h); those whose stored
-    theta_h is 0 (below DROP_TOL: not represented) are left out.  A call
-    whose theta has no 0 and whose ball corners bound C_g and T skips this.
+    h and g + h.  Where C_g c_h (modified), or C_g or T (manin), is far
+    (theta._far), lhs = c_{g+h} (theta_h / c_h), or alpha exp(log C_g + log T
+    + log theta_h); a stored theta_h of 0 there (manin: anywhere) is left out
+    (below DROP_TOL: not represented).  A call skips this when min |c|^2 is
+    not far, or (manin) theta has no 0 and the ball corners bound C_g and T.
 
     Errors come in the order of the single-g calls: rows outside the one
     index rule, lattice._indices, |g|_inf > R/2 (ValueError), over FE_BUDGET
     window entries, (2 (R - |g|_inf) + 1)^d summed over the rows (GridTooLarge),
     the degeneracy scan (DegenerateTranslation), then per g, in the order of
-    the rows, an underflow of C_g or c_h (NCThetaError, lexicographic
-    offenders) or a residual that is not a finite double (NCThetaError).
+    the rows, a residual that is not a finite double (NCThetaError).
     """
     _check_kind(kind)
     R, d = theta.radius, emb.d
@@ -265,15 +265,17 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
         if zeros:
             raise DegenerateTranslation(zeros, "theta support hits theta zeros")
         factors = table.values[tuple((G + R).T)]
+        # the far path unless a product C_g c_h of two table values can be far
+        far_path = _far(np.min(np.abs(table.values)) ** 2)
     else:
         # H(g, h) = (x_g Im(Omega)^-1) . conj(x_h): the first factor per g
         # and the conjugated cube of x_h are each formed once
         x_g = complex_coordinates(ctx, rows[0], rows[1])
         factors, log_factors = _gaussian_factor(ctx, x_g)
-        # the exponent path unless no C_g, T or stored theta_h can be far:
+        # the far path unless no C_g, T or stored theta_h can be far:
         # |Re log T| <= 2 sqrt(log C_g log C_h) <= -2 log C_k, k a ball corner
         corners = emb.blocks(np.array(list(itertools.product((-R, R), repeat=d))))
-        exponents = not np.all(theta.values) or -2 * np.min(_gaussian_factor(
+        far_path = not np.all(theta.values) or -2 * np.min(_gaussian_factor(
             ctx, complex_coordinates(ctx, corners[0], corners[1]))[1]) > 690
         rows.append(_vecmat(x_g, ctx.im_inv))
         cubes.append(np.conj(complex_coordinates(ctx, cubes[0], cubes[1])))
@@ -291,7 +293,6 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
         else:
             shells.setdefault(radii[i], []).append(i)
     residuals = np.zeros(len(G))
-    underflow = np.zeros(len(G), dtype=bool)
     axes = tuple(range(1, d + 1))
     last = axes + (d + 1, 0)  # a batch of windows with the components last
     # overflow and division by an underflowed product end in a residual
@@ -322,27 +323,24 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
                     T = _with_mirrors(T, flipped)
                 else:
                     c = c_h[offset]
-                    underflow[at] = (factors[at] == 0) | np.any(
-                        (c == 0).reshape(len(at), -1), axis=1)
                     T = _modified_multiplier(C_g, c, table.values[at_k], alpha)
-                lhs = C_g * alpha * T * theta_h[offset]
-                if kind == KIND_MANIN and exponents:
-                    # far entries from the exponents; a stored theta_h of 0 left out
-                    log_lhs = (log_factors[at].reshape(C_g.shape) + np.log(theta_h[offset])
-                               + _with_mirrors(log_T, flipped))
-                    lhs = np.where(_far(C_g, T), alpha * np.exp(log_lhs), lhs)
-                    lhs = np.where(theta_h[offset] == 0, theta.values[at_k], lhs)
+                t_h = theta_h[offset]
+                lhs = C_g * alpha * T * t_h
+                if far_path:
+                    # far entries formed another way; a stored theta_h of 0 left out
+                    if kind == KIND_MANIN:
+                        log_lhs = (log_factors[at].reshape(C_g.shape) + np.log(t_h)
+                                   + _with_mirrors(log_T, flipped))
+                        far, far_lhs = _far(C_g, T) | (t_h == 0), alpha * np.exp(log_lhs)
+                    else:
+                        far, far_lhs = _far(C_g * c), table.values[at_k] * (t_h / c)
+                    lhs = np.where(far, np.where(t_h == 0, theta.values[at_k], far_lhs), lhs)
                 residuals[at] = np.abs(lhs - theta.values[at_k]).reshape(
                     len(at), -1).max(axis=1)
-    residuals, factors = residuals.tolist(), factors.tolist()
+    residuals = residuals.tolist()
     entries = []
     for g, gr, key in zip(G.tolist(), radii, keys):
-        i = first[key]
-        if underflow[i]:
-            at_h = tuple(slice(gr - v, 2 * R + 1 - gr - v) for v in g)
-            raise _underflow([g] if factors[i] == 0 else
-                             np.argwhere(table.values[at_h] == 0) + (gr - R) - g)
-        residual = residuals[i]
+        residual = residuals[first[key]]
         if not math.isfinite(residual):
             raise NCThetaError("functional equation residual is not a finite "
                                f"double at g={tuple(g)}")

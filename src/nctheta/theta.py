@@ -57,6 +57,10 @@ def _series_halfwidth(a: float, b: float, tail_eps: float) -> int:
     def below(n: int) -> bool:
         log_ratio = -math.pi * a * (2 * n + 3) + 2 * math.pi * b
         log_head = -math.pi * a * (n + 1) ** 2 + 2 * math.pi * b * (n + 1)
+        if math.isnan(log_ratio):  # inf - inf: the factored forms
+            log_ratio = -2 * math.pi * (a * (n + 1.5) - b)
+        if math.isnan(log_head):
+            log_head = -2 * math.pi * (n + 1) * (a * (n + 1) / 2 - b)
         return log_ratio < 0.0 and log_head + math.log(
             2.0 / (1.0 - math.exp(log_ratio))) < log_tail
 
@@ -75,14 +79,16 @@ def classical_theta(tau: complex, z: complex, tail_eps: float = TAIL_EPS) -> com
     """Jacobi theta series sum_n exp(i pi tau n^2 + 2 pi i n z), Im tau > 0.
 
     The lattice-series kernel with a = -i tau and c1 = 2 pi i z, summed
-    around its peak, so the series length does not grow with |Im z|;
-    NCThetaError when the value is not a finite double or the series
-    needs more than SERIES_BUDGET terms per side.
+    around its peak, so its length does not grow with |Im z| (1 where 2 pi
+    Im tau overflows, 2 |Im z| < Im tau); NCThetaError when the value is not
+    a finite double or the series needs more than SERIES_BUDGET terms per side.
     """
-    tau = complex(tau)
-    z = complex(z)
+    tau, z = complex(tau), complex(z)
     if tau.imag <= 0.0:
         raise BadTau(f"Im tau must be positive, got {tau}")
+    if (math.isinf(2 * math.pi * tau.imag) and 2 * abs(z.imag) < tau.imag
+            and np.isfinite([tau, z]).all()):
+        return 1 + 0j
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite(_shifted_lattice_sums(2j * np.pi * z, 0.0, tail_eps,
                                              a=-1j * tau)[0], f"theta({z} | {tau})")
@@ -129,7 +135,8 @@ def _shifted_lattice_sums(c1: np.ndarray, c0: np.ndarray,
 
 def b_factor(r: float, m: int, tail_eps: float = TAIL_EPS) -> complex:
     """e^{-pi m^2/2 - i pi m r} theta(i, -r + i m/2); NCThetaError unless finite."""
-    products, _ = b_product_arrays([[float(r)]], _indices([[m]], (1, 1)), tail_eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        products, _ = b_product_arrays([[float(r)]], _indices([[m]], (1, 1)), tail_eps)
     return _finite(products[0], f"b_factor({r}, {m})")
 
 
@@ -267,7 +274,8 @@ def inner_product_closed(f: GaussianVector, g: GaussianVector,
         raise DimensionMismatch("vectors live on different spaces")
     if h.p != f.p or h.q != f.q:
         raise DimensionMismatch("lattice point does not match the vectors")
-    value = _closed_inner_products(f, g, [b[None] for b in (h.w1, h.w2, h.m, h.r)], tail_eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _closed_inner_products(f, g, [b[None] for b in (h.w1, h.w2, h.m, h.r)], tail_eps)
     return _finite(value[0], f"<f, pi_h g> at h = {h.index}")
 
 

@@ -511,7 +511,9 @@ def test_far_coefficients_match_closed_zeros(tmp_path):
     # manin: C_g underflows and T overflows, so the functional equation is
     # formed from the exponents where the direct product leaves double range
     ({"p": 1, "q": 0, "theta": [50.0]}, 4, 0),
-    # modified: its factors leave double range too, and the run still raises
+    # modified: its factors leave double range too; the functional equation
+    # forms the far products in range and passes (4.5e-16), and the run
+    # stops in the additivity probe, whose multipliers refuse them
     ({"p": 1, "q": 1, "theta": [50.0], "Q": [[1]], "Delta": [[0.3]]}, 2, 2),
     # manin, and theta_h has underflowed to 0 where C_g T overflows: those
     # entries are left out of the residual
@@ -523,7 +525,8 @@ def test_far_coefficients_match_closed_zeros(tmp_path):
 def test_multipliers_beyond_double_range(tmp_path, capsys, embedding, R, code):
     # translation multipliers overflow or their products underflow: the
     # run either passes every check or stops with a typed NCThetaError at
-    # the first translation, g = (-R/2, ..., -R/2), and writes no report
+    # the first triple of the additivity probe, g1 = g2 = h = (-1, ..., -1),
+    # and writes no report
     cfg = write_config(tmp_path, {"embedding": embedding, "truncation_R": R})
     out = tmp_path / "out"
     assert cli.main(["all", "--config", cfg, "--out", str(out)]) == code
@@ -535,21 +538,18 @@ def test_multipliers_beyond_double_range(tmp_path, capsys, embedding, R, code):
         assert report["additivity"]["max_relative_deviation"] < 1e-10
     else:
         err = json.loads(capsys.readouterr().err)
-        first = tuple([-(R // 2)] * (2 * embedding["p"] + embedding["q"]))
+        first = tuple([-1] * (2 * embedding["p"] + embedding["q"]))
         assert err == {"error": "NCThetaError",
-                       "reason": "functional equation residual is not a "
-                                 f"finite double at g={first}"}
+                       "reason": "translation factors underflow double "
+                                 f"precision at indices [{first}]"}
         assert not out.exists()
 
 
-@pytest.mark.xfail(strict=True, raises=NCThetaError, reason=(
-    "ROADMAP J: the modified engine tests C_g and c_h for underflow, not "
-    "their product, so a product of 0.0 ends in an infinite multiplier"))
 def test_modified_floor_at_the_default_radius(tmp_path):
     # theta = 12 at the default truncation_R = 4: at g = (-2, -2, -2),
     # C_g = 1.3e-67 and the smallest c_h = 3.9e-268, whose product is 0.0
-    # at 5 window entries; the run raises "functional equation residual is
-    # not a finite double" (theta 10 passes, theta 15 and 20 raise underflow)
+    # at 5 window entries; the functional equation forms those entries as
+    # c_{g+h} (theta_h / c_h), where an infinite multiplier ended the run
     cfg = write_config(tmp_path, {"embedding": {"p": 1, "q": 1, "theta": [12.0],
                                                 "Q": [[1]], "Delta": [[0.3]]}})
     assert cli.run_config(cli.load_config(cfg), str(tmp_path / "out")) == 0

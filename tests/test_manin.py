@@ -1,8 +1,10 @@
 import itertools
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import nctheta as nc
 from nctheta import cli, manin
@@ -261,23 +263,55 @@ def test_degeneracy_scan_and_flag_before_division():
     assert exc.value.indices == zeros
 
 
-def test_functional_equation_underflow_raises():
+def test_functional_equation_forms_underflowed_products():
     # H(x, x) = 0.1 w1^2 + 10 w2^2 reaches 476 at k = (+-2, +-2, .), so
     # the closed coefficient underflows to 0 there without being a theta
-    # zero, while every inner-product coefficient stays finite
+    # zero, while every inner-product coefficient stays finite: the engine
+    # forms those entries as c_{g+h} (theta_h / c_h), and the multipliers
+    # of translate still refuse the underflowed products
     emb = nc.canonical_embedding(1, 1, theta=[33.0], Q=[[1]], Delta=[[0.3]])
     omega = np.array([[0.1j]])
     ctx, th = build(emb, omega, R=2)
     assert not nc.degeneracy_scan(ctx, emb, 2)
-    for call in (
-            lambda: nc.verify_functional_equation(
-                ctx, emb, th, emb.point([0, 0, 0]), "modified"),
-            lambda: nc.verify_functional_equations(
-                ctx, emb, th, np.array([[0, 1, 0], [0, 0, 0]]), "modified")):
+    entries = [nc.verify_functional_equation(ctx, emb, th, emb.point([0, 0, 0]),
+                                             "modified"),
+               *nc.verify_functional_equations(
+                   ctx, emb, th, np.array([[0, 1, 0], [0, 0, 0]]), "modified")]
+    assert all(e["pass"] and e["max_residual"] <= 2.3e-16 for e in entries)
+    for call, first in (
+            (lambda: _multipliers(ctx, emb, emb.point([0, 0, 0]), ball(3, 2),
+                                  "modified", TAIL_EPS), "(-2, -2, -2)"),
+            (lambda: nc.translate(ctx, emb, emb.point([-1, 1, 1]), th, "modified"),
+             "(-2, 0, -2)")):
         with pytest.raises(NCThetaError, match="underflow") as exc:
             call()
         assert not isinstance(exc.value, DegenerateTranslation)
-        assert "(-2, -2, -2)" in str(exc.value)
+        assert f"at indices [{first}, " in str(exc.value)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(q=st.sampled_from([1, 2]),
+       theta=st.floats(-1, math.log10(20)).map(lambda e: 10.0 ** e),
+       delta=st.lists(st.floats(-1, 1), min_size=4, max_size=4))
+# at R = 4, C_g c_h is 0.0 at 5 window entries of g = (-2, -2, -2)
+@example(q=1, theta=12.0, delta=[0.3] * 4)
+def test_modified_engine_refuses_or_returns_in_range_residuals(q, theta, delta):
+    # mixed embeddings, Q = I: the engine raises only a degenerate
+    # translation or the FE budget, and every residual it returns is below
+    # residual_abs (q = 2 stops at R = 4: its R = 6 call takes 0.65 s)
+    emb = nc.canonical_embedding(1, q, theta=[theta], Q=np.eye(q),
+                                 Delta=np.reshape(delta[:q * q], (q, q)))
+    vec = nc.build_theta_vector(emb)
+    ctx = HermitianFormContext(vec.omega)
+    for R in (2, 4, 6)[:4 - q]:
+        th = nc.quantum_theta(emb, vec, R)
+        try:
+            entries = nc.verify_functional_equations(
+                ctx, emb, th, ball(emb.d, R // 2), "modified",
+                residual_tol=cli.DEFAULT_TOLERANCES["residual_abs"])
+        except (DegenerateTranslation, GridTooLarge):
+            continue
+        assert all(e["pass"] for e in entries), (R, max(e["max_residual"] for e in entries))
 
 
 def test_manin_exponent_path_keeps_every_residual(monkeypatch):
@@ -884,39 +918,37 @@ def _outcome(call):
 
 
 def test_engine_errors_in_frozen_order():
-    # |g|_inf > R/2 before the scan, the scan before any translation, then
-    # per g the underflow of C_g or of c_h, each with the frozen engine's
-    # message and offending indices
+    # |g|_inf > R/2 before the scan, the scan before any translation, each
+    # with the frozen engine's message and offending indices
     degenerate = nc.canonical_embedding(1, 2, theta=[0.5], Q=np.eye(2),
                                         Delta=np.diag([0.5, 0.3]))
-    cases = [(degenerate, [(0, 0, 0, 0), (0, 0, 0, 3)]),
-             (degenerate, [(0, 0, 0, 0)])]
-    # c_h underflows for g = 0 (theta = 33) or already for g = (0, 1, 0)
-    # (theta = 80), where C_g also underflows at g = (-1, 1, 1)
-    for theta in (33.0, 80.0):
-        emb = nc.canonical_embedding(1, 1, theta=[theta], Q=[[1]], Delta=[[0.3]])
-        cases += [(emb, [(0, 1, 0), (0, 0, 0)]), (emb, [(-1, 1, 1), (0, 0, 0)])]
+    ctx, th = build(degenerate, np.array([[2j]]), R=4)
     seen = []
-    for emb, ks in cases:
-        omega = np.array([[2j]]) if emb is degenerate else np.array([[0.1j]])
-        ctx, th = build(emb, omega, R=4 if emb is degenerate else 2)
-        points = [emb.point(k) for k in ks]
+    for ks in ([(0, 0, 0, 0), (0, 0, 0, 3)], [(0, 0, 0, 0)]):
+        points = [degenerate.point(k) for k in ks]
         new = _outcome(lambda: nc.verify_functional_equations(
-            ctx, emb, th, np.array(ks), "modified"))
+            ctx, degenerate, th, np.array(ks), "modified"))
         assert new == _outcome(lambda: _frozen_engine(
-            ctx, emb, th, points, "modified")), ks
+            ctx, degenerate, th, points, "modified")), ks
         seen.append(new)
-    underflow = "translation factors underflow double precision at indices "
     expected = [
         (ValueError, "translation index must satisfy |g|_inf <= R/2"),
         (DegenerateTranslation, "theta support hits theta zeros at lattice "
-                                "indices [(-4, -4, -3, "),
-        (NCThetaError, underflow + "[(-2, -2, "),
-        (NCThetaError, underflow + "[(2, -2, -"),
-        (NCThetaError, underflow + "[(-1, -2, "),
-        (NCThetaError, underflow + "[(-1, 1, 1)]")]
+                                "indices [(-4, -4, -3, ")]
     assert [(kind, message[:len(prefix)]) for (kind, message), (_, prefix)
             in zip(seen, expected)] == expected
+    # where the frozen engine raised an underflow of c_h for g = 0 (theta =
+    # 33) or already for g = (0, 1, 0) (theta = 80), and of C_g at
+    # g = (-1, 1, 1), the far products are formed as c_{g+h} (theta_h / c_h)
+    for theta in (33.0, 80.0):
+        emb = nc.canonical_embedding(1, 1, theta=[theta], Q=[[1]], Delta=[[0.3]])
+        ctx, th = build(emb, np.array([[0.1j]]), R=2)
+        for ks in ([(0, 1, 0), (0, 0, 0)], [(-1, 1, 1), (0, 0, 0)]):
+            points = [emb.point(k) for k in ks]
+            assert _outcome(lambda: _frozen_engine(ctx, emb, th, points, "modified"))[1] \
+                .startswith("translation factors underflow double precision")
+            entries = nc.verify_functional_equations(ctx, emb, th, np.array(ks), "modified")
+            assert all(e["pass"] and e["max_residual"] <= 6.2e-14 for e in entries), ks
 
 
 class _CubesBuilt(Exception):

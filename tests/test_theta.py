@@ -1,5 +1,7 @@
+import bisect
 import math
 import time
+import warnings
 import tracemalloc
 
 import numpy as np
@@ -98,11 +100,51 @@ def test_theta_huge_im_tau_keeps_its_value():
     for tau in (1e155j, 1e200j, 1e300j):
         assert nc.classical_theta(tau, 0.0) == 1.0
         assert nc.classical_theta(tau, 0.3) == pytest.approx(1.0, abs=1e-15)
+    # from Im tau = 1.2e302 the halfwidth's two terms both overflow at some
+    # bisection midpoints (inf - inf), and from 2.9e307 2 pi Im tau does
+    for x in [*np.geomspace(1e301, 1.79e308, 60), 1.1e302, 1.144e302, 2.87e307,
+              np.finfo(float).max]:
+        assert nc.classical_theta(x * 1j, 0) == 1, x
+        assert nc.classical_theta(complex(0.5, x), 0.3 + 1e3j) == 1, x
+    # where the n = -1 term is as large as the n = 0 term, a typed error
+    with pytest.raises(NCThetaError, match="is not a finite double"):
+        nc.classical_theta(4e307j, 2e307j)
+
+
+def _frozen_series_halfwidth(a, b, tail_eps):
+    """_series_halfwidth with its sums formed in one way only, for reference."""
+    log_tail = math.log(tail_eps)
+
+    def below(n):
+        log_ratio = -math.pi * a * (2 * n + 3) + 2 * math.pi * b
+        log_head = -math.pi * a * (n + 1) ** 2 + 2 * math.pi * b * (n + 1)
+        return log_ratio < 0.0 and log_head + math.log(
+            2.0 / (1.0 - math.exp(log_ratio))) < log_tail
+
+    root = b / a + math.sqrt(max((b / a) ** 2 - log_tail / (math.pi * a), 0.0))
+    n = SERIES_BUDGET + 1
+    if root <= n:
+        n = bisect.bisect_left(range(n), True, key=below,
+                               lo=max(1, math.ceil(b / a) + 1, math.floor(root) - 1))
+    return n
+
+
+def test_series_halfwidth_keeps_its_values_where_its_sums_are_finite():
+    for a in np.geomspace(1e-3, 1e301, 305).tolist():
+        for b in (0.0, a / 2):
+            for tail_eps in (1e-15, 1e-9, 1e-3):
+                assert _series_halfwidth(a, b, tail_eps) == \
+                    _frozen_series_halfwidth(a, b, tail_eps), (a, b, tail_eps)
+    # beyond, both terms of a sum overflow at the first bisection midpoints,
+    # and the frozen copy's NaN there ends in a budget error
+    for a in (1.2e302, 1e305, 2.9e307, 1.79e308):
+        assert _series_halfwidth(a, a / 2, TAIL_EPS) == 2, a
 
 
 def test_non_finite_inputs_raise_typed():
     # the halfwidth no longer depends on the input, so no series budget
-    # sees a NaN: the value itself is checked
+    # sees a NaN: the value itself is checked.  An infinite input makes
+    # inf * 0 inside the sums: NaN again, with no RuntimeWarning first
     emb = nc.canonical_embedding(1, 2, theta=[0.5], Q=np.eye(2),
                                  Delta=np.diag([0.2, 0.7]))
     f = GaussianVector.pure(np.array([[2j]]), 2)
@@ -110,12 +152,28 @@ def test_non_finite_inputs_raise_typed():
     nan_mu = GaussianVector(p=1, q=2, omega=[[2j]], ell=[0], c0=1, n0=[0, 0],
                             mu=[complex(0, np.nan), 0])
     nan_m = nc.LatticePoint(h.index, h.w1, h.w2, np.array([np.nan, 0.0]), h.r)
-    for call in (lambda: nc.classical_theta(1j, np.nan),
-                 lambda: nc.b_factor(np.nan, 1),
-                 lambda: nc.inner_product_closed(nan_mu, f, h),
-                 lambda: nc.inner_product_closed(f, f, nan_m)):
-        with pytest.raises(NCThetaError, match="is not a finite double"):
-            call()
+    inf_mu = GaussianVector(p=1, q=2, omega=[[2j]], ell=[0], c0=1, n0=[0, 0],
+                            mu=[np.inf, 0])
+    inf_ell = GaussianVector(p=1, q=2, omega=[[2j]], ell=[np.inf], c0=1, n0=[0, 0],
+                             mu=[0, 0])
+    calls = [lambda: nc.classical_theta(1j, np.nan),
+             lambda: nc.b_factor(np.nan, 1),
+             lambda: nc.inner_product_closed(nan_mu, f, h),
+             lambda: nc.inner_product_closed(f, f, nan_m),
+             lambda: nc.b_factor(np.inf, 1), lambda: nc.b_factor(-np.inf, 1),
+             lambda: nc.inner_product_closed(inf_mu, f, h),
+             lambda: nc.inner_product_closed(f, inf_mu, h),
+             lambda: nc.inner_product_closed(inf_ell, f, h)]
+    for block in range(4):
+        blocks = [h.w1, h.w2, h.m, h.r]
+        blocks[block] = np.full(blocks[block].shape, np.inf)
+        calls.append(lambda blocks=blocks: nc.inner_product_closed(
+            f, f, nc.LatticePoint(h.index, *blocks)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(NCThetaError, match="is not a finite double"):
+                call()
 
 
 def _halfwidth_holds(n, a, b, log_tail):
