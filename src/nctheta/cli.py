@@ -258,8 +258,10 @@ def _verify_report(cfg: RunConfig, ctx: theta.HermitianFormContext, element,
         consistency = report["cocycle_consistency"] = \
             manin.verify_cocycle_consistency(ctx, emb, kind, pair_idx,
                                              tail_eps=tail_eps)
+        residual, bound = ("max_modulus_residual", manin.MODULUS_TOL) \
+            if kind == manin.KIND_MANIN else ("max_definition_residual", manin.DEFINITION_TOL)
         checks.append(Check("cocycle consistency residual out of tolerance",
-                            consistency["pass"]))
+                            consistency["pass"], consistency[residual], bound))
         additivity = report["additivity"] = manin.additivity_probe(
             ctx, emb, kind, search_radius=3, tail_eps=tail_eps, seed=cfg.seed)
         expected, text = ("additive", "translations unexpectedly non-additive") \

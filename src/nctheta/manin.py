@@ -37,6 +37,7 @@ from .theta import (STRUCTURAL_ZERO_TOL, TAIL_EPS, HermitianFormContext, _far,
 KIND_MANIN = "manin"
 KIND_MODIFIED = "modified"
 MODULUS_TOL = 1e-10
+DEFINITION_TOL = 1e-12
 ADDITIVITY_TOL = 1e-10
 WITNESS_DEVIATION = 1e-6
 # triples the modified additivity probe checks at most
@@ -81,8 +82,9 @@ def _translations(ctx: HermitianFormContext, emb: EmbeddingMap, G, H,
     their structural-zero flags, alpha(g, h), T_g(h) and (manin) the
     exponents of the factors and of T, from one blocks call and (modified)
     one closed-formula call on the stacked rows, each row with its one-row
-    bits.  Unchecked: an underflowed C_g C_h gives inf or NaN; the cocycle
-    check compares such manin pairs (_far) on the exponents."""
+    bits.  The modified T is (C_{g+h} / C_h) / (C_g alpha) where C_g C_h
+    is far (theta._far), as the FE engine divides, else _modified_multiplier's
+    bits.  Unchecked: T itself may be far; each consumer decides."""
     n = len(G) + len(H)
     parts = (slice(0, len(G)), slice(len(G), n), slice(n, None))
     rows = np.concatenate([G, H, G + H])
@@ -99,9 +101,11 @@ def _translations(ctx: HermitianFormContext, emb: EmbeddingMap, G, H,
             return ([c[at] for at in parts], [zero[at] for at in parts], alpha,
                     T, ([log_c[at] for at in parts], log_T))
         values, norms = theta_coefficients(ctx, emb, rows, tail_eps)
-        factors = [values[at] for at in parts]
+        c_g, c_h, c_gh = factors = [values[at] for at in parts]
         zero = [norms[at] < STRUCTURAL_ZERO_TOL for at in parts]
-        return factors, zero, alpha, _modified_multiplier(*factors, alpha), None
+        T = np.where(_far(c_g * c_h), (c_gh / c_h) / (c_g * alpha),
+                     _modified_multiplier(c_g, c_h, c_gh, alpha))
+        return factors, zero, alpha, T, None
 
 
 def _manin_multiplier(H):
@@ -121,25 +125,21 @@ def _underflow(indices) -> NCThetaError:
                         f"indices {list(map(tuple, np.asarray(indices)[:8].tolist()))}")
 
 
-def _check_factors(factors, zero, G: np.ndarray, H: np.ndarray):
-    """DegenerateTranslation, then an underflow NCThetaError where C_g, then
-    C_g C_h, is out of range (_far)."""
-    for error, K, bad in ((DegenerateTranslation, G, zero[0]),
-                          (DegenerateTranslation, H, zero[1]),
-                          (_underflow, G, _far(factors[0])),
-                          (_underflow, H, _far(factors[0] * factors[1]))):
-        if np.any(bad):
-            raise error(K[bad])
-
-
 def _multipliers(ctx: HermitianFormContext, emb: EmbeddingMap, g: LatticePoint,
                  indices: np.ndarray, kind: str, tail_eps: float):
     """Translation multipliers T_g(h) of g over an (n, d) array of target
-    indices; in the modified convention after _check_factors."""
+    indices.  modified: DegenerateTranslation where the factor of g, then
+    of a target, vanishes structurally; then an underflow NCThetaError
+    where C_g is far (theta._far), then where T is not finite."""
     G = g.index[None, :]
     factors, zero, _, T, _ = _translations(ctx, emb, G, indices, kind, tail_eps)
     if kind == KIND_MODIFIED:
-        _check_factors(factors, zero, G, indices)
+        for error, K, bad in ((DegenerateTranslation, G, zero[0]),
+                              (DegenerateTranslation, indices, zero[1]),
+                              (_underflow, G, _far(factors[0])),
+                              (_underflow, indices, ~np.isfinite(T))):
+            if np.any(bad):
+                raise error(K[bad])
     return T
 
 
@@ -150,8 +150,8 @@ def translate(ctx: HermitianFormContext, emb: EmbeddingMap, g: LatticePoint,
 
     Support is unchanged.  In the modified convention every support point
     (and g itself) must carry a nonvanishing factor, otherwise
-    DegenerateTranslation lists the offenders, and C_g and C_g c_h must be
-    in range (_far), otherwise an underflow NCThetaError does.
+    DegenerateTranslation lists the offenders; C_g must be in range (_far)
+    and every T_g(h) finite, otherwise an underflow NCThetaError does.
     """
     _check_kind(kind)
     if x.embedding.d != emb.d:
@@ -406,55 +406,50 @@ def verify_cocycle_consistency(ctx: HermitianFormContext, emb: EmbeddingMap,
     supply, so the check asserts |lhs / rhs| = 1 (to 1e-10) and reports
     the phase residual.  modified: the law defines T, so the check is
     that the batched ratio T of the closed-formula factors agrees with
-    the same ratio formed pair by pair from scalar factors to 1e-12
-    relative.  The factors, T and alpha of all pairs come from one
-    _translations call; only the comparison is scalar.  A pair where C_g,
-    C_h or C_{g+h} vanishes structurally is skipped and counted as
-    degenerate.  manin pairs where C_g C_h, C_{g+h} or T is far (_far)
-    are compared on their exponents.  NCThetaError when another pair's
-    C_g C_h underflows to 0 (modified), or its ratio of the two sides is
-    0 or not finite (C_{g+h} or T out of double range), or a far pair's
-    ratio from the exponents is not finite.
+    the same ratio formed pair by pair from scalar factors, in the
+    kernel's order, to DEFINITION_TOL relative.  The factors, T and alpha
+    of all pairs come from one _translations call; only the comparison is
+    scalar.  A pair where C_g, C_h or C_{g+h} vanishes structurally is
+    skipped and counted as degenerate.  Where C_g C_h, C_{g+h} or T is
+    far (_far), a manin pair is compared on its exponents (NCThetaError
+    where that ratio is not finite), and a modified pair gives no modulus
+    or phase residual; one whose T is far is left out of pairs_checked.
     """
     _check_kind(kind)
     K = _indices(pairs, (-1, 2, emb.d))
     factors, zero, alpha, T, exponents = _translations(
         ctx, emb, K[:, 0], K[:, 1], kind, tail_eps)
-    far = np.zeros(len(K), dtype=bool)
+    far_gh, far_T = _far(factors[0] * factors[1]), _far(T)
+    far = far_gh | far_T | _far(factors[2])
+    skipped = zero[0] | zero[1] | zero[2]
     if kind == KIND_MANIN:
         # where C_g C_h, C_{g+h} or T is far, the ratio from the exponents
         (log_g, log_h, log_gh), log_T = exponents
-        far = _far(factors[0] * factors[1], factors[2], T)
         with np.errstate(over="ignore", invalid="ignore"):
             far_ratio = np.exp(log_gh - log_g - log_h - log_T) / alpha
     max_mod = max_phase = max_rel = 0.0
-    n_skipped = 0
-    for i in range(len(K)):
-        if zero[0][i] or zero[1][i] or zero[2][i]:
-            n_skipped += 1
-            continue
+    # a modified pair whose T is far is left out, as the FE leaves out theta_h = 0
+    checked = np.flatnonzero(~skipped & ~(far_T & (kind == KIND_MODIFIED)))
+    for i in checked:
+        if kind == KIND_MODIFIED:
+            # numpy scalars: the kernel's arithmetic, in its order
+            fg, fh, fgh, a = (f[i] for f in (*factors, alpha))
+            t = (fgh / fh) / (fg * a) if far_gh[i] else _modified_multiplier(fg, fh, fgh, a)
+            max_rel = max(max_rel, abs(t - T[i]) / max(abs(T[i]), 1e-300))
+            if far[i]:
+                continue
         fg, fh, fgh = (complex(f[i]) for f in factors)
-        if far[i]:
-            ratio = far_ratio[i]
-            if not cmath.isfinite(ratio):
-                raise NCThetaError("cocycle ratio from the exponents is not a "
-                                   f"finite double at pair {K[i].tolist()}")
-        else:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                ratio = fgh / (fg * fh) / (T[i] * alpha[i]) if fg * fh else 0
-            # C_g C_h underflowed, or C_{g+h} or T out of double range
-            if ratio == 0 or not cmath.isfinite(ratio):
-                raise _underflow(K[i])
+        ratio = far_ratio[i] if far[i] else fgh / (fg * fh) / (T[i] * alpha[i])
+        if not cmath.isfinite(ratio):
+            raise NCThetaError("cocycle ratio from the exponents is not a "
+                               f"finite double at pair {K[i].tolist()}")
         max_mod = max(max_mod, abs(abs(ratio) - 1.0))
         max_phase = max(max_phase, abs(float(np.angle(ratio))))
-        if kind == KIND_MODIFIED:
-            t_scalar = _modified_multiplier(fg, fh, fgh, alpha[i])
-            max_rel = max(max_rel, abs(t_scalar - T[i]) / max(abs(T[i]), 1e-300))
-    ok = max_mod < MODULUS_TOL if kind == KIND_MANIN else max_rel < 1e-12
+    ok = max_mod < MODULUS_TOL if kind == KIND_MANIN else max_rel < DEFINITION_TOL
     return {
         "kind": kind,
-        "pairs_checked": len(K) - n_skipped,
-        "pairs_skipped_degenerate": n_skipped,
+        "pairs_checked": len(checked),
+        "pairs_skipped_degenerate": int(np.count_nonzero(skipped)),
         "max_modulus_residual": max_mod,
         "max_phase_residual": max_phase,
         "max_definition_residual": max_rel,
@@ -480,8 +475,8 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
     reported as such, never as a universal additivity claim.  It checks
     at most MAX_CHECKS triples, each one _translations call; a triple is
     skipped when a factor of g1, g2, g1 + g2 or h vanishes structurally,
-    checked before any underflow, without a call when an earlier call
-    flagged one of these points.
+    without a call when an earlier call flagged one of these points; one
+    whose multipliers or deviation are far (_far) is no witness.
     """
     _check_kind(kind)
     base = {"kind": kind, "search_radius": int(search_radius)}
@@ -534,16 +529,15 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
         if degenerate.intersection(points):
             base["triples_skipped_degenerate"] += 1
             continue
-        factors, zero, _, (t1, t2, t12), _ = _translations(ctx, emb, G, H, kind,
-                                                           tail_eps)
-        degenerate.update(k for k, z in zip(points, [*zero[0], zero[1][0]]) if z)
-        try:
-            _check_factors(factors, zero, G, H)
-        except DegenerateTranslation:
+        _, zero, _, (t1, t2, t12), _ = _translations(ctx, emb, G, H, kind, tail_eps)
+        flags = [*zero[0], zero[1][0]]
+        degenerate.update(k for k, z in zip(points, flags) if z)
+        if any(flags):
             base["triples_skipped_degenerate"] += 1
             continue
-        dev = abs(t1 * t2 - t12)
-        if dev > WITNESS_DEVIATION:
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = abs(t1 * t2 - t12)
+        if dev > WITNESS_DEVIATION and not _far(t1, t2, t12, dev):
             return {**base, "verdict": "witness_found",
                     "witness": {"g1": a.tolist(), "g2": b.tolist(),
                                 "h": h.tolist(), "deviation": float(dev)}}

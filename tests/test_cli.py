@@ -512,9 +512,9 @@ def test_far_coefficients_match_closed_zeros(tmp_path):
     # formed from the exponents where the direct product leaves double range
     ({"p": 1, "q": 0, "theta": [50.0]}, 4, 0),
     # modified: its factors leave double range too; the functional equation
-    # forms the far products in range and passes (4.5e-16), and the run
-    # stops in the additivity probe, whose multipliers refuse them
-    ({"p": 1, "q": 1, "theta": [50.0], "Q": [[1]], "Delta": [[0.3]]}, 2, 2),
+    # (4.5e-16) and the multipliers of the cocycle check and the additivity
+    # probe are formed without the far products C_g c_h, and the run passes
+    ({"p": 1, "q": 1, "theta": [50.0], "Q": [[1]], "Delta": [[0.3]]}, 2, 0),
     # manin, and theta_h has underflowed to 0 where C_g T overflows: those
     # entries are left out of the residual
     ({"p": 1, "q": 0, "theta": [1000.0]}, 2, 0),
@@ -524,9 +524,9 @@ def test_far_coefficients_match_closed_zeros(tmp_path):
       for theta, R in [(3.0, 10), (3.0, 12), (3.0, 16), (0.5, 22), (0.5, 30), (0.5, 40)]]])
 def test_multipliers_beyond_double_range(tmp_path, capsys, embedding, R, code):
     # translation multipliers overflow or their products underflow: the
-    # run either passes every check or stops with a typed NCThetaError at
-    # the first triple of the additivity probe, g1 = g2 = h = (-1, ..., -1),
-    # and writes no report
+    # run either passes every check (a mixed one with its non-additivity
+    # witness) or stops with a typed NCThetaError at the first triple of
+    # the additivity probe, g1 = g2 = h = (-1, ..., -1), and writes no report
     cfg = write_config(tmp_path, {"embedding": embedding, "truncation_R": R})
     out = tmp_path / "out"
     assert cli.main(["all", "--config", cfg, "--out", str(out)]) == code
@@ -534,8 +534,11 @@ def test_multipliers_beyond_double_range(tmp_path, capsys, embedding, R, code):
         # overall_pass: every functional-equation residual below residual_abs
         report = json.loads((out / "verify.json").read_text())
         assert report["overall_pass"] and report["cocycle_consistency"]["pass"]
-        assert report["additivity"]["verdict"] == "additive"
-        assert report["additivity"]["max_relative_deviation"] < 1e-10
+        if embedding["q"]:
+            assert report["additivity"]["verdict"] == "witness_found"
+        else:
+            assert report["additivity"]["verdict"] == "additive"
+            assert report["additivity"]["max_relative_deviation"] < 1e-10
     else:
         err = json.loads(capsys.readouterr().err)
         first = tuple([-1] * (2 * embedding["p"] + embedding["q"]))
@@ -1071,3 +1074,27 @@ def test_unusable_staging_directory_exits_one(tmp_path, capsys, staging_root):
     assert cli.main(["all", "--config", str(VERIFY_MIXED), "--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "output"
     assert not out.exists() and not staging_root.exists()
+
+
+@pytest.mark.parametrize("workload", [VERIFY_MIXED, VERIFY_CONT],
+                         ids=["verify_mixed", "verify_cont"])
+def test_cocycle_check_carries_its_residual_and_bound(tmp_path, monkeypatch, workload):
+    # manin: the modulus residual against MODULUS_TOL; modified: the
+    # definition residual against DEFINITION_TOL.  The verdict is their
+    # comparison, and the values are those of verify.json
+    checks, check_type = [], cli.Check
+
+    def record(*args, **kwargs):
+        checks.append(check_type(*args, **kwargs))
+        return checks[-1]
+
+    monkeypatch.setattr(cli, "Check", record)
+    out = tmp_path / "out"
+    assert cli.run_config(cli.load_config(str(workload)), str(out)) == 0
+    [check] = [c for c in checks if c.text.startswith("cocycle consistency")]
+    report = json.loads((out / "verify.json").read_text())
+    consistency = report["cocycle_consistency"]
+    residual, bound = ("max_modulus_residual", manin.MODULUS_TOL) \
+        if report["kind"] == "manin" else ("max_definition_residual", manin.DEFINITION_TOL)
+    assert (check.value, check.bound) == (consistency[residual], bound)
+    assert check.passed == consistency["pass"] == (check.value < check.bound)

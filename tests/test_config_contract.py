@@ -26,7 +26,10 @@ Random configs go through `load_config` and `run_config` in-process:
 
 - a p = 1, q = 0 config with no structure named that passes at R also
   passes at R + 2 and R + 4, unless the larger run is over a work budget
-  (GridTooLarge): a true identity does not fail for want of double range.
+  (GridTooLarge): a true identity does not fail for want of double range;
+- so does a p = 1, q in {1, 2} config with Q = I and no structure named,
+  at R + 2, unless the larger run raises GridTooLarge or reports a
+  degenerate translation (a structural zero of a lattice factor).
 
 The configs have p, q <= 2 and d = 2p + q <= 4, R in {1, 2}, canonical
 embeddings or raw Phi whose square block is U diag(s) V with s down to
@@ -251,5 +254,35 @@ def test_a_passing_q0_run_passes_at_larger_radius(tmp_path, theta, sign, R):
                 return
             raise
         if radius == R and code != 0:
+            return
+        assert code == 0, json.loads((out / "summary.json").read_text())
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(qR=st.sampled_from([(1, 2), (1, 4), (2, 2)]),
+       theta=st.floats(-1, np.log10(20)).map(lambda e: 10.0 ** e),
+       delta=st.lists(st.floats(-1, 1), min_size=4, max_size=4))
+# at R = 4 the cocycle check met pairs whose C_g C_h or C_{g+h} is 0.0
+# and raised, though the functional equation passed
+@example(qR=(1, 2), theta=15.0, delta=[0.3] * 4)
+def test_a_passing_mixed_run_passes_at_larger_radius(tmp_path, qR, theta, delta):
+    (q, R), out = qR, tmp_path / "out"
+    path = tmp_path / "config.json"
+    for radius in (R, R + 2):
+        path.write_text(json.dumps({"embedding": {
+            "p": 1, "q": q, "theta": [theta], "Q": np.eye(q).tolist(),
+            "Delta": np.reshape(delta[:q * q], (q, q)).tolist()}, "truncation_R": radius}))
+        try:
+            code = cli.run_config(cli.load_config(str(path)), str(out))
+        except GridTooLarge:
+            return
+        except NCThetaError:
+            if radius == R:
+                return
+            raise
+        if radius == R and code != 0:
+            return
+        if json.loads((out / "verify.json").read_text())["degenerate"]:
             return
         assert code == 0, json.loads((out / "summary.json").read_text())

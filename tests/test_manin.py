@@ -176,6 +176,23 @@ def test_functional_equation_matches_ops_path(inst_1_0, inst_1_2):
         assert rep["max_residual"] == pytest.approx(ref, abs=1e-14)
 
 
+@pytest.mark.parametrize("theta,R", [(50.0, 2), (12.0, 4), (15.0, 4)])
+def test_ops_path_matches_the_engine_where_products_are_far(theta, R):
+    # q = 1, Delta 0.3, default structure: C_g c_h leaves double range in
+    # many windows, and translate forms those multipliers in the order of
+    # the engine's far path, so the reference residual of every g of
+    # ball(3, R // 2) reads the engine's (the worst is 3.1e-14 at theta 12)
+    emb = nc.canonical_embedding(1, 1, theta=[theta], Q=[[1]], Delta=[[0.3]])
+    vec = nc.build_theta_vector(emb)
+    ctx = HermitianFormContext(vec.omega)
+    th = nc.quantum_theta(emb, vec, R)
+    G = ball(3, R // 2)
+    for g, row in zip(G, nc.verify_functional_equations(ctx, emb, th, G, "modified")):
+        assert row["pass"]
+        ref = functional_equation_residual_ops(ctx, emb, th, emb.point(g), "modified")
+        assert ref == pytest.approx(row["max_residual"], abs=4.5e-16), g
+
+
 def _frozen_residual_ops(ctx, emb, theta, g, kind):
     """functional_equation_residual_ops with its per-key coeff() loop,
     for reference."""
@@ -267,8 +284,11 @@ def test_functional_equation_forms_underflowed_products():
     # H(x, x) = 0.1 w1^2 + 10 w2^2 reaches 476 at k = (+-2, +-2, .), so
     # the closed coefficient underflows to 0 there without being a theta
     # zero, while every inner-product coefficient stays finite: the engine
-    # forms those entries as c_{g+h} (theta_h / c_h), and the multipliers
-    # of translate still refuse the underflowed products
+    # forms those entries as c_{g+h} (theta_h / c_h).  translate forms its
+    # multipliers where C_g c_h is far in the same order (10 of the 85
+    # support points at g = (-1, 1, 1)), so the reference path reads the
+    # engine's residual; at g = 0 the multipliers of the h where c_h is 0.0
+    # are 0/0, and _multipliers refuses them
     emb = nc.canonical_embedding(1, 1, theta=[33.0], Q=[[1]], Delta=[[0.3]])
     omega = np.array([[0.1j]])
     ctx, th = build(emb, omega, R=2)
@@ -278,15 +298,14 @@ def test_functional_equation_forms_underflowed_products():
                *nc.verify_functional_equations(
                    ctx, emb, th, np.array([[0, 1, 0], [0, 0, 0]]), "modified")]
     assert all(e["pass"] and e["max_residual"] <= 2.3e-16 for e in entries)
-    for call, first in (
-            (lambda: _multipliers(ctx, emb, emb.point([0, 0, 0]), ball(3, 2),
-                                  "modified", TAIL_EPS), "(-2, -2, -2)"),
-            (lambda: nc.translate(ctx, emb, emb.point([-1, 1, 1]), th, "modified"),
-             "(-2, 0, -2)")):
-        with pytest.raises(NCThetaError, match="underflow") as exc:
-            call()
-        assert not isinstance(exc.value, DegenerateTranslation)
-        assert f"at indices [{first}, " in str(exc.value)
+    g = emb.point([-1, 1, 1])
+    engine = nc.verify_functional_equation(ctx, emb, th, g, "modified")["max_residual"]
+    assert functional_equation_residual_ops(ctx, emb, th, g, "modified") == \
+        pytest.approx(engine, abs=4.5e-16)
+    with pytest.raises(NCThetaError, match="underflow") as exc:
+        _multipliers(ctx, emb, emb.point([0, 0, 0]), ball(3, 2), "modified", TAIL_EPS)
+    assert not isinstance(exc.value, DegenerateTranslation)
+    assert "at indices [(-2, -2, -2), " in str(exc.value)
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -343,9 +362,11 @@ def test_manin_exponent_path_keeps_every_residual(monkeypatch):
 
 def test_underflowed_factor_products_raise():
     # Omega = 0.02i (theta = 50): the factors at these pairs are about
-    # 1e-273 each, so C_g C_h (cocycle check) and C_g c_h (multipliers)
-    # underflow to 0 while no factor is 0.  The modified convention raises;
-    # the manin pair is compared on its exponents, where the law holds
+    # 1e-273 each, so C_g C_h underflows to 0 while no factor is 0.  The
+    # manin pair is compared on its exponents, where the law holds.  The
+    # modified T is formed without the product: C_{g+h} is 0.0, so T is
+    # 0.0, which the cocycle check leaves out and the multipliers keep; only
+    # a C_g that is itself far, as at g = (-3, -3, -3), raises
     cont = nc.canonical_embedding(1, 0, theta=[50.0])
     mixed = nc.canonical_embedding(1, 1, theta=[50.0], Q=[[1]], Delta=[[0.3]])
     ctx = HermitianFormContext(np.array([[0.02j]]))
@@ -353,35 +374,39 @@ def test_underflowed_factor_products_raise():
     assert rep["pass"] and rep["pairs_checked"] == 1
     assert rep["max_modulus_residual"] < 1e-10
     g, h = [-2, -2, -2], [-2, -2, -1]
-    for call, where in (
-            (lambda: nc.verify_cocycle_consistency(
-                ctx, mixed, "modified", [(g, h)]), "[(-2, -2, -2), (-2, -2, -1)]"),
-            (lambda: _multipliers(ctx, mixed, mixed.point(g), np.array([h]),
-                                  "modified", TAIL_EPS), "[(-2, -2, -1)]")):
-        with pytest.raises(NCThetaError, match="underflow") as exc:
-            call()
-        assert str(exc.value).endswith(where)
+    rep = nc.verify_cocycle_consistency(ctx, mixed, "modified", [(g, h)])
+    assert rep["pass"] and (rep["pairs_checked"], rep["pairs_skipped_degenerate"]) == (0, 0)
+    assert _multipliers(ctx, mixed, mixed.point(g), np.array([h]),
+                        "modified", TAIL_EPS).tolist() == [0j]
+    with pytest.raises(NCThetaError, match="underflow") as exc:
+        _multipliers(ctx, mixed, mixed.point([-3, -3, -3]), np.array([h]),
+                     "modified", TAIL_EPS)
+    assert str(exc.value).endswith("[(-3, -3, -3)]")
 
 
 def test_translate_refuses_a_subnormal_factor_product():
     # theta = 50, default structure, R = 2: for g = (1, 0, 0), C_g c_h is
     # 4.5e-309 at the 8 corners of the ball, subnormal but not 0.  The
-    # modified translation and its reference residual raise the underflow
-    # error there instead of dividing by the product
+    # modified translation forms T there as (c_{g+h} / c_h) / (C_g alpha),
+    # so the reference residual reads the engine's; it refuses only a T
+    # that is not finite, as at h = (4, 4, 4), where c_h itself is 0.0
     emb = nc.canonical_embedding(1, 1, theta=[50.0], Q=[[1]], Delta=[[0.3]])
     vec = nc.build_theta_vector(emb)
     ctx = HermitianFormContext(vec.omega)
     element = nc.quantum_theta(emb, vec, 2)
     g = emb.point((1, 0, 0))
-    for call in (lambda: nc.translate(ctx, emb, g, element, "modified"),
-                 lambda: functional_equation_residual_ops(ctx, emb, element, g,
-                                                          "modified")):
-        with pytest.raises(NCThetaError, match="underflow") as exc:
-            call()
-        assert not isinstance(exc.value, DegenerateTranslation)
-        assert str(exc.value).startswith(
-            "translation factors underflow double precision at indices "
-            "[(-2, -2, -2), (-2, -2, 2), ")
+    T = _multipliers(ctx, emb, g, element.as_arrays()[0], "modified", TAIL_EPS)
+    assert np.all(np.isfinite(T))
+    expected = {k: c * complex(t) for (k, c), t in zip(element.coeffs.items(), T)}
+    assert nc.translate(ctx, emb, g, element, "modified").coeffs == {
+        k: v for k, v in expected.items() if abs(v) >= 1e-300}
+    assert functional_equation_residual_ops(ctx, emb, element, g, "modified") == \
+        nc.verify_functional_equation(ctx, emb, element, g, "modified")["max_residual"]
+    with pytest.raises(NCThetaError, match="underflow") as exc:
+        nc.translate(ctx, emb, g, QuantumElement.basis(emb, np.array([4, 4, 4])), "modified")
+    assert not isinstance(exc.value, DegenerateTranslation)
+    assert str(exc.value) == ("translation factors underflow double precision at "
+                              "indices [(4, 4, 4)]")
 
 
 def test_cocycle_consistency_general_embedding(inst_general):
@@ -459,15 +484,16 @@ def test_additivity_phase_rounding_floor():
     assert rep["verdict"] == "additive"
 
 
-def test_cocycle_consistency_modified_underflow_raises():
+def test_cocycle_consistency_modified_leaves_out_far_multipliers():
     # Omega = 0.1i, theta = 10: for g = (-3, -3, -3) and h over ball(3, 3),
     # C_{g+h} underflows to 0 at 36 pairs where no factor vanishes
-    # structurally; the ratio of the two sides is then 0/0
+    # structurally; their T is 0.0, and they are left out of pairs_checked
     emb = nc.canonical_embedding(1, 1, theta=[10.0], Q=[[1.0]], Delta=[[0.3]])
     ctx = HermitianFormContext(np.array([[0.1j]]))
     pairs = [((-3, -3, -3), h) for h in ball(3, 3)]
-    with pytest.raises(NCThetaError, match="underflow"):
-        nc.verify_cocycle_consistency(ctx, emb, "modified", pairs)
+    rep = nc.verify_cocycle_consistency(ctx, emb, "modified", pairs)
+    assert rep["pass"] and rep["max_definition_residual"] < 1e-12
+    assert (rep["pairs_checked"], rep["pairs_skipped_degenerate"]) == (343 - 36 - 49, 49)
     # at lattice index +-5 the b-factor has a zero: C_{g+h} vanishes
     # structurally, and the pair is skipped rather than compared
     rep = nc.verify_cocycle_consistency(

@@ -107,8 +107,20 @@ def test_theta_huge_im_tau_keeps_its_value():
         assert nc.classical_theta(x * 1j, 0) == 1, x
         assert nc.classical_theta(complex(0.5, x), 0.3 + 1e3j) == 1, x
     # where the n = -1 term is as large as the n = 0 term, a typed error
+    # (the series is 2: test_theta_two_peak_terms_beyond_2pi_range)
     with pytest.raises(NCThetaError, match="is not a finite double"):
         nc.classical_theta(4e307j, 2e307j)
+
+
+@pytest.mark.xfail(strict=True, raises=NCThetaError, reason=(
+    "ROADMAP P: once 2 pi Im tau overflows, _shifted_lattice_sums rounds "
+    "n0 = Re c1 / inf to 0, so rem = c1 - inf * 0 is NaN, and its j = +-2 "
+    "terms form -inf + inf"))
+def test_theta_two_peak_terms_beyond_2pi_range():
+    # z = tau / 2: the n = 0 and n = -1 terms are 1 and every other term
+    # is 0, so the series is 2
+    for tau in (4e307j, 3e307j):
+        assert nc.classical_theta(tau, tau / 2) == 2
 
 
 def _frozen_series_halfwidth(a, b, tail_eps):
