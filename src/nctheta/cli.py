@@ -246,7 +246,7 @@ def _verify_report(cfg: RunConfig, ctx: theta.HermitianFormContext, element,
             "g": None, "kind": kind, "degenerate": True,
             "witnesses": [list(i) for i in exc.indices[:16]], "pass": False}]
         checks.append(Check("degenerate translation factors at {0.value}"
-                            " ball indices", False, len(exc.indices)))
+                            " ball indices", False, len(exc.indices), 0))
     else:
         report["functional_equation"] = results
         checks += [Check("functional equation residual {0.value:.3e} at g={0.where}",
@@ -264,10 +264,15 @@ def _verify_report(cfg: RunConfig, ctx: theta.HermitianFormContext, element,
                             consistency["pass"], consistency[residual], bound))
         additivity = report["additivity"] = manin.additivity_probe(
             ctx, emb, kind, search_radius=3, tail_eps=tail_eps, seed=cfg.seed)
-        expected, text = ("additive", "translations unexpectedly non-additive") \
-            if kind == manin.KIND_MANIN else \
-            ("witness_found", "no non-additivity witness found")
-        checks.append(Check(text, additivity["verdict"] == expected))
+        if kind == manin.KIND_MANIN:
+            value = max(additivity["max_exponent_residual"], additivity["max_relative_deviation"])
+            checks.append(Check("translations unexpectedly non-additive",
+                                additivity["verdict"] == "additive", value, manin.ADDITIVITY_TOL))
+        else:  # a witness's deviation passes above the bound; no witness, no number
+            found = additivity["verdict"] == "witness_found"
+            checks.append(Check("no non-additivity witness found", found,
+                                additivity["witness"]["deviation"] if found else None,
+                                manin.WITNESS_DEVIATION if found else None))
     report["overall_pass"] = all(check.passed for check in checks)
     return report
 

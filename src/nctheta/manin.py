@@ -473,10 +473,11 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
     at 0 deviates by construction) for a concrete witness triple with
     absolute deviation above 1e-6 and reports it; absence of a witness is
     reported as such, never as a universal additivity claim.  It checks
-    at most MAX_CHECKS triples, each one _translations call; a triple is
-    skipped when a factor of g1, g2, g1 + g2 or h vanishes structurally,
-    without a call when an earlier call flagged one of these points; one
-    whose multipliers or deviation are far (_far) is no witness.
+    at most MAX_CHECKS triples, lexicographically, in batches of 1, 2, 4,
+    ... up to batch_rows(9) triples, one _translations call each; a triple
+    with a structural zero at g1, g2, g1 + g2 or h is skipped, and one
+    whose multipliers or deviation (_cmul and np.hypot: the bits of
+    Python's scalar complex product and abs) are far (_far) is no witness.
     """
     _check_kind(kind)
     base = {"kind": kind, "search_radius": int(search_radius)}
@@ -519,27 +520,26 @@ def additivity_probe(ctx: HermitianFormContext, emb: EmbeddingMap, kind: str,
             "triples_checked": int(len(i1)),
         }
     nonzero = K_pts[np.any(K_pts != 0, axis=1)]
-    base.update(triples_checked=0, triples_skipped_degenerate=0)
-    triples = itertools.product(nonzero, repeat=3)
-    degenerate = set()  # points whose factor a kernel call flagged zero
-    for a, b, h in itertools.islice(triples, MAX_CHECKS):
-        base["triples_checked"] += 1
-        G, H = np.stack([a, b, a + b]), np.stack([h] * 3)
-        points = list(map(tuple, G.tolist())) + [tuple(h.tolist())]
-        if degenerate.intersection(points):
-            base["triples_skipped_degenerate"] += 1
-            continue
-        _, zero, _, (t1, t2, t12), _ = _translations(ctx, emb, G, H, kind, tail_eps)
-        flags = [*zero[0], zero[1][0]]
-        degenerate.update(k for k, z in zip(points, flags) if z)
-        if any(flags):
-            base["triples_skipped_degenerate"] += 1
-            continue
+    n, start, size = len(nonzero), 0, 1
+    base.update(triples_checked=min(n ** 3, MAX_CHECKS), triples_skipped_degenerate=0)
+    while start < base["triples_checked"]:
+        stop = min(start + size, base["triples_checked"])
+        i = np.arange(start, stop)
+        A, B, H = nonzero[np.stack([i // n ** 2, i // n % n, i % n])]
+        _, zero, _, T, _ = _translations(ctx, emb, np.concatenate([A, B, A + B]),
+                                         np.tile(H, (3, 1)), kind, tail_eps)
+        skip = np.any(zero[0].reshape(3, -1), axis=0) | zero[1][:stop - start]
+        t1, t2, t12 = T.reshape(3, -1)
         with np.errstate(over="ignore", invalid="ignore"):
-            dev = abs(t1 * t2 - t12)
-        if dev > WITNESS_DEVIATION and not _far(t1, t2, t12, dev):
-            return {**base, "verdict": "witness_found",
-                    "witness": {"g1": a.tolist(), "g2": b.tolist(),
-                                "h": h.tolist(), "deviation": float(dev)}}
+            d = _cmul(t1, t2) - t12
+            dev = np.hypot(d.real, d.imag)
+            hit = ~skip & (dev > WITNESS_DEVIATION) & ~_far(t1, t2, t12, dev)
+        j = int(np.argmax(np.append(hit, True)))  # the first witness, or len(hit)
+        base["triples_skipped_degenerate"] += int(np.count_nonzero(skip[:j]))
+        if j < len(hit):
+            return {**base, "triples_checked": start + j + 1, "verdict": "witness_found",
+                    "witness": {"g1": A[j].tolist(), "g2": B[j].tolist(),
+                                "h": H[j].tolist(), "deviation": float(dev[j])}}
+        start, size = stop, min(2 * size, batch_rows(9))
     return {**base, "verdict": "no_witness_found",
-            "search_truncated": next(triples, None) is not None}
+            "search_truncated": n ** 3 > MAX_CHECKS}

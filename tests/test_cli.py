@@ -1076,12 +1076,7 @@ def test_unusable_staging_directory_exits_one(tmp_path, capsys, staging_root):
     assert not out.exists() and not staging_root.exists()
 
 
-@pytest.mark.parametrize("workload", [VERIFY_MIXED, VERIFY_CONT],
-                         ids=["verify_mixed", "verify_cont"])
-def test_cocycle_check_carries_its_residual_and_bound(tmp_path, monkeypatch, workload):
-    # manin: the modulus residual against MODULUS_TOL; modified: the
-    # definition residual against DEFINITION_TOL.  The verdict is their
-    # comparison, and the values are those of verify.json
+def _recorded_checks(monkeypatch):
     checks, check_type = [], cli.Check
 
     def record(*args, **kwargs):
@@ -1089,6 +1084,16 @@ def test_cocycle_check_carries_its_residual_and_bound(tmp_path, monkeypatch, wor
         return checks[-1]
 
     monkeypatch.setattr(cli, "Check", record)
+    return checks
+
+
+@pytest.mark.parametrize("workload", [VERIFY_MIXED, VERIFY_CONT],
+                         ids=["verify_mixed", "verify_cont"])
+def test_cocycle_check_carries_its_residual_and_bound(tmp_path, monkeypatch, workload):
+    # manin: the modulus residual against MODULUS_TOL; modified: the
+    # definition residual against DEFINITION_TOL.  The verdict is their
+    # comparison, and the values are those of verify.json
+    checks = _recorded_checks(monkeypatch)
     out = tmp_path / "out"
     assert cli.run_config(cli.load_config(str(workload)), str(out)) == 0
     [check] = [c for c in checks if c.text.startswith("cocycle consistency")]
@@ -1098,3 +1103,49 @@ def test_cocycle_check_carries_its_residual_and_bound(tmp_path, monkeypatch, wor
         if report["kind"] == "manin" else ("max_definition_residual", manin.DEFINITION_TOL)
     assert (check.value, check.bound) == (consistency[residual], bound)
     assert check.passed == consistency["pass"] == (check.value < check.bound)
+
+
+# every multiplier of this run's additivity search is far: no witness
+ALL_FAR_ADDITIVITY = {
+    "embedding": {"p": 1, "q": 1, "theta": [1.0], "Q": [[1]], "Delta": [[0.3]]},
+    "complex_structure": {"kind": "partial", "t1": [[[-2.7e-4, 2.0e-4]]], "t2": [[1]]},
+    "truncation_R": 2}
+
+
+@pytest.mark.parametrize("workload", [VERIFY_MIXED, VERIFY_CONT, ALL_FAR_ADDITIVITY],
+                         ids=["verify_mixed", "verify_cont", "all_far"])
+def test_additivity_check_carries_its_deviation_and_bound(tmp_path, monkeypatch,
+                                                          workload):
+    # manin: the larger of the exponent residual and the relative deviation
+    # against ADDITIVITY_TOL, passing below it; modified: the witness
+    # deviation against WITNESS_DEVIATION, passing above it, and no number
+    # where the search found no witness
+    checks = _recorded_checks(monkeypatch)
+    if isinstance(workload, dict):
+        workload = write_config(tmp_path, workload)
+    out = tmp_path / "out"
+    code = cli.run_config(cli.load_config(str(workload)), str(out))
+    [check] = [c for c in checks if c.text in ("translations unexpectedly non-additive",
+                                               "no non-additivity witness found")]
+    additivity = json.loads((out / "verify.json").read_text())["additivity"]
+    assert code == (0 if check.passed else 2)
+    if additivity["kind"] == "manin":
+        value = max(additivity["max_exponent_residual"],
+                    additivity["max_relative_deviation"])
+        assert (check.value, check.bound) == (value, manin.ADDITIVITY_TOL)
+        assert check.passed == (additivity["verdict"] == "additive") == \
+            (check.value < check.bound)
+    elif "witness" in additivity:
+        assert (check.value, check.bound) == (additivity["witness"]["deviation"],
+                                              manin.WITNESS_DEVIATION)
+        assert check.passed == (check.value > check.bound)
+    else:
+        assert (check.passed, check.value, check.bound) == (False, None, None)
+
+
+def test_degenerate_check_carries_its_count_and_bound(tmp_path, monkeypatch):
+    checks = _recorded_checks(monkeypatch)
+    cfg = mixed_q2(tmp_path, delta=[[0.5, 0.0], [0.0, 0.3]])
+    assert cli.run_config(cli.load_config(cfg), str(tmp_path / "out")) == 2
+    [check] = [c for c in checks if c.text.startswith("degenerate translation")]
+    assert check.bound == 0 < check.value and not check.passed

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 
@@ -18,7 +19,7 @@ from nctheta.manin import (ADDITIVITY_TOL, BallTable, TranslationFactor,
 from nctheta.theta import (STRUCTURAL_ZERO_TOL, TAIL_EPS, HermitianFormContext, _far,
                            b_product_arrays, complex_coordinates, hermitian_form,
                            hermitian_pairing_arrays, theta_coefficients)
-from test_cli import VERIFY_CONT
+from test_cli import ALL_FAR_ADDITIVITY, VERIFY_CONT
 
 THETA_I_0 = 1.086434811213308014575316
 
@@ -559,10 +560,10 @@ def test_additivity_search_order(inst_1_0, monkeypatch):
     # so the truncated search visits h through every nonzero point in turn
     emb, omega = inst_1_0
     ctx = HermitianFormContext(omega)
-    seen = []
+    calls = []
 
     def recording(ctx_, emb_, G, H, *args):
-        seen.append(tuple(H[0].tolist()))
+        calls.append(H[:len(H) // 3].tolist())  # the h of each triple
         return _translations(ctx_, emb_, G, H, *args)
 
     monkeypatch.setattr(nc.manin, "_translations", recording)
@@ -571,8 +572,9 @@ def test_additivity_search_order(inst_1_0, monkeypatch):
     assert rep["verdict"] == "no_witness_found" and rep["search_truncated"]
     expected = sorted(itertools.product(range(-2, 3), repeat=2),
                       key=lambda k: (max(abs(x) for x in k), k))
-    # one kernel call per triple
-    assert seen == [k for k in expected if any(k)]
+    # the first call holds one triple; the calls together walk h in order
+    assert len(calls[0]) == 1
+    assert [tuple(h) for call in calls for h in call] == [k for k in expected if any(k)]
 
 
 def test_modified_probe_skips_degenerate_triples():
@@ -591,8 +593,8 @@ def test_modified_probe_skips_degenerate_triples():
 
 
 def test_additivity_witness_equals_frozen_multipliers(inst_1_2, inst_0_2):
-    # one kernel call per triple keeps the bits of the three one-g
-    # multiplier calls it replaced
+    # the batched kernel calls keep the bits of the three one-g multiplier
+    # calls that the per-triple loop replaced
     for emb, omega in [inst_1_2, inst_0_2]:
         ctx = HermitianFormContext(omega)
         w = nc.additivity_probe(ctx, emb, "modified", search_radius=3)["witness"]
@@ -601,6 +603,51 @@ def test_additivity_witness_equals_frozen_multipliers(inst_1_2, inst_0_2):
                                            TAIL_EPS)[0][0]
                        for g in (w["g1"], w["g2"], np.add(w["g1"], w["g2"])))
         assert w["deviation"] == float(abs(t1 * t2 - t12))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(p=st.sampled_from([0, 1]), q=st.sampled_from([1, 2]),
+       radius=st.integers(1, 3), theta=st.floats(-1, 1).map(lambda e: 10.0 ** e),
+       delta=st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+       omega=st.builds(complex, st.floats(-1, 1),
+                       st.floats(-1, 1).map(lambda e: 10.0 ** e)))
+# Delta_11 = 0.5: the witness is triple 19 444, after 19 443 skipped ones
+@example(p=1, q=2, radius=1, theta=0.5, delta=[0.5, 0.0, 0.0, 0.3], omega=2j)
+# the partial structures t1 = -2.7e-4 + 2.0e-4 i (every multiplier far:
+# no witness in MAX_CHECKS triples) and t1 = -180 + 133 i (triple 3 088)
+@example(p=1, q=1, radius=3, theta=1.0, delta=[0.3] * 4,
+         omega=complex(-2.7e-4, 2.0e-4))
+@example(p=1, q=1, radius=3, theta=1.0, delta=[0.3] * 4, omega=complex(-180, 133))
+def test_modified_probe_equals_frozen_per_triple_loop(p, q, radius, theta, delta,
+                                                      omega):
+    # the batched walk returns the per-triple loop's dict, key order and
+    # deviation bits included
+    emb = nc.canonical_embedding(p, q, theta=[theta][:p], Q=np.eye(q),
+                                 Delta=np.reshape(delta[:q * q], (q, q)))
+    ctx = HermitianFormContext(np.array([[omega]])[:p, :p])
+    rep = nc.additivity_probe(ctx, emb, "modified", search_radius=radius)
+    assert list(rep.items()) == list(_frozen_additivity(ctx, emb, radius).items())
+
+
+def test_far_probe_makes_few_kernel_calls(tmp_path, monkeypatch):
+    # every multiplier of this run's search is far, so the probe walks all
+    # MAX_CHECKS triples; in doubling batches that takes a few dozen calls
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(ALL_FAR_ADDITIVITY))
+    cfg = cli.load_config(str(path))
+    ctx = HermitianFormContext(nc.build_theta_vector(cfg.embedding, cfg.structure).omega)
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[2]))
+        return _translations(*args)
+
+    monkeypatch.setattr(nc.manin, "_translations", counting)
+    rep = nc.additivity_probe(ctx, cfg.embedding, "modified", search_radius=3)
+    assert rep == {"kind": "modified", "search_radius": 3, "triples_checked": 20_000,
+                   "triples_skipped_degenerate": 0, "verdict": "no_witness_found",
+                   "search_truncated": True}
+    assert len(calls) <= 60 and sum(calls) == 3 * 20_000  # each triple once
 
 
 def test_additivity_zero_translation_convention(inst_1_2):
@@ -659,9 +706,10 @@ def test_modified_residual_compares_the_two_routes(inst_1_2):
 
 
 # Frozen copies of the index-based functional-equation engine, the scalar
-# cocycle loop and the translation factor that the cube-slice engine, the
-# batched cocycle check and the one-row closed formula replaced; the tests
-# below assert that the new code keeps their bits.
+# cocycle loop, the translation factor and the probe's per-triple loop that
+# the cube-slice engine, the batched cocycle check, the one-row closed
+# formula and the batched probe replaced; the tests assert that the new
+# code keeps their bits.
 
 def _frozen_translation_factor(ctx, emb, g, kind, tail_eps=TAIL_EPS):
     hgg = hermitian_form(ctx, g, g).real
@@ -703,6 +751,40 @@ def _frozen_multipliers(ctx, emb, g, indices, kind, tail_eps, factor_g=None,
             f"{[tuple(int(v) for v in k) for k in where[:8]]}")
     c_gh, _ = coefficients(indices + g.index)
     return c_gh / (factor_g.value * c_h * alpha), alpha
+
+
+def _frozen_additivity(ctx, emb, search_radius, tail_eps=TAIL_EPS):
+    # the modified probe's search: one kernel call per triple, a triple
+    # through a point that an earlier call flagged skipped without a call
+    K_pts = ball(emb.d, search_radius)
+    K_pts = K_pts[np.argsort(np.max(np.abs(K_pts), axis=1), kind="stable")]
+    nonzero = K_pts[np.any(K_pts != 0, axis=1)]
+    base = {"kind": "modified", "search_radius": int(search_radius),
+            "triples_checked": 0, "triples_skipped_degenerate": 0}
+    triples = itertools.product(nonzero, repeat=3)
+    degenerate = set()
+    for a, b, h in itertools.islice(triples, nc.manin.MAX_CHECKS):
+        base["triples_checked"] += 1
+        G, H = np.stack([a, b, a + b]), np.stack([h] * 3)
+        points = list(map(tuple, G.tolist())) + [tuple(h.tolist())]
+        if degenerate.intersection(points):
+            base["triples_skipped_degenerate"] += 1
+            continue
+        _, zero, _, (t1, t2, t12), _ = _translations(ctx, emb, G, H, "modified",
+                                                     tail_eps)
+        flags = [*zero[0], zero[1][0]]
+        degenerate.update(k for k, z in zip(points, flags) if z)
+        if any(flags):
+            base["triples_skipped_degenerate"] += 1
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = abs(t1 * t2 - t12)
+        if dev > nc.manin.WITNESS_DEVIATION and not _far(t1, t2, t12, dev):
+            return {**base, "verdict": "witness_found",
+                    "witness": {"g1": a.tolist(), "g2": b.tolist(),
+                                "h": h.tolist(), "deviation": float(dev)}}
+    return {**base, "verdict": "no_witness_found",
+            "search_truncated": next(triples, None) is not None}
 
 
 def _frozen_engine(ctx, emb, theta, points, kind, tail_eps=TAIL_EPS,
