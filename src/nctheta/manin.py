@@ -19,7 +19,6 @@ in the second they provably do not, and the probe exhibits witnesses.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -237,7 +236,7 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
     (theta._far), lhs = c_{g+h} (theta_h / c_h), or alpha exp(log C_g + log T
     + log theta_h); a stored theta_h of 0 there (manin: anywhere) is left out
     (below DROP_TOL: not represented).  A call skips this when min |c|^2 is
-    not far, or (manin) theta has no 0 and the ball corners bound C_g and T.
+    not far, or (manin) theta has no 0 and C on R {-1, 0, 1}^d bounds C_g and T.
 
     Errors come in the order of the single-g calls: rows outside the one
     index rule, lattice._indices, |g|_inf > R/2 (ValueError), over FE_BUDGET
@@ -273,10 +272,10 @@ def verify_functional_equations(ctx: HermitianFormContext, emb: EmbeddingMap,
         x_g = complex_coordinates(ctx, rows[0], rows[1])
         factors, log_factors = _gaussian_factor(ctx, x_g)
         # the far path unless no C_g, T or stored theta_h can be far:
-        # |Re log T| <= 2 sqrt(log C_g log C_h) <= -2 log C_k, k a ball corner
-        corners = emb.blocks(np.array(list(itertools.product((-R, R), repeat=d))))
+        # |Re log T| <= 2 sqrt(log C_g log C_h) <= -2 log C_k over the ball,
+        # whose least log C over R {-1, 0, 1}^d is at a corner (H is convex)
         far_path = not np.all(theta.values) or -2 * np.min(_gaussian_factor(
-            ctx, complex_coordinates(ctx, corners[0], corners[1]))[1]) > 690
+            ctx, complex_coordinates(ctx, *emb.blocks(R * ball(d, 1))[:2]))[1]) > 690
         rows.append(_vecmat(x_g, ctx.im_inv))
         cubes.append(np.conj(complex_coordinates(ctx, cubes[0], cubes[1])))
     cubes = [np.ascontiguousarray(block.T).reshape(

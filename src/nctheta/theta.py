@@ -39,39 +39,37 @@ DECAY_SAFETY = 0.95
 STRUCTURAL_ZERO_TOL = 1e-12
 
 
-def _series_halfwidth(a: float, b: float, tail_eps: float) -> int:
-    """Smallest N with sum_{|n|>N} exp(-pi a n^2 + 2 pi b n) < tail_eps, b >= 0.
+def _series_halfwidth(a: float, tail_eps: float) -> int:
+    """Smallest N with sum_{|n|>N} exp(-pi a n^2 + pi a n) < tail_eps, the
+    tail of a recentred series (linear coefficient at most pi a).
 
-    Deterministic: derived from the geometric majorant only, never from
-    observed partial sums.  The majorant is at least twice its head term
-    exp(-pi a x^2 + 2 pi b x), x = N + 1, so x exceeds the larger root of
-    pi a x^2 - 2 pi b x + log(tail_eps).  From there (and from x > b/a)
-    the head term and the factor 2 / (1 - ratio) both decrease in N, so
-    the condition is monotone and N is found by bisection.  NCThetaError
-    when N would exceed SERIES_BUDGET.
+    From the geometric majorant only, never from observed partial sums: it
+    is at least twice its head term exp(-pi a x^2 + pi a x), x = N + 1, so
+    x exceeds the larger root of pi a x^2 - pi a x + log(tail_eps), and
+    from there the condition is monotone in N and bisected.  A sum that
+    overflows to inf - inf is beyond any tail; a ratio that rounds to 1 is
+    not below it.  NCThetaError when N would exceed SERIES_BUDGET.
     """
     if a <= 0.0:
         raise BadTau("Im tau must be positive")
     log_tail = math.log(tail_eps)
 
     def below(n: int) -> bool:
-        log_ratio = -math.pi * a * (2 * n + 3) + 2 * math.pi * b
-        log_head = -math.pi * a * (n + 1) ** 2 + 2 * math.pi * b * (n + 1)
-        if math.isnan(log_ratio):  # inf - inf: the factored forms
-            log_ratio = -2 * math.pi * (a * (n + 1.5) - b)
-        if math.isnan(log_head):
-            log_head = -2 * math.pi * (n + 1) * (a * (n + 1) / 2 - b)
-        return log_ratio < 0.0 and log_head + math.log(
-            2.0 / (1.0 - math.exp(log_ratio))) < log_tail
+        # expanded: the closed -2 pi a (n + 1) and -pi a n (n + 1) round otherwise
+        log_ratio = -math.pi * a * (2 * n + 3) + math.pi * a
+        log_head = -math.pi * a * (n + 1) ** 2 + math.pi * a * (n + 1)
+        if math.isnan(log_ratio + log_head):
+            return True
+        ratio = math.exp(log_ratio)
+        return ratio < 1.0 and log_head + math.log(2.0 / (1.0 - ratio)) < log_tail
 
-    root = b / a + math.sqrt(max((b / a) ** 2 - log_tail / (math.pi * a), 0.0))
+    root = 0.5 + math.sqrt(max(0.25 - log_tail / (math.pi * a), 0.0))
     n = SERIES_BUDGET + 1
     if root <= n:
-        n = bisect.bisect_left(range(n), True, key=below,
-                               lo=max(1, math.ceil(b / a) + 1, math.floor(root) - 1))
+        n = bisect.bisect_left(range(n), True, key=below, lo=max(2, math.floor(root) - 1))
     if n > SERIES_BUDGET:
         raise NCThetaError(f"theta series needs more than {SERIES_BUDGET} terms "
-                           f"per side (a={a}, b={b}, tail_eps={tail_eps})")
+                           f"per side (a={a}, tail_eps={tail_eps})")
     return n
 
 
@@ -117,7 +115,7 @@ def _shifted_lattice_sums(c1: np.ndarray, c0: np.ndarray,
     c0 = np.asarray(c0, dtype=complex)
     n0 = np.round(c1.real / (2.0 * np.pi * a.real))
     rem = c1 - 2.0 * np.pi * a * n0
-    N = _series_halfwidth(a.real, a.real / 2.0, tail_eps)
+    N = _series_halfwidth(a.real, tail_eps)
     j = np.arange(-N, N + 1, dtype=float)
     quad = -np.pi * a * j ** 2
     # one term row at a time, added in order: holds two rows, not 2N+1, and
@@ -230,15 +228,17 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def gaussian_integral(M: np.ndarray, v: np.ndarray) -> complex:
     """Closed form of the p-dimensional integral of exp(-s^T M s + v.s).
 
-    M is complex symmetric with Re M positive definite (DivergentIntegral
-    if not); the value is pi^{p/2} det(M)^{-1/2} exp(v^T M^{-1} v / 4).
-    The inverse square root of the determinant is accumulated eigenvalue
-    by eigenvalue with principal half-arguments, which tracks the branch
-    continuously from the real positive definite case.
+    M is complex symmetric of shape (p, p), v of shape (p,) (DimensionMismatch
+    if not) and Re M positive definite (DivergentIntegral if not); the value
+    is pi^{p/2} det(M)^{-1/2} exp(v^T M^{-1} v / 4), 1 at p = 0.  det(M)^{-1/2}
+    is accumulated eigenvalue by eigenvalue with principal half-arguments,
+    which tracks the branch continuously from the real positive definite case.
     """
     M = np.asarray(M, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if M.ndim != 2 or M.shape[0] == 0:
+    if v.ndim != 1 or M.shape != v.shape * 2:
+        raise DimensionMismatch(f"M {M.shape} and v {v.shape} are not (p, p) and (p,)")
+    if not len(v):
         return 1.0 + 0j
     if np.min(np.linalg.eigvalsh(M.real)) <= 0.0:
         raise DivergentIntegral("Re M must be positive definite")

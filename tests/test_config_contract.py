@@ -5,8 +5,14 @@ Random configs go through `load_config` and `run_config` in-process:
   nothing else;
 - its verdicts are its checks: it exits 0 exactly when every check
   passed, the summary's failures are the failed checks' messages in
-  order, and a run that exits 0 with p >= 1 checked that its theta
-  vector is holomorphic within the check's bound;
+  order, verify.json's overall_pass is that every check passed, and a
+  run that exits 0 with p >= 1 checked that its theta vector is
+  holomorphic within the check's bound;
+- each check's verdict is its value against its bound: value <= bound
+  for the holomorphy, coefficient-formula and degenerate-count checks,
+  value < bound for the functional-equation, cocycle and manin
+  additivity checks, value > bound for a modified-additivity witness;
+  a check without a bound (no theta vector, no witness) fails;
 - a run makes at most one coefficient-formula check, and when it passes,
   theta.json's coefficient_formula_residual is at most inner_rel times
   the largest closed-formula coefficient magnitude on the element's
@@ -38,13 +44,16 @@ to 1e4.  The ill-conditioned Omega and Phi configs of test_cli always
 run, and so do five structures beyond double range: two whose
 connection rows overflow (config errors), one whose solved Omega
 does (classified `nonexistent` for `conditioning`) and two whose manin
-laws overflow on their exponents (NCThetaError).  The radius
+laws overflow on their exponents (NCThetaError), and one p = 1, q = 2
+config whose lattice factor has a structural zero on the ball (a
+degenerate translation).  The radius
 property draws |theta| from 0.05 to 50 and R from 1 to 20; its runs
 reach exponents of about 1e4, below the cocycle check's rounding floor
 (test_manin.test_cocycle_exponent_rounding_floor).
 """
 
 import json
+import operator
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -58,6 +67,21 @@ from test_cli import (ILL_CONDITIONED, ILL_CONDITIONED_PHI, OVERFLOW_ADDITIVITY,
 from test_holomorphy import vector_bits
 
 ILL_CONDITIONED_ERROR = "Im Omega is too ill-conditioned to invert"
+# Delta 0.5 puts a structural zero of a lattice factor on the ball
+DEGENERATE = {"embedding": {"p": 1, "q": 2, "theta": [0.5], "Q": [[1, 0], [0, 1]],
+                            "Delta": [[0.5, 0.0], [0.0, 0.3]]},
+              "truncation_R": 2}
+# the comparison of value and bound that decides a check, by the start of
+# its text; a check without a bound fails
+CHECK_RULES = {
+    "theta vector not holomorphic": operator.le,
+    "coefficient formula": operator.le,
+    "degenerate translation factors": operator.le,
+    "functional equation residual": operator.lt,
+    "cocycle consistency": operator.lt,
+    "translations unexpectedly non-additive": operator.lt,
+    "no non-additivity witness found": operator.gt,
+}
 CHECK = cli.Check
 
 
@@ -122,6 +146,7 @@ def configs(draw):
 @example(config=OVERFLOW_OMEGA)
 @example(config=OVERFLOW_COCYCLE)
 @example(config=OVERFLOW_ADDITIVITY)
+@example(config=DEGENERATE)
 def test_run_outcomes_are_typed_and_rules_agree(tmp_path, monkeypatch, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -145,6 +170,16 @@ def test_run_outcomes_are_typed_and_rules_agree(tmp_path, monkeypatch, config):
         summary = json.loads((out / "summary.json").read_text())
         assert summary["failures"] == [check.text.format(check)
                                        for check in checks if not check.passed]
+        for check in checks:
+            if check.bound is None:
+                assert not check.passed, check
+            else:
+                [rule] = [rule for start, rule in CHECK_RULES.items()
+                          if check.text.startswith(start)]
+                assert check.passed == rule(check.value, check.bound), check
+        if "verify" in summary["reports_written"]:  # out is shared by the examples
+            assert json.loads((out / "verify.json").read_text())["overall_pass"] \
+                == all(check.passed for check in checks)
         holomorphic = [check for check in checks
                        if check.text.startswith("theta vector not holomorphic")]
         if code == 0:

@@ -33,7 +33,7 @@ def _pairing_without_conj(ctx, xg, xh):
     return lattice._component_dot(theta._vecmat(xg, ctx.im_inv), xh)
 
 
-def _series_halfwidth(a, b, tail_eps):
+def _series_halfwidth(a, tail_eps):
     return 1
 
 

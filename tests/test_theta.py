@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nctheta as nc
-from nctheta.errors import (BadTau, DivergentIntegral, GridMismatch,
-                            NCThetaError, SingularEmbedding)
+from nctheta.errors import (BadTau, DimensionMismatch, DivergentIntegral,
+                            GridMismatch, NCThetaError, SingularEmbedding)
 from nctheta.heisenberg import GaussianVector
 from nctheta.lattice import ball
 from nctheta.manin import BallTable
@@ -92,11 +92,16 @@ def test_theta_out_of_range_raises():
     with pytest.raises(NCThetaError):
         nc.classical_theta(1e-12j, 0.1)
     assert time.perf_counter() - start < 1.0
+    # so is a subnormal one at tail_eps >= 1, whose bisection meets n where
+    # the ratio exp(-2 pi a (n + 1)) rounds to 1 (a ZeroDivisionError once)
+    for tail_eps in (1.0, 5.0, 1e300):
+        with pytest.raises(NCThetaError, match="needs more than"):
+            nc.classical_theta(5e-324j, 0, tail_eps=tail_eps)
 
 
 def test_theta_huge_im_tau_keeps_its_value():
-    # the halfwidth is taken at b = Im tau / 2, whose square overflows
-    # past Im tau = 2.7e154: the root of the head bound is formed from b / a
+    # the root of the halfwidth's head bound is formed from 1/2, not from
+    # Im tau, whose square overflows past Im tau = 2.7e154
     for tau in (1e155j, 1e200j, 1e300j):
         assert nc.classical_theta(tau, 0.0) == 1.0
         assert nc.classical_theta(tau, 0.3) == pytest.approx(1.0, abs=1e-15)
@@ -143,14 +148,64 @@ def _frozen_series_halfwidth(a, b, tail_eps):
 
 def test_series_halfwidth_keeps_its_values_where_its_sums_are_finite():
     for a in np.geomspace(1e-3, 1e301, 305).tolist():
-        for b in (0.0, a / 2):
-            for tail_eps in (1e-15, 1e-9, 1e-3):
-                assert _series_halfwidth(a, b, tail_eps) == \
-                    _frozen_series_halfwidth(a, b, tail_eps), (a, b, tail_eps)
+        for tail_eps in (1e-15, 1e-9, 1e-3):
+            assert _series_halfwidth(a, tail_eps) == \
+                _frozen_series_halfwidth(a, a / 2, tail_eps), (a, tail_eps)
     # beyond, both terms of a sum overflow at the first bisection midpoints,
     # and the frozen copy's NaN there ends in a budget error
     for a in (1.2e302, 1e305, 2.9e307, 1.79e308):
-        assert _series_halfwidth(a, a / 2, TAIL_EPS) == 2, a
+        assert _series_halfwidth(a, TAIL_EPS) == 2, a
+
+
+def _halfwidth_draws(count, seed):
+    """(a, tail_eps) pairs: a log-uniform over all positive doubles with
+    tail_eps log-uniform in [1e-300, 1e300], subnormal a with tail_eps >= 1,
+    and a = 1 with tail_eps log-uniform in [1e-300, 1]."""
+    rng = np.random.default_rng(seed)
+    n = count // 4
+    wide = np.exp(rng.uniform(math.log(5e-324), math.log(1.79e308), 2 * n))
+    subnormal = rng.integers(1, 2**52, n) * 5e-324
+    return (list(zip(wide.tolist(), np.exp(rng.uniform(-690, 690, 2 * n)).tolist()))
+            + list(zip(subnormal.tolist(), np.exp(rng.uniform(0, 690, n)).tolist()))
+            + [(1.0, e) for e in np.exp(rng.uniform(-690, 0, n)).tolist()])
+
+
+def test_series_halfwidth_equals_frozen_copy_at_the_recentred_bound():
+    # the package's bound is the frozen copy's at b = a / 2; where the
+    # frozen sums form NaN the answer is 2, and where its bisection divides
+    # by a ratio that rounds to 1, such an n is not below the tail
+    outcomes = set()
+    for a, tail_eps in _halfwidth_draws(20000, 41):
+        try:
+            want = _frozen_series_halfwidth(a, a / 2, tail_eps)
+        except ZeroDivisionError:
+            want = ZeroDivisionError
+        if a >= 1.2e302:
+            assert want == SERIES_BUDGET + 1 and _series_halfwidth(a, tail_eps) == 2
+            outcomes.add("nan")
+        elif want is ZeroDivisionError:
+            try:
+                n = _series_halfwidth(a, tail_eps)
+            except NCThetaError:
+                outcomes.add("zero_division")
+                continue
+            # n is the first that holds, a ratio of 1 counting as not: this
+            # needs tail_eps > 2 / (1 - ratio) > 2
+            def holds(k):
+                try:
+                    return _halfwidth_holds(k, a, a / 2, math.log(tail_eps))
+                except ZeroDivisionError:
+                    return False
+            assert tail_eps > 1 and holds(n) and not holds(n - 1), (a, tail_eps, n)
+            outcomes.add("first_ratio_below_1")
+        elif want > SERIES_BUDGET:
+            with pytest.raises(NCThetaError):
+                _series_halfwidth(a, tail_eps)
+            outcomes.add("budget")
+        else:
+            assert _series_halfwidth(a, tail_eps) == want, (a, tail_eps)
+            outcomes.add("n")
+    assert outcomes == {"nan", "zero_division", "first_ratio_below_1", "budget", "n"}
 
 
 def test_non_finite_inputs_raise_typed():
@@ -224,20 +279,19 @@ def _linear_halfwidth(a, b, tail_eps):
 
 def test_series_halfwidth_matches_linear_search():
     for a in np.geomspace(1e-6, 10, 18):
-        for b in (0.0, a / 4, a / 2, 0.5):
-            for tail_eps in (1e-300, 1e-15, 1e-3, 0.5):
-                expected = _linear_halfwidth(a, b, tail_eps)
-                if expected > SERIES_BUDGET:
-                    with pytest.raises(NCThetaError):
-                        _series_halfwidth(a, b, tail_eps)
-                else:
-                    assert _series_halfwidth(a, b, tail_eps) == expected
+        for tail_eps in (1e-300, 1e-15, 1e-3, 0.5):
+            expected = _linear_halfwidth(a, a / 2, tail_eps)
+            if expected > SERIES_BUDGET:
+                with pytest.raises(NCThetaError):
+                    _series_halfwidth(a, tail_eps)
+            else:
+                assert _series_halfwidth(a, tail_eps) == expected
 
 
 def test_series_halfwidth_bisects():
     # the answer lies ~4*10^4 checks past the quadratic root here
     start = time.perf_counter()
-    assert _series_halfwidth(1e-10, 0.0, 1e-15) == 372501
+    assert _series_halfwidth(1e-10, 1e-15) == 372502
     assert time.perf_counter() - start < 5e-3
 
 
@@ -249,7 +303,7 @@ def _frozen_shifted_lattice_sums(c1, c0, tail_eps=TAIL_EPS, a=1.0):
     n0 = np.round(c1.real / (2.0 * np.pi * a.real))
     rem = c1 - 2.0 * np.pi * a * n0
     bmax = float(np.max(np.abs(rem.real))) / (2.0 * np.pi) if c1.size else 0.0
-    N = _series_halfwidth(a.real, bmax, tail_eps)
+    N = _frozen_series_halfwidth(a.real, bmax, tail_eps)
     j = np.arange(-N, N + 1, dtype=float)
     terms = np.exp(-np.pi * a * j[:, None] ** 2 + rem.ravel()[None, :] * j[:, None])
     core = np.cumsum(terms, axis=0)[-1].reshape(c1.shape)
@@ -460,6 +514,17 @@ def test_gaussian_integral_against_quadrature():
 def test_gaussian_integral_divergent():
     with pytest.raises(DivergentIntegral):
         nc.gaussian_integral(np.array([[-1.0 + 0.5j]]), np.array([0j]))
+
+
+def test_gaussian_integral_rejects_malformed_shapes():
+    # a 1-d or 0-d M once gave 1 where the integral is sqrt(pi / 2)
+    for M, v in [(np.array([2.0]), np.array([0.0])), (np.array(2.0), np.array([0.0])),
+                 (np.array(2.0), np.array(0.0)), (np.ones((2, 3)), np.zeros(2)),
+                 (np.eye(2), np.zeros(1)), (np.eye(2), np.zeros((2, 1)))]:
+        with pytest.raises(DimensionMismatch):
+            nc.gaussian_integral(M, v)
+    assert nc.gaussian_integral(np.zeros((0, 0)), np.zeros(0)) == 1
+    assert nc.gaussian_integral([[2.0]], [0.0]) == pytest.approx(math.sqrt(math.pi / 2))
 
 
 def test_inner_product_diagonal_normalization(inst_1_2):
